@@ -151,10 +151,10 @@ ccmm stress --seed 20260808 --iters 200 --threads 4 > "$scratch/stress.out" \
 grep -q "completed 200/200" "$scratch/stress.out"
 
 echo "== telemetry smoke: counters deterministic across thread counts =="
-# --metrics counter values for the memberships and fixpoint phases must
-# be bit-identical at 1, 2, and 4 threads (DESIGN.md §9); the lattice and
-# constructibility phases early-exit and are coverage-dependent, so they
-# are excluded. The trace file must be valid JSONL.
+# --metrics counter values for the memberships, lattice, and fixpoint
+# phases must be bit-identical at 1, 2, and 4 threads (DESIGN.md §9); the
+# constructibility phase early-exits and is coverage-dependent, so it is
+# excluded. The trace file must be valid JSONL.
 for t in 1 2 4; do
     ccmm sweep --bound 4 --canonical --threads "$t" \
         --metrics "$scratch/metrics-$t.json" --trace "$scratch/trace-$t.jsonl" \
@@ -163,8 +163,9 @@ for t in 1 2 4; do
         || { echo "metrics-$t.json is not valid JSON"; exit 1; }
     jq -es . "$scratch/trace-$t.jsonl" > /dev/null \
         || { echo "trace-$t.jsonl is not valid JSONL"; exit 1; }
-    jq -S '[.phases[] | select(.name == "memberships" or .name == "fixpoint")
-            | {name, counters}]' "$scratch/metrics-$t.json" > "$scratch/det-$t.json"
+    jq -S '[.phases[] | select(.name == "memberships" or .name == "lattice"
+            or .name == "fixpoint") | {name, counters}]' \
+        "$scratch/metrics-$t.json" > "$scratch/det-$t.json"
 done
 pairs=$(jq '.phases[0].counters.pairs_checked' "$scratch/metrics-1.json")
 [[ "$pairs" -gt 0 ]] || { echo "pairs_checked is zero — counters not recording"; exit 1; }
@@ -173,21 +174,23 @@ for t in 2 4; do
         || { echo "deterministic-phase counters drifted at $t threads"; exit 1; }
 done
 
-# Same pin for the lane64 engine: the fixpoint phase's lane counters
-# (lane_fixpoint_words, lane_deletions_masked, lane_survivor_pop) are in
-# the deterministic class and must not drift with the thread count.
+# Same pin for the lane64 engine: the lattice pass's lane counters
+# (lane_words, lane_slots) and the fixpoint phase's (lane_fixpoint_words,
+# lane_deletions_masked, lane_survivor_pop) are in the deterministic class
+# and must not drift with the thread count.
 for t in 1 2 4; do
     ccmm sweep --bound 4 --canonical --engine lane64 --threads "$t" \
         --metrics "$scratch/lane-metrics-$t.json" > /dev/null 2>&1
-    jq -S '[.phases[] | select(.name == "memberships" or .name == "fixpoint")
-            | {name, counters}]' "$scratch/lane-metrics-$t.json" > "$scratch/lane-det-$t.json"
+    jq -S '[.phases[] | select(.name == "memberships" or .name == "lattice"
+            or .name == "fixpoint") | {name, counters}]' \
+        "$scratch/lane-metrics-$t.json" > "$scratch/lane-det-$t.json"
 done
 pop=$(jq '[.phases[] | select(.name == "fixpoint")
            | .counters.lane_survivor_pop] | first' "$scratch/lane-metrics-1.json")
 [[ "$pop" -gt 0 ]] || { echo "lane_survivor_pop is zero — lane fixpoint counters not recording"; exit 1; }
 for t in 2 4; do
     diff "$scratch/lane-det-1.json" "$scratch/lane-det-$t.json" \
-        || { echo "lane fixpoint counters drifted at $t threads"; exit 1; }
+        || { echo "lane64 deterministic-phase counters drifted at $t threads"; exit 1; }
 done
 echo "== watch smoke: streaming LC check, deadline kill + replay resume, gate =="
 # A fib:16 trace streams clean through the lean BACKER executor with the

@@ -147,8 +147,8 @@ fn main() {
         pairs_checked,
         0,
     );
-    match report::emit(std::slice::from_ref(&record)) {
-        Ok(path) => println!("\nsweep timing appended to {path}"),
+    match report::emit(report::DEFAULT_BENCH_JSON, std::slice::from_ref(&record)) {
+        Ok(()) => println!("\nsweep timing appended to {}", report::DEFAULT_BENCH_JSON),
         Err(e) => eprintln!("\ncould not write sweep timing: {e}"),
     }
 

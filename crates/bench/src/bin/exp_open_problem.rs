@@ -70,8 +70,8 @@ fn main() {
             wn_star.passes,
         ),
     ];
-    match report::emit(&records) {
-        Ok(path) => println!("sweep timings appended to {path}\n"),
+    match report::emit(report::DEFAULT_BENCH_JSON, &records) {
+        Ok(()) => println!("sweep timings appended to {}\n", report::DEFAULT_BENCH_JSON),
         Err(e) => eprintln!("could not write sweep timings: {e}\n"),
     }
 

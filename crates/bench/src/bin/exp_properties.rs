@@ -77,8 +77,8 @@ fn main() {
         report::universe_pairs(&u4) + report::universe_pairs(&u5),
         0,
     );
-    match report::emit(std::slice::from_ref(&record)) {
-        Ok(path) => println!("sweep timing appended to {path}"),
+    match report::emit(report::DEFAULT_BENCH_JSON, std::slice::from_ref(&record)) {
+        Ok(()) => println!("sweep timing appended to {}", report::DEFAULT_BENCH_JSON),
         Err(e) => eprintln!("could not write sweep timing: {e}"),
     }
     println!("(NN's smallest nonconstructibility witnesses need 4-node");

@@ -103,8 +103,8 @@ fn main() {
         report::universe_pairs(&u),
         fix.passes,
     );
-    match report::emit(std::slice::from_ref(&record)) {
-        Ok(path) => println!("sweep timing appended to {path}"),
+    match report::emit(report::DEFAULT_BENCH_JSON, std::slice::from_ref(&record)) {
+        Ok(()) => println!("sweep timing appended to {}", report::DEFAULT_BENCH_JSON),
         Err(e) => eprintln!("could not write sweep timing: {e}"),
     }
 

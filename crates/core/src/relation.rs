@@ -26,6 +26,19 @@ pub enum Relation {
     Incomparable,
 }
 
+impl Relation {
+    /// The relation of A versus B given whether some pair is in `A \ B`
+    /// (`a_only`) and whether some pair is in `B \ A` (`b_only`).
+    pub fn from_evidence(a_only: bool, b_only: bool) -> Relation {
+        match (a_only, b_only) {
+            (false, false) => Relation::Equal,
+            (false, true) => Relation::StrictlyStronger,
+            (true, false) => Relation::StrictlyWeaker,
+            (true, true) => Relation::Incomparable,
+        }
+    }
+}
+
 impl std::fmt::Display for Relation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
@@ -97,12 +110,7 @@ where
         });
         ControlFlow::Continue(())
     });
-    cmp.relation = match (&cmp.a_only, &cmp.b_only) {
-        (None, None) => Relation::Equal,
-        (None, Some(_)) => Relation::StrictlyStronger,
-        (Some(_), None) => Relation::StrictlyWeaker,
-        (Some(_), Some(_)) => Relation::Incomparable,
-    };
+    cmp.relation = Relation::from_evidence(cmp.a_only.is_some(), cmp.b_only.is_some());
     cmp
 }
 
@@ -197,12 +205,7 @@ where
             cmp.b_only = Some((c, phi));
         }
     }
-    cmp.relation = match (&cmp.a_only, &cmp.b_only) {
-        (None, None) => Relation::Equal,
-        (None, Some(_)) => Relation::StrictlyStronger,
-        (Some(_), None) => Relation::StrictlyWeaker,
-        (Some(_), Some(_)) => Relation::Incomparable,
-    };
+    cmp.relation = Relation::from_evidence(cmp.a_only.is_some(), cmp.b_only.is_some());
     cmp
 }
 

@@ -425,7 +425,8 @@ where
 }
 
 /// Parallel [`crate::relation::lattice`]: the full pairwise relation
-/// matrix, each cell decided by [`relation_par`].
+/// matrix, decided by one verdict pass over the universe (every model
+/// checked once per observer).
 pub fn lattice_par<M: MemoryModel + Sync>(
     models: &[M],
     u: &Universe,

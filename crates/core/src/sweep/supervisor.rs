@@ -550,101 +550,6 @@ fn merge_keyed<W>(dst: &mut Option<Keyed<W>>, src: Option<Keyed<W>>) {
     }
 }
 
-/// Per-task (and merged) comparison state.
-struct CmpState {
-    both: usize,
-    a_total: usize,
-    b_total: usize,
-    pairs_checked: usize,
-    a_only: Option<Keyed<(Computation, ObserverFunction)>>,
-    b_only: Option<Keyed<(Computation, ObserverFunction)>>,
-}
-
-impl CmpState {
-    fn new() -> Self {
-        CmpState { both: 0, a_total: 0, b_total: 0, pairs_checked: 0, a_only: None, b_only: None }
-    }
-}
-
-/// Supervised [`crate::sweep::compare_par`]: same `Comparison` when
-/// complete; under quarantine, totals exclude the quarantined tasks and
-/// the witnesses of all other tasks still match the serial scan.
-pub fn compare_supervised<A, B>(
-    a: &A,
-    b: &B,
-    u: &Universe,
-    cfg: &SweepConfig,
-    sup: &Supervisor,
-) -> Supervised<Comparison>
-where
-    A: MemoryModel + Sync,
-    B: MemoryModel + Sync,
-{
-    let alphabet = u.alphabet();
-    let maps = maps_for(u, cfg, &alphabet);
-    let out = run_supervised(
-        materialize(u, cfg.canonical),
-        cfg.threads,
-        cfg.deadline,
-        &sup.fault,
-        Frontier::new(),
-        CmpState::new(),
-        None,
-        || (LabelScratch::new(), CheckScratch::new()),
-        |task, xs| {
-            let (ls, check) = xs;
-            let mut p = CmpState::new();
-            let _ = for_each_labelling(&alphabet, &maps, task, ls, &mut |c, weight| {
-                let w = weight as usize;
-                let _ = for_each_observer(c, |phi| {
-                    p.pairs_checked += w;
-                    let in_a = a.contains_with(c, phi, check);
-                    let in_b = b.contains_with(c, phi, check);
-                    p.a_total += w * in_a as usize;
-                    p.b_total += w * in_b as usize;
-                    p.both += w * (in_a && in_b) as usize;
-                    if in_a && !in_b {
-                        keep_min(&mut p.a_only, task.idx, || (c.clone(), phi.clone()));
-                    }
-                    if in_b && !in_a {
-                        keep_min(&mut p.b_only, task.idx, || (c.clone(), phi.clone()));
-                    }
-                    ControlFlow::Continue(())
-                });
-                ControlFlow::Continue(())
-            });
-            p
-        },
-        |g, d, _| {
-            g.both += d.both;
-            g.a_total += d.a_total;
-            g.b_total += d.b_total;
-            g.pairs_checked += d.pairs_checked;
-            merge_keyed(&mut g.a_only, d.a_only);
-            merge_keyed(&mut g.b_only, d.b_only);
-        },
-    );
-    out.map(|p| {
-        let a_only = p.a_only.map(|k| k.witness);
-        let b_only = p.b_only.map(|k| k.witness);
-        let relation = match (&a_only, &b_only) {
-            (None, None) => Relation::Equal,
-            (None, Some(_)) => Relation::StrictlyStronger,
-            (Some(_), None) => Relation::StrictlyWeaker,
-            (Some(_), Some(_)) => Relation::Incomparable,
-        };
-        Comparison {
-            relation,
-            a_only,
-            b_only,
-            both: p.both,
-            a_total: p.a_total,
-            b_total: p.b_total,
-            pairs_checked: p.pairs_checked,
-        }
-    })
-}
-
 /// Supervised [`crate::sweep::relation_par`]. Witness-existence evidence
 /// found by a task that later panics is kept — it is a real pair, so the
 /// verdict stays sound; a degraded verdict may at worst miss evidence
@@ -705,67 +610,28 @@ where
         },
         |_, _, _| {},
     );
-    let relation =
-        match (found_a_only.load(Ordering::Relaxed), found_b_only.load(Ordering::Relaxed)) {
-            (false, false) => Relation::Equal,
-            (false, true) => Relation::StrictlyStronger,
-            (true, false) => Relation::StrictlyWeaker,
-            (true, true) => Relation::Incomparable,
-        };
+    let relation = Relation::from_evidence(
+        found_a_only.load(Ordering::Relaxed),
+        found_b_only.load(Ordering::Relaxed),
+    );
     out.map(|()| relation)
 }
 
-/// Supervised [`crate::sweep::lattice_par`]: every cell runs under the
-/// same supervisor (so one fault plan spans the whole matrix), and the
-/// worst cell status wins. The deadline applies per cell.
-pub fn lattice_supervised<M: MemoryModel + Sync>(
-    models: &[M],
+/// Supervised first-witness search over the computations of `u` (the
+/// engine behind the `check_*` entry points): `find` returns a
+/// computation's first witness, if any. The winning — minimal-task-index
+/// — witness is published to the shared `best` atomic only at commit
+/// time, so a task that found a candidate but then panicked cannot
+/// suppress other tasks' witnesses.
+fn search_supervised<W: Send, X>(
     u: &Universe,
     cfg: &SweepConfig,
     sup: &Supervisor,
-) -> Supervised<Vec<LatticeRow>> {
-    let mut status = SweepStatus::Complete;
-    let mut quarantined = Vec::new();
-    let mut total_tasks = 0;
-    let mut rows = Vec::new();
-    for a in models {
-        let mut row = LatticeRow { name: a.name().to_string(), relations: Vec::new() };
-        for b in models {
-            let cell = relation_supervised(a, b, u, cfg, sup);
-            status = status.max(cell.status);
-            quarantined.extend(cell.quarantined);
-            total_tasks += cell.total_tasks;
-            row.relations.push(cell.value);
-        }
-        rows.push(row);
-    }
-    quarantined.sort_by_key(|q| q.task_idx);
-    Supervised {
-        value: rows,
-        status,
-        quarantined,
-        frontier: Frontier::new(),
-        total_tasks,
-        ckpt_error: None,
-    }
-}
-
-/// Supervised first-witness search (the engine behind the `check_*`
-/// entry points): the winning — minimal-task-index — witness is published
-/// to the shared `best` atomic only at commit time, so a task that found
-/// a candidate but then panicked cannot suppress other tasks' witnesses.
-fn search_supervised<W, X, XF, F>(
-    tasks: Vec<Task>,
-    cfg: &SweepConfig,
-    sup: &Supervisor,
-    scratch: XF,
-    scan: F,
-) -> Supervised<Option<W>>
-where
-    W: Send,
-    XF: Fn() -> X + Sync,
-    F: Fn(&Task, &mut X, &dyn Fn() -> bool) -> Option<W> + Sync,
-{
+    scratch: impl Fn() -> X + Sync,
+    find: impl Fn(&Computation, &mut X) -> Option<W> + Sync,
+) -> Supervised<Option<W>> {
+    let alphabet = u.alphabet();
+    let maps = maps_for(u, cfg, &alphabet);
     // Ordering audit: `best` is a Relaxed pruning hint, not the answer.
     // fetch_min is an atomic RMW, so concurrent minima commute and none
     // is lost regardless of ordering; a worker reading a stale (larger)
@@ -773,20 +639,32 @@ where
     // under the shared lock — the authoritative min-task-index merge.
     let best = AtomicUsize::new(usize::MAX);
     let out = run_supervised(
-        tasks,
+        materialize(u, cfg.canonical),
         cfg.threads,
         cfg.deadline,
         &sup.fault,
         Frontier::new(),
         None::<Keyed<W>>,
         None,
-        scratch,
-        |task, x| {
-            if best.load(Ordering::Relaxed) < task.idx {
+        || (LabelScratch::new(), scratch()),
+        |task, (ls, x)| {
+            let superseded = || best.load(Ordering::Relaxed) < task.idx;
+            if superseded() {
                 return None; // an earlier task already has a witness
             }
-            let superseded = || best.load(Ordering::Relaxed) < task.idx;
-            scan(task, x, &superseded).map(|w| Keyed { task_idx: task.idx, witness: w })
+            let mut found = None;
+            let _ = for_each_labelling(&alphabet, &maps, task, ls, &mut |c, _| {
+                if superseded() {
+                    return ControlFlow::Break(());
+                }
+                found = find(c, x);
+                if found.is_some() {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            });
+            found.map(|w| Keyed { task_idx: task.idx, witness: w })
         },
         |g, d, idx| {
             if d.is_some() {
@@ -806,39 +684,17 @@ pub fn check_complete_supervised<M: MemoryModel + Sync>(
     cfg: &SweepConfig,
     sup: &Supervisor,
 ) -> Supervised<Option<IncompleteWitness>> {
-    let alphabet = u.alphabet();
-    let maps = maps_for(u, cfg, &alphabet);
-    search_supervised(
-        materialize(u, cfg.canonical),
-        cfg,
-        sup,
-        || (LabelScratch::new(), CheckScratch::new()),
-        |task, xs, superseded| {
-            let (ls, check) = xs;
-            let mut found = None;
-            let _ = for_each_labelling(&alphabet, &maps, task, ls, &mut |c, _| {
-                if superseded() {
-                    return ControlFlow::Break(());
-                }
-                let mut any = false;
-                let _ = for_each_observer(c, |phi| {
-                    if model.contains_with(c, phi, check) {
-                        any = true;
-                        ControlFlow::Break(())
-                    } else {
-                        ControlFlow::Continue(())
-                    }
-                });
-                if !any {
-                    found = Some(c.clone());
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            });
-            found
-        },
-    )
+    search_supervised(u, cfg, sup, CheckScratch::new, |c, check| {
+        let has_member = for_each_observer(c, |phi| {
+            if model.contains_with(c, phi, check) {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        })
+        .is_break();
+        (!has_member).then(|| c.clone())
+    })
 }
 
 /// Supervised [`crate::sweep::check_monotonic_par`]; `Some` is the serial
@@ -849,41 +705,23 @@ pub fn check_monotonic_supervised<M: MemoryModel + Sync>(
     cfg: &SweepConfig,
     sup: &Supervisor,
 ) -> Supervised<Option<MonotonicityWitness>> {
-    let alphabet = u.alphabet();
-    let maps = maps_for(u, cfg, &alphabet);
-    search_supervised(
-        materialize(u, cfg.canonical),
-        cfg,
-        sup,
-        || (LabelScratch::new(), CheckScratch::new()),
-        |task, xs, superseded| {
-            let (ls, check) = xs;
-            let mut found = None;
-            let _ = for_each_labelling(&alphabet, &maps, task, ls, &mut |c, _| {
-                if superseded() {
+    search_supervised(u, cfg, sup, CheckScratch::new, |c, check| {
+        let mut found = None;
+        let _ = for_each_observer(c, |phi| {
+            if !model.contains_with(c, phi, check) {
+                return ControlFlow::Continue(());
+            }
+            for (na, nb) in c.dag().edges() {
+                let relaxed = c.without_edge(na, nb).expect("edge exists");
+                if !model.contains_with(&relaxed, phi, check) {
+                    found = Some(MonotonicityWitness { c: c.clone(), phi: phi.clone(), relaxed });
                     return ControlFlow::Break(());
                 }
-                for_each_observer(c, |phi| {
-                    if !model.contains_with(c, phi, check) {
-                        return ControlFlow::Continue(());
-                    }
-                    for (na, nb) in c.dag().edges() {
-                        let relaxed = c.without_edge(na, nb).expect("edge exists");
-                        if !model.contains_with(&relaxed, phi, check) {
-                            found = Some(MonotonicityWitness {
-                                c: c.clone(),
-                                phi: phi.clone(),
-                                relaxed,
-                            });
-                            return ControlFlow::Break(());
-                        }
-                    }
-                    ControlFlow::Continue(())
-                })
-            });
-            found
-        },
-    )
+            }
+            ControlFlow::Continue(())
+        });
+        found
+    })
 }
 
 /// Supervised [`crate::sweep::check_constructible_aug_par`]; `Some` is
@@ -895,43 +733,29 @@ pub fn check_constructible_aug_supervised<M: MemoryModel + Sync>(
     sup: &Supervisor,
 ) -> Supervised<Option<ConstructibilityWitness>> {
     let alphabet = u.alphabet();
-    let maps = maps_for(u, cfg, &alphabet);
     let bounded = Universe { max_nodes: u.max_nodes.saturating_sub(1), ..*u };
-    search_supervised(
-        materialize(&bounded, cfg.canonical),
-        cfg,
-        sup,
-        || (LabelScratch::new(), CheckScratch::new()),
-        |task, xs, superseded| {
-            let (ls, check) = xs;
-            let mut found = None;
-            let _ = for_each_labelling(&alphabet, &maps, task, ls, &mut |c, _| {
-                if superseded() {
+    search_supervised(&bounded, cfg, sup, CheckScratch::new, |c, check| {
+        let mut found = None;
+        let _ = for_each_observer(c, |phi| {
+            if !model.contains_with(c, phi, check) {
+                return ControlFlow::Continue(());
+            }
+            for &o in &alphabet {
+                let aug = c.augment(o);
+                if !any_extension(&aug, phi, |phi2| model.contains_with(&aug, phi2, check)) {
+                    found = Some(ConstructibilityWitness {
+                        c: c.clone(),
+                        phi: phi.clone(),
+                        extension: aug,
+                        op: o,
+                    });
                     return ControlFlow::Break(());
                 }
-                for_each_observer(c, |phi| {
-                    if !model.contains_with(c, phi, check) {
-                        return ControlFlow::Continue(());
-                    }
-                    for &o in &alphabet {
-                        let aug = c.augment(o);
-                        if !any_extension(&aug, phi, |phi2| model.contains_with(&aug, phi2, check))
-                        {
-                            found = Some(ConstructibilityWitness {
-                                c: c.clone(),
-                                phi: phi.clone(),
-                                extension: aug,
-                                op: o,
-                            });
-                            return ControlFlow::Break(());
-                        }
-                    }
-                    ControlFlow::Continue(())
-                })
-            });
-            found
-        },
-    )
+            }
+            ControlFlow::Continue(())
+        });
+        found
+    })
 }
 
 /// Packs the membership verdicts of `c`'s observers, in node-major
@@ -980,86 +804,64 @@ pub fn check_constructible_aug_lanes_supervised<M: MemoryModel + Sync>(
     sup: &Supervisor,
 ) -> Supervised<Option<ConstructibilityWitness>> {
     let alphabet = u.alphabet();
-    let maps = maps_for(u, cfg, &alphabet);
     let bounded = Universe { max_nodes: u.max_nodes.saturating_sub(1), ..*u };
-    search_supervised(
-        materialize(&bounded, cfg.canonical),
-        cfg,
-        sup,
-        || (LabelScratch::new(), LanePack::new(), LaneScratch::new()),
-        |task, xs, superseded| {
-            let (ls, pack, lscr) = xs;
-            let mut found = None;
-            let _ = for_each_labelling(&alphabet, &maps, task, ls, &mut |c, _| {
-                if superseded() {
-                    return ControlFlow::Break(());
-                }
-                let mut members = Vec::new();
-                lane_member_mask(model, c, pack, lscr, &mut members);
-                if members.iter().all(|&w| w == 0) {
-                    return ControlFlow::Continue(());
-                }
-                // Per op: the augmentation's member mask and its block
-                // size E — member bit p of `c` extends exactly into the
-                // block [p·E, (p+1)·E) of the augmentation's mask.
-                let augs: Vec<_> = alphabet
-                    .iter()
-                    .map(|&o| {
-                        let aug = c.augment(o);
-                        let (_, block) = node_major_shape(&aug);
-                        let mut mask = Vec::new();
-                        lane_member_mask(model, &aug, pack, lscr, &mut mask);
-                        (o, aug, mask, block)
-                    })
-                    .collect();
-                // For each member, the first op (alphabet order) whose
-                // extension block is empty — mirroring the scalar scan's
-                // inner op loop.
-                let mut failing: Vec<(u64, usize)> = Vec::new();
-                for (wi, &w) in members.iter().enumerate() {
-                    let mut w = w;
-                    while w != 0 {
-                        let p = (wi as u64) * 64 + u64::from(w.trailing_zeros());
-                        w &= w - 1;
-                        for (j, (_, _, mask, block)) in augs.iter().enumerate() {
-                            if block_empty(mask, p * block, *block) {
-                                failing.push((p, j));
-                                break;
-                            }
-                        }
+    let scratch = || (LanePack::new(), LaneScratch::new());
+    search_supervised(&bounded, cfg, sup, scratch, |c, (pack, lscr)| {
+        let mut members = Vec::new();
+        lane_member_mask(model, c, pack, lscr, &mut members);
+        if members.iter().all(|&w| w == 0) {
+            return None;
+        }
+        // Per op: the augmentation's member mask and its block size E —
+        // member bit p of `c` extends exactly into the block
+        // [p·E, (p+1)·E) of the augmentation's mask.
+        let augs: Vec<_> = alphabet
+            .iter()
+            .map(|&o| {
+                let aug = c.augment(o);
+                let (_, block) = node_major_shape(&aug);
+                let mut mask = Vec::new();
+                lane_member_mask(model, &aug, pack, lscr, &mut mask);
+                (o, aug, mask, block)
+            })
+            .collect();
+        // For each member, the first op (alphabet order) whose extension
+        // block is empty — mirroring the scalar scan's inner op loop.
+        let mut failing: Vec<(u64, usize)> = Vec::new();
+        for (wi, &w) in members.iter().enumerate() {
+            let mut w = w;
+            while w != 0 {
+                let p = (wi as u64) * 64 + u64::from(w.trailing_zeros());
+                w &= w - 1;
+                for (j, (_, _, mask, block)) in augs.iter().enumerate() {
+                    if block_empty(mask, p * block, *block) {
+                        failing.push((p, j));
+                        break;
                     }
                 }
-                if failing.is_empty() {
-                    return ControlFlow::Continue(());
+            }
+        }
+        if failing.is_empty() {
+            return None;
+        }
+        // Re-rank node-major failures into the scalar scan's
+        // (location-major observer, op) order and keep the first.
+        let mut best: Option<(u64, usize, ObserverFunction)> = None;
+        let mut p = 0u64;
+        let _ = for_each_observer_node_major(c, |phi| {
+            if let Some(&(_, j)) = failing.iter().find(|&&(q, _)| q == p) {
+                let rank = location_major_index(c, phi).expect("enumerated observer is valid");
+                if best.as_ref().is_none_or(|(r, bj, _)| (rank, j) < (*r, *bj)) {
+                    best = Some((rank, j, phi.clone()));
                 }
-                // Re-rank node-major failures into the scalar scan's
-                // (location-major observer, op) order and keep the first.
-                let mut best: Option<(u64, usize, ObserverFunction)> = None;
-                let mut p = 0u64;
-                let _ = for_each_observer_node_major(c, |phi| {
-                    if let Some(&(_, j)) = failing.iter().find(|&&(q, _)| q == p) {
-                        let rank =
-                            location_major_index(c, phi).expect("enumerated observer is valid");
-                        if best.as_ref().is_none_or(|(r, bj, _)| (rank, j) < (*r, *bj)) {
-                            best = Some((rank, j, phi.clone()));
-                        }
-                    }
-                    p += 1;
-                    ControlFlow::Continue(())
-                });
-                let (_, j, phi) = best.expect("failing set is non-empty");
-                let (o, aug, _, _) = &augs[j];
-                found = Some(ConstructibilityWitness {
-                    c: c.clone(),
-                    phi,
-                    extension: aug.clone(),
-                    op: *o,
-                });
-                ControlFlow::Break(())
-            });
-            found
-        },
-    )
+            }
+            p += 1;
+            ControlFlow::Continue(())
+        });
+        let (_, j, phi) = best.expect("failing set is non-empty");
+        let (o, aug, _, _) = &augs[j];
+        Some(ConstructibilityWitness { c: c.clone(), phi, extension: aug.clone(), op: *o })
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -1132,6 +934,174 @@ pub fn decode_counts_snapshot(mut bytes: &[u8]) -> Option<(Frontier, CountsState
     Some((frontier, counts))
 }
 
+// ---------------------------------------------------------------------
+// The verdict pass: memberships, comparisons, and the Figure-1 lattice
+// ---------------------------------------------------------------------
+
+/// Recovers the observer function in one slot of a batch.
+type SlotObserver<'a> = &'a dyn Fn(usize) -> ObserverFunction;
+
+/// How the verdict pass decides a computation's observers: in batches,
+/// each decided under every model once. [`Scalar`] batches one observer
+/// (width-1 masks); [`Lane64`] up to [`crate::model::LANES`].
+trait VerdictKernel {
+    /// Per-worker scratch (rebuilt after a panic).
+    type Scratch;
+
+    fn scratch() -> Self::Scratch;
+
+    /// Calls `flush(slots, verdicts, observer)` per batch of `c`'s valid
+    /// observers, in enumeration order: `slots` has one bit per observer
+    /// of the batch and `verdicts[i] ⊆ slots` is model `i`'s mask.
+    fn decide<M: MemoryModel>(
+        models: &[M],
+        c: &Computation,
+        x: &mut Self::Scratch,
+        verdicts: &mut [u64],
+        flush: impl FnMut(u64, &[u64], SlotObserver<'_>),
+    );
+}
+
+/// Width-1 kernel: one [`MemoryModel::contains_with`] per observer.
+struct Scalar;
+
+impl VerdictKernel for Scalar {
+    type Scratch = CheckScratch;
+
+    fn scratch() -> CheckScratch {
+        CheckScratch::new()
+    }
+
+    fn decide<M: MemoryModel>(
+        models: &[M],
+        c: &Computation,
+        check: &mut CheckScratch,
+        verdicts: &mut [u64],
+        mut flush: impl FnMut(u64, &[u64], SlotObserver<'_>),
+    ) {
+        let _ = for_each_observer(c, |phi| {
+            for (v, m) in verdicts.iter_mut().zip(models) {
+                *v = u64::from(m.contains_with(c, phi, check));
+            }
+            flush(1, verdicts, &|_| phi.clone());
+            ControlFlow::Continue(())
+        });
+    }
+}
+
+/// 64-lane kernel: one [`MemoryModel::contains_lanes`] per [`LanePack`].
+struct Lane64;
+
+impl VerdictKernel for Lane64 {
+    type Scratch = (LanePack, LaneScratch);
+
+    fn scratch() -> Self::Scratch {
+        (LanePack::new(), LaneScratch::new())
+    }
+
+    fn decide<M: MemoryModel>(
+        models: &[M],
+        c: &Computation,
+        (pack, lanes): &mut Self::Scratch,
+        verdicts: &mut [u64],
+        mut flush: impl FnMut(u64, &[u64], SlotObserver<'_>),
+    ) {
+        pack.prepare(c);
+        let mut run = |pack: &mut LanePack, lanes: &mut LaneScratch| {
+            let used = pack.used();
+            telemetry::count(Counter::LaneWords, 1);
+            telemetry::count(Counter::LaneSlots, u64::from(used.count_ones()));
+            for (v, m) in verdicts.iter_mut().zip(models) {
+                *v = m.contains_lanes(c, pack, lanes) & used;
+            }
+            flush(used, verdicts, &|lane| pack.extract(c, lane));
+            pack.clear_lanes();
+        };
+        let _ = for_each_observer(c, |phi| {
+            pack.push_valid(c, phi);
+            if pack.is_full() {
+                run(pack, lanes);
+            }
+            ControlFlow::Continue(())
+        });
+        if !pack.is_empty() {
+            run(pack, lanes);
+        }
+    }
+}
+
+/// One decided batch, as the verdict pass hands it to a fold.
+struct Batch<'a> {
+    task_idx: usize,
+    c: &'a Computation,
+    /// The computation's universe multiplicity.
+    weight: u64,
+    /// One bit per observer of the batch.
+    slots: u64,
+    /// Model `i`'s verdict mask, a subset of `slots`.
+    verdicts: &'a [u64],
+    observer: SlotObserver<'a>,
+}
+
+/// The verdict pass: one supervised scan of every `(C, Φ)` pair of the
+/// universe that decides each batch under every model once and folds it
+/// into the per-task state. Every task is scanned in full (no early
+/// exit), so its telemetry counters are the same at every thread count.
+#[allow(clippy::too_many_arguments)]
+fn verdict_pass<K, M, S>(
+    models: &[M],
+    u: &Universe,
+    cfg: &SweepConfig,
+    sup: &Supervisor,
+    resume: Option<(Frontier, S)>,
+    ckpt: Option<CkptSink<'_, S>>,
+    empty: impl Fn() -> S + Sync,
+    fold: impl Fn(&mut S, &Batch<'_>) + Sync,
+) -> Supervised<S>
+where
+    K: VerdictKernel,
+    M: MemoryModel + Sync,
+    S: Merge + Send,
+{
+    let n = models.len();
+    sweep_supervised_ckpt(
+        u,
+        cfg,
+        sup,
+        resume,
+        ckpt,
+        empty,
+        || (K::scratch(), vec![0u64; n]),
+        |acc, (x, verdicts), task_idx, c, weight| {
+            K::decide(models, c, x, verdicts, |slots, verdicts, observer| {
+                telemetry::count(Counter::PairsChecked, u64::from(slots.count_ones()));
+                fold(acc, &Batch { task_idx, c, weight, slots, verdicts, observer });
+            });
+        },
+    )
+}
+
+/// Weighted membership counts through kernel `K`, checkpointable.
+fn memberships<K: VerdictKernel, M: MemoryModel + Sync>(
+    models: &[M],
+    u: &Universe,
+    cfg: &SweepConfig,
+    sup: &Supervisor,
+    resume: Option<(Frontier, CountsState)>,
+    ckpt: Option<(&mut CkptWriter, usize)>,
+) -> Supervised<CountsState> {
+    let n = models.len();
+    let encode = |s: &CountsState, f: &Frontier| encode_counts_snapshot(f, s);
+    let sink = ckpt.map(|(writer, every)| CkptSink { writer, every, encode: &encode });
+    let empty = || CountsState::new(n);
+    verdict_pass::<K, _, _>(models, u, cfg, sup, resume, sink, empty, |acc, b| {
+        acc.pairs += b.weight * u64::from(b.slots.count_ones());
+        for (count, v) in acc.per_model.iter_mut().zip(b.verdicts) {
+            *count += b.weight * u64::from(v.count_ones());
+        }
+    })
+}
+
 /// Supervised weighted membership counting over every `(C, Φ)` pair of
 /// the universe: the checkpointable sweep behind `ccmm sweep` phase 1.
 /// `ckpt` is `(journal, every-N-tasks)`; `resume` a decoded snapshot.
@@ -1143,30 +1113,7 @@ pub fn memberships_supervised<M: MemoryModel + Sync>(
     resume: Option<(Frontier, CountsState)>,
     ckpt: Option<(&mut CkptWriter, usize)>,
 ) -> Supervised<CountsState> {
-    let n = models.len();
-    let encode = |s: &CountsState, f: &Frontier| encode_counts_snapshot(f, s);
-    let sink = ckpt.map(|(writer, every)| CkptSink { writer, every, encode: &encode });
-    sweep_supervised_ckpt(
-        u,
-        cfg,
-        sup,
-        resume,
-        sink,
-        || CountsState::new(n),
-        CheckScratch::new,
-        |acc, check, _, c, w| {
-            let _ = for_each_observer(c, |phi| {
-                telemetry::count(Counter::PairsChecked, 1);
-                acc.pairs += w;
-                for (i, m) in models.iter().enumerate() {
-                    if m.contains_with(c, phi, check) {
-                        acc.per_model[i] += w;
-                    }
-                }
-                ControlFlow::Continue(())
-            });
-        },
-    )
+    memberships::<Scalar, _>(models, u, cfg, sup, resume, ckpt)
 }
 
 /// Lane-engine counterpart of [`memberships_supervised`]: packs up to
@@ -1184,53 +1131,137 @@ pub fn memberships_lanes_supervised<M: MemoryModel + Sync>(
     resume: Option<(Frontier, CountsState)>,
     ckpt: Option<(&mut CkptWriter, usize)>,
 ) -> Supervised<CountsState> {
-    let n = models.len();
-    let encode = |s: &CountsState, f: &Frontier| encode_counts_snapshot(f, s);
-    let sink = ckpt.map(|(writer, every)| CkptSink { writer, every, encode: &encode });
-    sweep_supervised_ckpt(
-        u,
-        cfg,
-        sup,
-        resume,
-        sink,
-        || CountsState::new(n),
-        || (LanePack::new(), LaneScratch::new()),
-        |acc, xs, _, c, w| {
-            let (pack, lanes) = xs;
-            pack.prepare(c);
-            let mut flush = |pack: &mut LanePack, lanes: &mut LaneScratch| {
-                let used = pack.used();
-                let slots = u64::from(used.count_ones());
-                telemetry::count(Counter::LaneWords, 1);
-                telemetry::count(Counter::LaneSlots, slots);
-                telemetry::count(Counter::PairsChecked, slots);
-                acc.pairs += w * slots;
-                for (i, m) in models.iter().enumerate() {
-                    let verdict = m.contains_lanes(c, pack, lanes) & used;
-                    acc.per_model[i] += w * u64::from(verdict.count_ones());
-                }
-                pack.clear_lanes();
-            };
-            let _ = for_each_observer(c, |phi| {
-                pack.push_valid(c, phi);
-                if pack.is_full() {
-                    flush(pack, lanes);
-                }
-                ControlFlow::Continue(())
-            });
-            if !pack.is_empty() {
-                flush(pack, lanes);
+    memberships::<Lane64, _>(models, u, cfg, sup, resume, ckpt)
+}
+
+/// One side of a compared pair, so two model types share one pass.
+enum Side<'a, A, B> {
+    A(&'a A),
+    B(&'a B),
+}
+
+impl<A: MemoryModel, B: MemoryModel> MemoryModel for Side<'_, A, B> {
+    fn name(&self) -> &str {
+        match self {
+            Side::A(m) => m.name(),
+            Side::B(m) => m.name(),
+        }
+    }
+
+    fn contains(&self, c: &Computation, phi: &ObserverFunction) -> bool {
+        match self {
+            Side::A(m) => m.contains(c, phi),
+            Side::B(m) => m.contains(c, phi),
+        }
+    }
+
+    fn contains_with(&self, c: &Computation, phi: &ObserverFunction, s: &mut CheckScratch) -> bool {
+        match self {
+            Side::A(m) => m.contains_with(c, phi, s),
+            Side::B(m) => m.contains_with(c, phi, s),
+        }
+    }
+
+    fn contains_lanes(&self, c: &Computation, phis: &LanePack, s: &mut LaneScratch) -> u64 {
+        match self {
+            Side::A(m) => m.contains_lanes(c, phis, s),
+            Side::B(m) => m.contains_lanes(c, phis, s),
+        }
+    }
+}
+
+/// Per-task (and merged) comparison state.
+struct CmpState {
+    both: usize,
+    a_total: usize,
+    b_total: usize,
+    pairs_checked: usize,
+    a_only: Option<Keyed<(Computation, ObserverFunction)>>,
+    b_only: Option<Keyed<(Computation, ObserverFunction)>>,
+}
+
+impl Merge for CmpState {
+    fn merge(&mut self, d: Self) {
+        self.both += d.both;
+        self.a_total += d.a_total;
+        self.b_total += d.b_total;
+        self.pairs_checked += d.pairs_checked;
+        merge_keyed(&mut self.a_only, d.a_only);
+        merge_keyed(&mut self.b_only, d.b_only);
+    }
+}
+
+/// The comparison of `a` and `b` through kernel `K`. Slots fill in
+/// observer-enumeration order, so the lowest set bit of a one-sided
+/// mask is the scalar scan's first witness within the batch, and
+/// [`keep_min`]/[`merge_keyed`] resolve across batches and tasks.
+fn compare<K: VerdictKernel, A, B>(
+    a: &A,
+    b: &B,
+    u: &Universe,
+    cfg: &SweepConfig,
+    sup: &Supervisor,
+) -> Supervised<Comparison>
+where
+    A: MemoryModel + Sync,
+    B: MemoryModel + Sync,
+{
+    let models = [Side::A(a), Side::B(b)];
+    let empty = || CmpState {
+        both: 0,
+        a_total: 0,
+        b_total: 0,
+        pairs_checked: 0,
+        a_only: None,
+        b_only: None,
+    };
+    let out = verdict_pass::<K, _, _>(&models, u, cfg, sup, None, None, empty, |p, bt| {
+        let (va, vb, w) = (bt.verdicts[0], bt.verdicts[1], bt.weight as usize);
+        p.pairs_checked += w * bt.slots.count_ones() as usize;
+        p.a_total += w * va.count_ones() as usize;
+        p.b_total += w * vb.count_ones() as usize;
+        p.both += w * (va & vb).count_ones() as usize;
+        for (only, slot) in [(va & !vb, &mut p.a_only), (vb & !va, &mut p.b_only)] {
+            if only != 0 {
+                let phi = || (bt.observer)(only.trailing_zeros() as usize);
+                keep_min(slot, bt.task_idx, || (bt.c.clone(), phi()));
             }
-        },
-    )
+        }
+    });
+    out.map(|p| {
+        let a_only = p.a_only.map(|k| k.witness);
+        let b_only = p.b_only.map(|k| k.witness);
+        Comparison {
+            relation: Relation::from_evidence(a_only.is_some(), b_only.is_some()),
+            a_only,
+            b_only,
+            both: p.both,
+            a_total: p.a_total,
+            b_total: p.b_total,
+            pairs_checked: p.pairs_checked,
+        }
+    })
+}
+
+/// Supervised [`crate::sweep::compare_par`]: same `Comparison` when
+/// complete; under quarantine, totals exclude the quarantined tasks and
+/// the witnesses of all other tasks still match the serial scan.
+pub fn compare_supervised<A, B>(
+    a: &A,
+    b: &B,
+    u: &Universe,
+    cfg: &SweepConfig,
+    sup: &Supervisor,
+) -> Supervised<Comparison>
+where
+    A: MemoryModel + Sync,
+    B: MemoryModel + Sync,
+{
+    compare::<Scalar, _, _>(a, b, u, cfg, sup)
 }
 
 /// Lane-engine counterpart of [`compare_supervised`]: same `Comparison`
-/// — counts AND first witnesses — as the scalar engine. Lanes fill in
-/// observer-enumeration order, so the lowest set bit of a one-sided
-/// verdict mask is exactly the scalar scan's first witness, and
-/// [`keep_min`]/[`merge_keyed`] resolve across flushes and tasks exactly
-/// as they do for scalar checks.
+/// — counts AND first witnesses — as the scalar engine.
 pub fn compare_lanes_supervised<A, B>(
     a: &A,
     b: &B,
@@ -1242,201 +1273,85 @@ where
     A: MemoryModel + Sync,
     B: MemoryModel + Sync,
 {
-    let alphabet = u.alphabet();
-    let maps = maps_for(u, cfg, &alphabet);
-    let out = run_supervised(
-        materialize(u, cfg.canonical),
-        cfg.threads,
-        cfg.deadline,
-        &sup.fault,
-        Frontier::new(),
-        CmpState::new(),
-        None,
-        || (LabelScratch::new(), LanePack::new(), LaneScratch::new()),
-        |task, xs| {
-            let (ls, pack, lanes) = xs;
-            let mut p = CmpState::new();
-            let _ = for_each_labelling(&alphabet, &maps, task, ls, &mut |c, weight| {
-                let w = weight as usize;
-                pack.prepare(c);
-                let mut flush = |pack: &mut LanePack, lanes: &mut LaneScratch| {
-                    let used = pack.used();
-                    telemetry::count(Counter::LaneWords, 1);
-                    telemetry::count(Counter::LaneSlots, u64::from(used.count_ones()));
-                    p.pairs_checked += w * used.count_ones() as usize;
-                    let va = a.contains_lanes(c, pack, lanes) & used;
-                    let vb = b.contains_lanes(c, pack, lanes) & used;
-                    p.a_total += w * va.count_ones() as usize;
-                    p.b_total += w * vb.count_ones() as usize;
-                    p.both += w * (va & vb).count_ones() as usize;
-                    let a_mask = va & !vb;
-                    if a_mask != 0 {
-                        let lane = a_mask.trailing_zeros() as usize;
-                        keep_min(&mut p.a_only, task.idx, || (c.clone(), pack.extract(c, lane)));
-                    }
-                    let b_mask = vb & !va;
-                    if b_mask != 0 {
-                        let lane = b_mask.trailing_zeros() as usize;
-                        keep_min(&mut p.b_only, task.idx, || (c.clone(), pack.extract(c, lane)));
-                    }
-                    pack.clear_lanes();
-                };
-                let _ = for_each_observer(c, |phi| {
-                    pack.push_valid(c, phi);
-                    if pack.is_full() {
-                        flush(pack, lanes);
-                    }
-                    ControlFlow::Continue(())
-                });
-                if !pack.is_empty() {
-                    flush(pack, lanes);
-                }
-                ControlFlow::Continue(())
-            });
-            p
-        },
-        |g, d, _| {
-            g.both += d.both;
-            g.a_total += d.a_total;
-            g.b_total += d.b_total;
-            g.pairs_checked += d.pairs_checked;
-            merge_keyed(&mut g.a_only, d.a_only);
-            merge_keyed(&mut g.b_only, d.b_only);
-        },
-    );
-    out.map(|p| {
-        let a_only = p.a_only.map(|k| k.witness);
-        let b_only = p.b_only.map(|k| k.witness);
-        let relation = match (&a_only, &b_only) {
-            (None, None) => Relation::Equal,
-            (None, Some(_)) => Relation::StrictlyStronger,
-            (Some(_), None) => Relation::StrictlyWeaker,
-            (Some(_), Some(_)) => Relation::Incomparable,
-        };
-        Comparison {
-            relation,
-            a_only,
-            b_only,
-            both: p.both,
-            a_total: p.a_total,
-            b_total: p.b_total,
-            pairs_checked: p.pairs_checked,
-        }
-    })
+    compare::<Lane64, _, _>(a, b, u, cfg, sup)
 }
 
-/// Lane-engine counterpart of [`relation_supervised`]: existence-only
-/// evidence via verdict masks, with the same early exit once both sides
-/// have a witness. Verdict soundness is unchanged — masks are already
-/// restricted to valid lanes.
-pub fn relation_lanes_supervised<A, B>(
-    a: &A,
-    b: &B,
+/// Ordered-pair evidence of a lattice pass: bit `i·n + j` is set once
+/// some pair is in model `i` but not in model `j`.
+struct PairBits(u64);
+
+impl Merge for PairBits {
+    fn merge(&mut self, other: Self) {
+        self.0 |= other.0;
+    }
+}
+
+/// The Figure-1 lattice through kernel `K`: one verdict pass ORs every
+/// ordered pair's `vᵢ & !vⱼ ≠ 0` into [`PairBits`], and cell `(i, j)` is
+/// read off the bits `(i, j)` and `(j, i)`.
+fn lattice<K: VerdictKernel, M: MemoryModel + Sync>(
+    models: &[M],
     u: &Universe,
     cfg: &SweepConfig,
     sup: &Supervisor,
-) -> Supervised<Relation>
-where
-    A: MemoryModel + Sync,
-    B: MemoryModel + Sync,
-{
-    let alphabet = u.alphabet();
-    let maps = maps_for(u, cfg, &alphabet);
-    // Ordering audit: same argument as `relation_supervised` — Relaxed
-    // monotonic evidence flags, final loads after worker join.
-    let found_a_only = AtomicBool::new(false);
-    let found_b_only = AtomicBool::new(false);
-    let out = run_supervised(
-        materialize(u, cfg.canonical),
-        cfg.threads,
-        cfg.deadline,
-        &sup.fault,
-        Frontier::new(),
-        (),
+) -> Supervised<Vec<LatticeRow>> {
+    let n = models.len();
+    assert!(n * n <= 64, "a lattice pass packs ordered model pairs into a u64: at most 8 models");
+    let out = verdict_pass::<K, _, _>(
+        models,
+        u,
+        cfg,
+        sup,
         None,
-        || (LabelScratch::new(), LanePack::new(), LaneScratch::new()),
-        |task, xs| {
-            if found_a_only.load(Ordering::Relaxed) && found_b_only.load(Ordering::Relaxed) {
-                return; // verdict already forced
+        None,
+        || PairBits(0),
+        |bits, b| {
+            for (i, &vi) in b.verdicts.iter().enumerate() {
+                for (j, &vj) in b.verdicts.iter().enumerate() {
+                    if vi & !vj != 0 {
+                        bits.0 |= 1 << (i * n + j);
+                    }
+                }
             }
-            let (ls, pack, lanes) = xs;
-            let _ = for_each_labelling(&alphabet, &maps, task, ls, &mut |c, _| {
-                let done_a = found_a_only.load(Ordering::Relaxed);
-                let done_b = found_b_only.load(Ordering::Relaxed);
-                if done_a && done_b {
-                    return ControlFlow::Break(());
-                }
-                pack.prepare(c);
-                let flush = |pack: &mut LanePack, lanes: &mut LaneScratch| {
-                    let used = pack.used();
-                    let va = a.contains_lanes(c, pack, lanes) & used;
-                    let vb = b.contains_lanes(c, pack, lanes) & used;
-                    if va & !vb != 0 {
-                        found_a_only.store(true, Ordering::Relaxed);
-                    }
-                    if vb & !va != 0 {
-                        found_b_only.store(true, Ordering::Relaxed);
-                    }
-                    pack.clear_lanes();
-                };
-                let _ = for_each_observer(c, |phi| {
-                    pack.push_valid(c, phi);
-                    if pack.is_full() {
-                        flush(pack, lanes);
-                    }
-                    ControlFlow::Continue(())
-                });
-                if !pack.is_empty() {
-                    flush(pack, lanes);
-                }
-                ControlFlow::Continue(())
-            });
         },
-        |_, _, _| {},
     );
-    let relation =
-        match (found_a_only.load(Ordering::Relaxed), found_b_only.load(Ordering::Relaxed)) {
-            (false, false) => Relation::Equal,
-            (false, true) => Relation::StrictlyStronger,
-            (true, false) => Relation::StrictlyWeaker,
-            (true, true) => Relation::Incomparable,
-        };
-    out.map(|()| relation)
+    out.map(|PairBits(bits)| {
+        let differs = |i: usize, j: usize| bits >> (i * n + j) & 1 == 1;
+        models
+            .iter()
+            .enumerate()
+            .map(|(i, a)| LatticeRow {
+                name: a.name().to_string(),
+                relations: (0..n)
+                    .map(|j| Relation::from_evidence(differs(i, j), differs(j, i)))
+                    .collect(),
+            })
+            .collect()
+    })
 }
 
-/// Lane-engine counterpart of [`lattice_supervised`]: every cell runs
-/// [`relation_lanes_supervised`] under the same supervisor; the worst
-/// cell status wins, as in the scalar lattice.
+/// Supervised [`crate::sweep::lattice_par`]: the whole relation matrix
+/// from one verdict pass over the universe. Under quarantine a cell may
+/// miss evidence held only by quarantined tasks (conservative toward
+/// `Equal`/one-sided); a partial pass's cells cover exactly its frontier.
+pub fn lattice_supervised<M: MemoryModel + Sync>(
+    models: &[M],
+    u: &Universe,
+    cfg: &SweepConfig,
+    sup: &Supervisor,
+) -> Supervised<Vec<LatticeRow>> {
+    lattice::<Scalar, _>(models, u, cfg, sup)
+}
+
+/// Lane-engine counterpart of [`lattice_supervised`]: the same pass
+/// through the lane kernel, so the matrix costs one memberships sweep.
 pub fn lattice_lanes_supervised<M: MemoryModel + Sync>(
     models: &[M],
     u: &Universe,
     cfg: &SweepConfig,
     sup: &Supervisor,
 ) -> Supervised<Vec<LatticeRow>> {
-    let mut status = SweepStatus::Complete;
-    let mut quarantined = Vec::new();
-    let mut total_tasks = 0;
-    let mut rows = Vec::new();
-    for a in models {
-        let mut row = LatticeRow { name: a.name().to_string(), relations: Vec::new() };
-        for b in models {
-            let cell = relation_lanes_supervised(a, b, u, cfg, sup);
-            status = status.max(cell.status);
-            quarantined.extend(cell.quarantined);
-            total_tasks += cell.total_tasks;
-            row.relations.push(cell.value);
-        }
-        rows.push(row);
-    }
-    quarantined.sort_by_key(|q| q.task_idx);
-    Supervised {
-        value: rows,
-        status,
-        quarantined,
-        frontier: Frontier::new(),
-        total_tasks,
-        ckpt_error: None,
-    }
+    lattice::<Lane64, _>(models, u, cfg, sup)
 }
 
 #[cfg(test)]
@@ -1627,16 +1542,73 @@ mod tests {
         }
     }
 
+    type LatticeFn =
+        fn(&[Model], &Universe, &SweepConfig, &Supervisor) -> Supervised<Vec<LatticeRow>>;
+
+    /// Both kernels of the lattice pass, by engine name.
+    const LATTICES: [(&str, LatticeFn); 2] =
+        [("scalar", lattice_supervised::<Model>), ("lane64", lattice_lanes_supervised::<Model>)];
+
     #[test]
     fn lane_lattice_matches_scalar() {
+        // Both kernels of the verdict pass must reproduce the serial
+        // cell-by-cell `relation::lattice` — labelled and canonical, at
+        // 1/2/4 threads, over one and two locations. (Bound 4 at two
+        // locations is 344,223 pairs: the serial lattice's 72 allocating
+        // checks per pair take minutes in a debug build.)
+        for (bound, locs) in [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2)] {
+            let u = Universe::new(bound, locs);
+            let serial = crate::relation::lattice(&MODELS, &u);
+            for canonical in [false, true] {
+                for threads in [1, 2, 4] {
+                    let cfg = SweepConfig::with_threads(threads).canonical(canonical);
+                    for (engine, lattice) in LATTICES {
+                        let out = lattice(&MODELS, &u, &cfg, &Supervisor::none());
+                        let at = format!("{engine}: ({bound}, {locs}), {canonical}, {threads}");
+                        assert!(out.is_complete(), "{at}");
+                        for (a, b) in serial.iter().zip(&out.value) {
+                            assert_eq!(a.name, b.name);
+                            assert_eq!(a.relations, b.relations, "row {} at {at}", a.name);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lattice_pass_quarantines_once_and_reports_its_frontier() {
+        // One pass means one task list: a persistent panic at task 1
+        // quarantines exactly one lattice task (not one per cell), and a
+        // zero deadline reports the pass's own frontier and task count.
         let u = Universe::new(3, 1);
         let cfg = SweepConfig::with_threads(2).canonical(true);
-        let scalar = lattice_supervised(&MODELS, &u, &cfg, &Supervisor::none());
-        let lanes = lattice_lanes_supervised(&MODELS, &u, &cfg, &Supervisor::none());
-        assert!(lanes.is_complete());
-        for (a, b) in scalar.value.iter().zip(&lanes.value) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.relations, b.relations, "lattice row {} drift", a.name);
+        let tasks = materialize(&u, true).len();
+        let panics = Supervisor::with_fault(FaultPlan::none().panic_at_task(1));
+        for (engine, lattice) in LATTICES {
+            let clean = lattice(&MODELS, &u, &cfg, &Supervisor::none());
+            assert!(clean.is_complete(), "{engine}");
+            assert_eq!((clean.total_tasks, clean.frontier.len()), (tasks, tasks), "{engine}");
+
+            let out = lattice(&MODELS, &u, &cfg, &panics);
+            assert_eq!(out.status, SweepStatus::Degraded, "{engine}");
+            assert_eq!(out.quarantined.len(), 1, "{engine}");
+            assert_eq!(out.quarantined[0].task_idx, 1, "{engine}");
+            assert!(!out.frontier.contains(1), "{engine}");
+            assert_eq!((out.total_tasks, out.frontier.len()), (tasks, tasks - 1), "{engine}");
+            // Task 1 (one node) separates no model pair at this bound.
+            for (a, b) in clean.value.iter().zip(&out.value) {
+                assert_eq!(a.relations, b.relations, "{engine} row {}", a.name);
+            }
+
+            let out = lattice(&MODELS, &u, &cfg.deadline(Duration::ZERO), &Supervisor::none());
+            assert_eq!(out.status, SweepStatus::Partial, "{engine}");
+            assert_eq!((out.total_tasks, out.frontier.len()), (tasks, 0), "{engine}");
+            assert!(out.quarantined.is_empty(), "{engine}");
+            // No task scanned: no evidence, so every cell reads Equal.
+            for row in &out.value {
+                assert!(row.relations.iter().all(|&r| r == Relation::Equal), "{engine}");
+            }
         }
     }
 

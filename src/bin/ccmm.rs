@@ -256,6 +256,13 @@ fn status_name(s: ccmm::core::sweep::supervisor::SweepStatus) -> &'static str {
     }
 }
 
+/// The bench file every subcommand appends to and gates against:
+/// `CCMM_BENCH_JSON`, else `BENCH_sweep.json` in the working directory.
+fn bench_json_path() -> String {
+    std::env::var("CCMM_BENCH_JSON")
+        .unwrap_or_else(|_| ccmm_bench::report::DEFAULT_BENCH_JSON.into())
+}
+
 fn report_quarantine(phase: &str, quarantined: &[ccmm::core::sweep::supervisor::Quarantined]) {
     for q in quarantined {
         println!(
@@ -269,7 +276,7 @@ fn report_quarantine(phase: &str, quarantined: &[ccmm::core::sweep::supervisor::
 /// `ccmm_core::telemetry`: flips the runtime switches, collects one
 /// counter snapshot per phase, and writes the output files.
 ///
-/// Counter *values* for the memberships and fixpoint phases are
+/// Counter *values* for the memberships, lattice, and fixpoint phases are
 /// bit-identical across thread counts; wall times never are (see
 /// DESIGN.md §9) — which is why `wall_ms` sits beside, not inside, each
 /// phase's `counters` object.
@@ -505,7 +512,8 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
     // compare against must not silently record itself as the baseline.
     // Matching is same-engine AND same-thread-count: gating a 4-thread
     // run against a 1-thread baseline would pass on scaling alone.
-    let baseline = latest_matching("cli_sweep/memberships", engine, &u, cfg.threads);
+    let bench_json = bench_json_path();
+    let baseline = latest_matching(&bench_json, "cli_sweep/memberships", engine, &u, cfg.threads);
     if gate && baseline.is_none() {
         eprintln!("error: no baseline for this config — run without --gate to record one");
         return Ok(exit::NO_BASELINE);
@@ -669,8 +677,8 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
         if let Some(path) = ckpt_path.as_deref().or(resume_path.as_deref()) {
             println!("resume with --resume {path}");
         }
-        let path = emit(&records).map_err(|e| format!("writing bench json: {e}"))?;
-        println!("recorded {} sweep record(s) to {path}", records.len());
+        emit(&bench_json, &records).map_err(|e| format!("writing bench json: {e}"))?;
+        println!("recorded {} sweep record(s) to {bench_json}", records.len());
         tel.write()?;
         return Ok(exit::PARTIAL);
     }
@@ -681,8 +689,8 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
              constructibility phases need bound ≤ 6 with --engine lane64 (≤ 5 scalar)"
         );
         tel.write()?;
-        let path = emit(&records).map_err(|e| format!("writing bench json: {e}"))?;
-        println!("recorded {} sweep record(s) to {path}", records.len());
+        emit(&bench_json, &records).map_err(|e| format!("writing bench json: {e}"))?;
+        println!("recorded {} sweep record(s) to {bench_json}", records.len());
         if gate && worst == SweepStatus::Complete {
             let b = baseline.as_ref().expect("gate precondition checked above");
             println!(
@@ -716,8 +724,8 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
     // Phase 2: the full pairwise relation lattice (Figure 1 at this
     // bound), under the same supervisor (the fault plan spans all
     // phases; a task-indexed fault re-fires wherever that index recurs).
-    // The lane engine decides lattice cells through the same verdict-mask
-    // kernels as phase 1.
+    // One verdict pass through the same kernels as phase 1 decides every
+    // cell, so a task is scanned (and quarantined) once per phase.
     let t0 = Instant::now();
     let phase_span = ccmm::core::telemetry::span("sweep/lattice");
     let lat = if lane {
@@ -831,8 +839,8 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
             if let Some(path) = ckpt_path.as_deref().or(resume_path.as_deref()) {
                 println!("resume with --resume {path}");
             }
-            let path = emit(&records).map_err(|e| format!("writing bench json: {e}"))?;
-            println!("recorded {} sweep record(s) to {path}", records.len());
+            emit(&bench_json, &records).map_err(|e| format!("writing bench json: {e}"))?;
+            println!("recorded {} sweep record(s) to {bench_json}", records.len());
             tel.write()?;
             return Ok(exit::PARTIAL);
         }
@@ -914,11 +922,14 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
         [("cli_sweep/nnstar_worklist", fix_engine), ("cli_sweep/constructibility", engine)]
             .into_iter()
             .map(|(experiment, phase_engine)| {
-                (experiment, latest_matching(experiment, phase_engine, &u, cfg.threads))
+                (
+                    experiment,
+                    latest_matching(&bench_json, experiment, phase_engine, &u, cfg.threads),
+                )
             })
             .collect();
-    let path = emit(&records).map_err(|e| format!("writing bench json: {e}"))?;
-    println!("recorded {} sweep record(s) to {path}", records.len());
+    emit(&bench_json, &records).map_err(|e| format!("writing bench json: {e}"))?;
+    println!("recorded {} sweep record(s) to {bench_json}", records.len());
     if gate && worst == SweepStatus::Complete {
         // `baseline` was verified Some before the sweep started.
         let b = baseline.expect("gate precondition checked above");
@@ -1403,7 +1414,9 @@ fn cmd_watch(args: &[String]) -> Result<u8, String> {
     // Gate precondition up front, as in `sweep`: a gated run with no
     // baseline must not silently record itself as one.
     let total = trace.node_count();
+    let bench_json = bench_json_path();
     let baseline = latest_matching_shape(
+        &bench_json,
         &format!("watch/{workload}"),
         "stream",
         total as u64,
@@ -1519,8 +1532,8 @@ fn cmd_watch(args: &[String]) -> Result<u8, String> {
         status: status_name(report.status).to_string(),
         counters: tel.last_counters(),
     };
-    let path = emit(&[record]).map_err(|e| format!("writing bench json: {e}"))?;
-    println!("bench: appended watch/{workload} [stream] to {path}");
+    emit(&bench_json, &[record]).map_err(|e| format!("writing bench json: {e}"))?;
+    println!("bench: appended watch/{workload} [stream] to {bench_json}");
 
     if report.status == SweepStatus::Partial {
         println!(
@@ -1907,7 +1920,8 @@ USAGE:
                                            --metrics writes per-phase counters
                                            (JSON; counter values bit-identical
                                            across thread counts for the
-                                           memberships and fixpoint phases),
+                                           memberships, lattice, and fixpoint
+                                           phases),
                                            --trace writes span events (JSONL),
                                            --progress heartbeats on stderr
   ccmm conformance [--nodes N] [--locs L] [--random K] [--seed S] [--threads T]

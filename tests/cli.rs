@@ -202,6 +202,11 @@ fn sweep_injected_panic_degrades_but_completes() {
     assert_eq!(out.status.code(), Some(3), "degraded exit code");
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("quarantined: memberships task 1"), "{text}");
+    // The lattice is one pass over the task list: task 1 is quarantined
+    // once there, not once per model pair.
+    let lattice_quarantines =
+        text.lines().filter(|l| l.starts_with("quarantined: lattice task")).count();
+    assert_eq!(lattice_quarantines, 1, "{text}");
     assert!(text.contains("(degraded)"), "{text}");
     assert!(text.contains("sweep status: degraded"), "{text}");
     // The sweep still ran to the end: all phases reported, records written.
