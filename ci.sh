@@ -33,12 +33,20 @@ else
     cargo run -q --bin ccmm -- conformance --self-test
 fi
 
+scratch=$(mktemp -d)
+trap 'rm -rf "$scratch"' EXIT
+
 if [[ "$fast" != "fast" ]]; then
     echo "== perf smoke: bound-4 canonical sweep vs committed baseline =="
-    # Appends a fresh record to BENCH_sweep.json and fails if membership
-    # throughput fell more than 2x below the latest committed record of
-    # the same shape. Skipped in fast mode: debug-build timings are noise.
-    ./target/release/ccmm sweep --bound 4 --canonical --gate
+    # Fails if membership throughput fell more than 2x below the latest
+    # committed record of the same shape. The run gates against a
+    # scratch copy of BENCH_sweep.json, so the committed file never
+    # collects smoke timings; --threads 1 matches the committed
+    # baselines' shape on any core count. Skipped in fast mode:
+    # debug-build timings are noise.
+    cp BENCH_sweep.json "$scratch/perf-bench.json"
+    CCMM_BENCH_JSON="$scratch/perf-bench.json" \
+        ./target/release/ccmm sweep --bound 4 --canonical --threads 1 --gate
 fi
 
 echo "== robustness smoke: panic quarantine + kill/resume round trip =="
@@ -55,8 +63,6 @@ else
     cargo build -q --bin ccmm
     ccmm_bin=./target/debug/ccmm
 fi
-scratch=$(mktemp -d)
-trap 'rm -rf "$scratch"' EXIT
 export CCMM_BENCH_JSON="$scratch/bench.json"
 
 # 1. Injected persistent panic: the sweep must complete degraded (exit 3)

@@ -25,11 +25,11 @@ pub mod lanes;
 
 use crate::computation::Computation;
 use crate::enumerate::for_each_observer;
-use crate::fault::{payload_string, FaultPlan};
+use crate::fault::FaultPlan;
 use crate::model::MemoryModel;
 use crate::observer::ObserverFunction;
 use crate::props::any_extension;
-use crate::sweep::supervisor::Quarantined;
+use crate::sweep::supervisor::{retry_once, Quarantined};
 use crate::sweep::{sweep_computations, SweepConfig};
 use crate::telemetry::{self, Counter};
 use crate::universe::Universe;
@@ -37,7 +37,6 @@ use ccmm_dag::bitset::BitSet;
 use ccmm_dag::NodeId;
 use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -147,7 +146,7 @@ impl BoundedConstructible {
     }
 
     /// [`compute_worklist`] under supervision: every initial-pass
-    /// extension check runs under `catch_unwind` with `fault`'s
+    /// extension check runs through [`retry_once`] with `fault`'s
     /// [`FaultPlan::before_fixpoint_check`] hook. A panicking check is
     /// retried once; a second panic quarantines that computation's checks
     /// (reported in [`BoundedConstructible::quarantined`], identifying
@@ -204,11 +203,11 @@ impl BoundedConstructible {
                 any_extension(&aug, phi, |phi2| survivors.contains(phi2))
             })
         };
-        // Each interior computation's checks run under `catch_unwind`
-        // (retried once, quarantined on a second panic — the quarantined
-        // computation keeps its pairs, preserving the fixpoint's
-        // over-approximation invariant), so one panicking augmentation
-        // step degrades the result instead of aborting the run.
+        // Each interior computation's checks run through `retry_once`
+        // (the quarantined computation keeps its pairs, preserving the
+        // fixpoint's over-approximation invariant), so one panicking
+        // augmentation step degrades the result instead of aborting the
+        // run.
         let next = AtomicUsize::new(0);
         let quarantine = Mutex::new(Vec::new());
         let worker = || {
@@ -216,7 +215,7 @@ impl BoundedConstructible {
             loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(&c) = interior.get(i) else { break };
-                let attempt = || {
+                let attempt = |_: &mut ()| {
                     fault.before_fixpoint_check(i);
                     let mut failed = Vec::new();
                     for phi in &pairs[c] {
@@ -226,19 +225,13 @@ impl BoundedConstructible {
                     }
                     failed
                 };
-                match catch_unwind(AssertUnwindSafe(attempt)) {
+                match retry_once(&mut (), |_| {}, attempt) {
                     Ok(failed) => q.extend(failed),
-                    Err(_first) => match catch_unwind(AssertUnwindSafe(attempt)) {
-                        Ok(failed) => q.extend(failed),
-                        Err(second) => {
-                            telemetry::count(Counter::Quarantines, 1);
-                            quarantine.lock().unwrap().push(Quarantined {
-                                task_idx: i,
-                                size: c.node_count(),
-                                payload: payload_string(second),
-                            });
-                        }
-                    },
+                    Err(payload) => quarantine.lock().unwrap().push(Quarantined {
+                        task_idx: i,
+                        size: c.node_count(),
+                        payload,
+                    }),
                 }
             }
             q

@@ -48,20 +48,19 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::ops::ControlFlow;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use ccmm_dag::{Dag, NodeId};
 
 use crate::ckpt::{get_u64, put_u64, Checkpoint, CkptWriter};
 use crate::computation::Computation;
 use crate::enumerate::{for_each_observer_node_major, node_major_index, node_major_shape};
-use crate::fault::{payload_string, FaultPlan};
+use crate::fault::FaultPlan;
 use crate::model::{CheckScratch, LanePack, LaneScratch, MemoryModel};
 use crate::observer::ObserverFunction;
 use crate::op::Op;
 use crate::sweep::supervisor::{
-    sweep_supervised_ckpt, CkptSink, Frontier, Merge, Quarantined, Supervised, Supervisor,
-    SweepStatus,
+    retry_once, sweep_supervised_ckpt, CkptSink, Frontier, Merge, Quarantined, Supervised,
+    Supervisor, SweepStatus,
 };
 use crate::sweep::{for_each_labelling, materialize, LabelScratch, SweepConfig};
 use crate::telemetry::{self, Counter};
@@ -432,9 +431,8 @@ fn run_fixpoint(layout: &Layout, words: &mut [u64], fault: &FaultPlan) -> FixOut
     // Initial full pass: for every surviving bit of every interior
     // entry, test each op's extension block in the augmentation's mask.
     // One interior *computation* is one supervised check (mirroring the
-    // scalar path's per-computation quarantine granularity), retried
-    // once under catch_unwind and quarantined — keeping its bits — on a
-    // second panic.
+    // scalar path's per-computation quarantine granularity) through
+    // `retry_once`, quarantined — keeping its bits — on a second panic.
     let mut queue: Vec<(u32, u32)> = Vec::new();
     let mut quarantined = Vec::new();
     let mut check_idx = 0usize;
@@ -445,7 +443,7 @@ fn run_fixpoint(layout: &Layout, words: &mut [u64], fault: &FaultPlan) -> FixOut
             let e = meta.entry_base + ord as usize;
             let i = check_idx;
             check_idx += 1;
-            let attempt = || {
+            let attempt = |_: &mut ()| {
                 fault.before_fixpoint_check(i);
                 let mut doomed: Vec<(u32, u32)> = Vec::new();
                 let entry = &layout.entries[e];
@@ -468,19 +466,11 @@ fn run_fixpoint(layout: &Layout, words: &mut [u64], fault: &FaultPlan) -> FixOut
                 }
                 doomed
             };
-            match catch_unwind(AssertUnwindSafe(attempt)) {
+            match retry_once(&mut (), |_| {}, attempt) {
                 Ok(doomed) => queue.extend(doomed),
-                Err(_first) => match catch_unwind(AssertUnwindSafe(attempt)) {
-                    Ok(doomed) => queue.extend(doomed),
-                    Err(second) => {
-                        telemetry::count(Counter::Quarantines, 1);
-                        quarantined.push(Quarantined {
-                            task_idx: i,
-                            size: meta.size,
-                            payload: payload_string(second),
-                        });
-                    }
-                },
+                Err(payload) => {
+                    quarantined.push(Quarantined { task_idx: i, size: meta.size, payload });
+                }
             }
         }
     }
@@ -627,9 +617,7 @@ impl LaneConstructible {
         let layout = build_layout(u);
         let mut words = fill_arena(&layout, value);
         let out = run_fixpoint(&layout, &mut words, &sup.fault);
-        if !out.quarantined.is_empty() {
-            status = status.max(SweepStatus::Degraded);
-        }
+        status = status.max(SweepStatus::fold(false, false, !out.quarantined.is_empty()));
         quarantined.extend(out.quarantined);
         let value = LaneConstructible {
             alphabet: u.alphabet(),

@@ -8,10 +8,10 @@
 //! even "random" placement a pure function of the spec string.
 //!
 //! The plan is consulted by the supervised sweep engine
-//! ([`crate::sweep::supervisor`]), the Δ* worklist fixpoint
-//! ([`crate::constructible`]), and the checkpoint writer
-//! ([`crate::ckpt`]). An empty plan (the default) injects nothing and
-//! costs a branch per hook.
+//! ([`crate::sweep::supervisor`]), the Δ* fixpoints
+//! ([`crate::constructible`]), and the shared checkpoint journal
+//! ([`crate::sweep::supervisor::Journal`]). An empty plan (the default)
+//! injects nothing and costs a branch per hook.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;

@@ -76,13 +76,17 @@ impl SweepConfig {
     /// `CCMM_THREADS` when set to a positive integer, otherwise the
     /// machine's available parallelism (1 if unknown).
     pub fn from_env() -> Self {
-        let threads = std::env::var("CCMM_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            });
+        Self::from_threads_var(std::env::var("CCMM_THREADS").ok().as_deref())
+    }
+
+    /// [`SweepConfig::from_env`] on a given `CCMM_THREADS` value: a
+    /// positive integer is the thread count; anything else (unset,
+    /// garbage, zero) falls back to the available parallelism.
+    pub fn from_threads_var(value: Option<&str>) -> Self {
+        let threads =
+            value.and_then(|s| s.trim().parse::<usize>().ok()).filter(|&n| n > 0).unwrap_or_else(
+                || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            );
         SweepConfig { threads, canonical: false, deadline: None }
     }
 

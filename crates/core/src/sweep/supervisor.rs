@@ -1,33 +1,41 @@
-//! Fault-tolerant supervision for parallel sweeps.
+//! Fault-tolerant supervision for parallel sweeps, and the one
+//! supervision contract every long run shares.
 //!
 //! The plain engine in [`crate::sweep`] is all-or-nothing: one panicking
 //! task aborts the whole run, there is no time budget, and a killed
 //! multi-hour sweep loses all progress. This module wraps the same
-//! poset-granular task queue with three guarantees:
+//! poset-granular task queue with three guarantees, each written once
+//! and reused by the Δ* fixpoints ([`crate::constructible`]) and by the
+//! `ccmm stress` and `ccmm watch` drivers:
 //!
-//! 1. **Panic quarantine.** Every task runs under `catch_unwind` and
-//!    folds into a *fresh per-task delta*, merged into the global state
-//!    only on success — so a mid-task panic cannot corrupt counts. A
-//!    panicking task gets its worker scratch rebuilt and is retried once
-//!    (transient faults heal); a second panic quarantines the task
-//!    ([`Quarantined`]: task index, poset size, panic payload) and the
-//!    sweep completes with [`SweepStatus::Degraded`]. Witnesses for all
-//!    non-quarantined tasks keep the smallest-task-index contract, so
-//!    they still match the serial scan exactly.
+//! 1. **Panic quarantine** ([`retry_once`]). Every task runs under
+//!    `catch_unwind` and folds into a *fresh per-task delta*, merged
+//!    into the global state only on success — so a mid-task panic cannot
+//!    corrupt counts. A panicking task gets its worker scratch rebuilt
+//!    and is retried once (transient faults heal); a second panic
+//!    quarantines the task ([`Quarantined`]: task index, poset size,
+//!    panic payload) and the sweep completes with
+//!    [`SweepStatus::Degraded`]. Witnesses for all non-quarantined tasks
+//!    keep the smallest-task-index contract, so they still match the
+//!    serial scan exactly.
 //!
 //! 2. **Deadline budgets.** [`SweepConfig::deadline`] cooperatively
 //!    stops workers between tasks once the budget elapses. The result is
 //!    [`SweepStatus::Partial`], carrying the exact completed-task
 //!    [`Frontier`] so the run can be resumed or reported honestly.
 //!
-//! 3. **Crash-safe checkpoint/resume.** Counting sweeps can journal
-//!    `(frontier, merged state)` snapshots to an append-only
+//! 3. **Crash-safe checkpoint/resume** ([`Journal`]). Counting sweeps
+//!    can journal `(frontier, merged state)` snapshots to an append-only
 //!    [`CkptWriter`] every N completed tasks (fsync'd, torn-tail
 //!    tolerant — see [`crate::ckpt`]). A later run passes the decoded
 //!    snapshot back as `resume`: completed tasks are filtered out, the
 //!    remaining deltas merge into the restored state, and because every
 //!    merge here is commutative and associative the resumed totals and
-//!    witnesses are **bit-identical** to an uninterrupted run.
+//!    witnesses are **bit-identical** to an uninterrupted run. A failed
+//!    append stops journalling and degrades the run.
+//!
+//! [`Journal::status`] folds how a run ended — killed, stopped short,
+//! quarantined, journal failed — into its [`SweepStatus`].
 //!
 //! Determinism note: deltas are merged in worker completion order, which
 //! is racy — so supervised sweeps require merges to be commutative and
@@ -295,22 +303,151 @@ pub struct CkptSink<'a, S> {
     pub encode: &'a (dyn Fn(&S, &Frontier) -> Vec<u8> + Sync),
 }
 
+/// Runs one supervised step under `catch_unwind`. A panicking step gets
+/// its scratch `reset` (the panic may have left it in any state) and is
+/// retried once, so a transient fault heals; a second panic resets the
+/// scratch again, counts toward [`Counter::Quarantines`], and returns
+/// the payload for the caller's [`Quarantined`] report. The happy path
+/// is one `catch_unwind` and no allocation.
+#[inline]
+pub fn retry_once<X, T>(
+    x: &mut X,
+    reset: impl Fn(&mut X),
+    mut step: impl FnMut(&mut X) -> T,
+) -> Result<T, String> {
+    let mut retried = false;
+    loop {
+        match catch_unwind(AssertUnwindSafe(|| step(x))) {
+            Ok(v) => return Ok(v),
+            Err(payload) => {
+                reset(x);
+                if retried {
+                    telemetry::count(Counter::Quarantines, 1);
+                    return Err(payload_string(payload));
+                }
+                retried = true;
+            }
+        }
+    }
+}
+
+/// The checkpoint journal every supervised run writes through: a
+/// snapshot every `every` completed units, the fault plan's injected
+/// `io-error-at-record=K` and `kill-after-ckpt=K`, and the
+/// [`Counter::CkptRecords`] tally. A failed append stops journalling
+/// (the run keeps going, Degraded); a kill stops it too (nothing a dead
+/// process could still write). Built without a writer, every call is a
+/// no-op, so unjournalled runs share the same code.
+pub struct Journal<'a> {
+    writer: Option<&'a mut CkptWriter>,
+    every: usize,
+    fault: &'a FaultPlan,
+    since: usize,
+    error: Option<String>,
+    killed: bool,
+}
+
+impl<'a> Journal<'a> {
+    /// A journal appending to `ckpt`'s `(writer, every-N)`, or none.
+    pub fn new(ckpt: Option<(&'a mut CkptWriter, usize)>, fault: &'a FaultPlan) -> Self {
+        let (writer, every) = match ckpt {
+            Some((w, every)) => (Some(w), every.max(1)),
+            None => (None, 1),
+        };
+        Journal { writer, every, fault, since: 0, error: None, killed: false }
+    }
+
+    /// Counts one completed unit and, on every `every`-th, appends
+    /// `encode()`. Returns whether the fault plan's kill has fired: the
+    /// caller stops now, leaving the journal as a real `kill -9` would.
+    #[inline]
+    pub fn tick(&mut self, encode: impl FnOnce() -> Vec<u8>) -> bool {
+        if self.is_active() {
+            self.since += 1;
+            if self.since >= self.every {
+                self.since = 0;
+                self.append(&encode());
+            }
+        }
+        self.killed
+    }
+
+    /// Appends a closing snapshot (if journalling is still live), so a
+    /// stopped run resumes at its exact frontier rather than the last
+    /// periodic record.
+    pub fn finish(&mut self, encode: impl FnOnce() -> Vec<u8>) {
+        if self.is_active() {
+            self.append(&encode());
+        }
+    }
+
+    fn is_active(&self) -> bool {
+        self.writer.is_some() && self.error.is_none() && !self.killed
+    }
+
+    fn append(&mut self, payload: &[u8]) {
+        let Some(w) = self.writer.as_deref_mut() else { return };
+        // The fault plan can fail this record's write (the "disk full
+        // mid-run" shape) without going anywhere near the real file.
+        let record = w.snapshots() + 1;
+        let wrote = if self.fault.io_error_at(record) {
+            Err(std::io::Error::other(format!("injected fault: io error at ckpt record {record}")))
+        } else {
+            w.append(payload)
+        };
+        match wrote {
+            Ok(()) => {
+                telemetry::count(Counter::CkptRecords, 1);
+                self.killed = self.fault.should_kill(w.snapshots());
+            }
+            Err(e) => self.error = Some(e.to_string()),
+        }
+    }
+
+    /// The append failure that stopped journalling, if any.
+    pub fn error(&self) -> Option<&str> {
+        self.error.as_deref()
+    }
+
+    /// The one status fold every supervised run ends with. `stopped_short`
+    /// says the run left units unattempted (a deadline); a run that stops
+    /// on purpose — `ccmm stress` at its first conformance failure — is
+    /// not Partial. A journal error degrades an otherwise clean run: the
+    /// verdicts are exact, but the promised resumability is gone, and
+    /// exit codes must say so.
+    pub fn status(&self, stopped_short: bool, quarantined: usize) -> SweepStatus {
+        SweepStatus::fold(self.killed, stopped_short, quarantined > 0 || self.error.is_some())
+    }
+}
+
+impl SweepStatus {
+    /// Killed beats Partial beats Degraded beats Complete.
+    pub fn fold(killed: bool, stopped_short: bool, degraded: bool) -> Self {
+        if killed {
+            SweepStatus::Killed
+        } else if stopped_short {
+            SweepStatus::Partial
+        } else if degraded {
+            SweepStatus::Degraded
+        } else {
+            SweepStatus::Complete
+        }
+    }
+}
+
 /// Shared mutable sweep progress, behind one mutex (tasks are coarse —
 /// one poset covers all its labellings — so commit contention is noise).
 struct Shared<'a, S> {
     state: S,
     frontier: Frontier,
     quarantined: Vec<Quarantined>,
-    since_ckpt: usize,
-    ckpt: Option<CkptSink<'a, S>>,
-    ckpt_error: Option<String>,
+    journal: Journal<'a>,
 }
 
 /// The supervised engine: distributes `tasks` over `threads` workers,
-/// each task scanned into a fresh delta under `catch_unwind` (retried
-/// once on panic, quarantined on a second), deltas committed through
-/// `merge` under the shared lock, with cooperative deadline stop and
-/// optional checkpoint journalling.
+/// each task scanned into a fresh delta through [`retry_once`], deltas
+/// committed through `merge` under the shared lock, with cooperative
+/// deadline stop and optional checkpoint journalling.
 #[allow(clippy::too_many_arguments)] // internal engine; wrappers present the public face
 pub(crate) fn run_supervised<S, X, XF, SC, MG>(
     mut tasks: Vec<Task>,
@@ -337,27 +474,24 @@ where
         tasks.retain(|t| !resume.contains(t.idx));
     }
     let start = Instant::now();
-    // Ordering audit: all three flags are accessed with Relaxed
-    // throughout, which is sufficient because they are *advisory*,
-    // monotonic (false→true once) booleans: they only influence how
-    // soon workers stop scanning, never what a scanned task computes.
-    // All result data travels through the `shared` Mutex (lock/unlock
-    // provides acquire/release), and the final `into_inner` reads
-    // happen after `run_workers` joins every worker thread — thread
-    // join is a synchronizes-with edge, so the last stores to the
-    // flags are visible without any fence. A worker seeing a stale
+    // Ordering audit: the stop flag is accessed with Relaxed throughout,
+    // which is sufficient because it is an *advisory*, monotonic
+    // (false→true once) boolean: it only influences how soon workers
+    // stop scanning, never what a scanned task computes. All result data
+    // (the kill verdict included) travels through the `shared` Mutex
+    // (lock/unlock provides acquire/release), and the final `into_inner`
+    // reads happen after `run_workers` joins every worker thread —
+    // thread join is a synchronizes-with edge, so the last store to the
+    // flag is visible without any fence. A worker seeing a stale
     // `false` merely scans one extra task; seeing a stale `true` is
     // impossible to distinguish from a slightly earlier stop.
     let stop = AtomicBool::new(false);
-    let deadline_hit = AtomicBool::new(false);
-    let killed = AtomicBool::new(false);
+    let encode = ckpt.as_ref().map(|sink| sink.encode);
     let shared = Mutex::new(Shared {
         state: initial,
         frontier: resume,
         quarantined: Vec::new(),
-        since_ckpt: 0,
-        ckpt,
-        ckpt_error: None,
+        journal: Journal::new(ckpt.map(|sink| (sink.writer, sink.every)), fault),
     });
     run_workers(tasks, threads, |inj| {
         let mut x = scratch();
@@ -369,76 +503,33 @@ where
                 telemetry::count(Counter::DeadlinePolls, 1);
             }
             if deadline.is_some_and(|d| start.elapsed() >= d) {
-                deadline_hit.store(true, Ordering::Relaxed);
                 stop.store(true, Ordering::Relaxed);
                 continue;
             }
-            let delta = match catch_unwind(AssertUnwindSafe(|| {
-                fault.before_task(task.idx);
-                scan(&task, &mut x)
-            })) {
-                Ok(d) => Some(d),
-                Err(_first) => {
-                    // The panic may have left the worker scratch in an
-                    // arbitrary state: rebuild it, then retry once.
-                    x = scratch();
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        fault.before_task(task.idx);
-                        scan(&task, &mut x)
-                    })) {
-                        Ok(d) => Some(d),
-                        Err(second) => {
-                            x = scratch();
-                            let q = Quarantined {
-                                task_idx: task.idx,
-                                size: task.size,
-                                payload: payload_string(second),
-                            };
-                            telemetry::count(Counter::Quarantines, 1);
-                            shared.lock().unwrap().quarantined.push(q);
-                            None
-                        }
-                    }
+            let delta = retry_once(
+                &mut x,
+                |x| *x = scratch(),
+                |x| {
+                    fault.before_task(task.idx);
+                    scan(&task, x)
+                },
+            );
+            let delta = match delta {
+                Ok(d) => d,
+                Err(payload) => {
+                    let q = Quarantined { task_idx: task.idx, size: task.size, payload };
+                    shared.lock().unwrap().quarantined.push(q);
+                    continue;
                 }
             };
-            let Some(delta) = delta else { continue };
             let mut guard = shared.lock().unwrap();
             let g = &mut *guard;
             merge(&mut g.state, delta, task.idx);
             g.frontier.insert(task.idx);
             telemetry::progress_tick(g.frontier.len(), total_tasks, g.quarantined.len());
-            if let Some(sink) = g.ckpt.as_mut() {
-                if g.ckpt_error.is_none() {
-                    g.since_ckpt += 1;
-                    if g.since_ckpt >= sink.every {
-                        g.since_ckpt = 0;
-                        let payload = (sink.encode)(&g.state, &g.frontier);
-                        // The fault plan can fail this record's write
-                        // (the "disk full mid-run" shape) without going
-                        // anywhere near the real file.
-                        let wrote = if fault.io_error_at(sink.writer.snapshots() + 1) {
-                            Err(std::io::Error::other(format!(
-                                "injected fault: io error at ckpt record {}",
-                                sink.writer.snapshots() + 1
-                            )))
-                        } else {
-                            sink.writer.append(&payload)
-                        };
-                        match wrote {
-                            Ok(()) => {
-                                telemetry::count(Counter::CkptRecords, 1);
-                                if fault.should_kill(sink.writer.snapshots()) {
-                                    killed.store(true, Ordering::Relaxed);
-                                    stop.store(true, Ordering::Relaxed);
-                                }
-                            }
-                            Err(e) => {
-                                // Journalling failed: keep sweeping, stop
-                                // checkpointing, and surface the error.
-                                g.ckpt_error = Some(e.to_string());
-                            }
-                        }
-                    }
+            if let Some(encode) = encode {
+                if g.journal.tick(|| encode(&g.state, &g.frontier)) {
+                    stop.store(true, Ordering::Relaxed);
                 }
             }
         }
@@ -446,25 +537,13 @@ where
     let mut sh = shared.into_inner().unwrap();
     sh.quarantined.sort_by_key(|q| q.task_idx);
     let scanned = sh.frontier.len() + sh.quarantined.len();
-    let status = if killed.into_inner() {
-        SweepStatus::Killed
-    } else if scanned < total_tasks {
-        SweepStatus::Partial
-    } else if !sh.quarantined.is_empty() || sh.ckpt_error.is_some() {
-        // A journalling failure degrades the run even when every task
-        // scanned cleanly: the verdicts are exact, but the promised
-        // resumability is gone, and exit codes must say so.
-        SweepStatus::Degraded
-    } else {
-        SweepStatus::Complete
-    };
     Supervised {
+        status: sh.journal.status(scanned < total_tasks, sh.quarantined.len()),
+        ckpt_error: sh.journal.error().map(str::to_string),
         value: sh.state,
-        status,
         quarantined: sh.quarantined,
         frontier: sh.frontier,
         total_tasks,
-        ckpt_error: sh.ckpt_error,
     }
 }
 
@@ -1398,6 +1477,111 @@ mod tests {
         }
         let mut r: &[u8] = &bad;
         assert!(Frontier::decode_from(&mut r).is_none());
+    }
+
+    #[test]
+    fn retry_once_heals_a_transient_panic_and_quarantines_a_persistent_one() {
+        // Panic once: the retry succeeds, and the scratch is reset once.
+        let (mut resets, mut calls) = (0, 0);
+        let healed = retry_once(
+            &mut resets,
+            |r| *r += 1,
+            |_| {
+                calls += 1;
+                assert!(calls > 1, "first attempt fails");
+                calls
+            },
+        );
+        assert_eq!(healed, Ok(2));
+        assert_eq!(resets, 1);
+        // Panic twice: the second payload comes back, after a reset per
+        // failed attempt.
+        let mut resets = 0;
+        let mut attempt = 0;
+        let failed: Result<(), String> = retry_once(
+            &mut resets,
+            |r| *r += 1,
+            |_| {
+                attempt += 1;
+                std::panic::panic_any(format!("attempt {attempt}"))
+            },
+        );
+        assert_eq!(failed, Err("attempt 2".to_string()));
+        assert_eq!(resets, 2);
+    }
+
+    /// Ticks `n` units through a fresh journal writing every `every`-th,
+    /// under `fault`; returns the per-tick kill verdicts, the records the
+    /// writer counted, the journal's error and status, and the records on
+    /// disk.
+    fn journal_run(
+        name: &str,
+        n: usize,
+        every: usize,
+        fault: &FaultPlan,
+    ) -> (Vec<bool>, usize, Option<String>, SweepStatus, usize) {
+        let path = temp(name);
+        let mut writer = CkptWriter::create(&path, "journal test").unwrap();
+        let mut journal = Journal::new(Some((&mut writer, every)), fault);
+        let kills = (0..n).map(|i| journal.tick(|| vec![i as u8])).collect();
+        let (error, status) = (journal.error().map(str::to_string), journal.status(false, 0));
+        let records = writer.snapshots();
+        drop(writer);
+        let on_disk = crate::ckpt::Checkpoint::load(&path).unwrap().snapshots.len();
+        std::fs::remove_file(&path).unwrap();
+        (kills, records, error, status, on_disk)
+    }
+
+    #[test]
+    fn journal_appends_every_n_and_obeys_injected_faults() {
+        // Every 3rd of 10 units: 3 records, nothing killed, complete.
+        let (kills, records, error, status, on_disk) =
+            journal_run("every", 10, 3, &FaultPlan::none());
+        assert_eq!((records, on_disk), (3, 3));
+        assert!(kills.iter().all(|&k| !k) && error.is_none());
+        assert_eq!(status, SweepStatus::Complete);
+
+        // An io error at record 2 stops every later append and degrades.
+        let fault = FaultPlan::none().io_error_at_record(2);
+        let (kills, records, error, status, on_disk) = journal_run("io-error", 10, 1, &fault);
+        assert_eq!((records, on_disk), (1, 1));
+        assert!(error.unwrap().contains("injected fault: io error at ckpt record 2"));
+        assert!(kills.iter().all(|&k| !k));
+        assert_eq!(status, SweepStatus::Degraded);
+
+        // kill-after-ckpt=3 fires on the 3rd record and writes no more.
+        let fault = FaultPlan::none().kill_after_records(3);
+        let (kills, records, error, status, on_disk) = journal_run("kill", 10, 2, &fault);
+        assert_eq!((records, on_disk), (3, 3));
+        assert_eq!(kills.iter().position(|&k| k), Some(5), "the 6th unit writes record 3");
+        assert!(kills[5..].iter().all(|&k| k) && error.is_none());
+        assert_eq!(status, SweepStatus::Killed);
+
+        // Without a writer every call is a no-op.
+        let mut off = Journal::new(None, &fault);
+        assert!(!off.tick(|| unreachable!("an unjournalled run never encodes")));
+        off.finish(|| unreachable!("an unjournalled run never encodes"));
+        assert_eq!(off.status(false, 0), SweepStatus::Complete);
+    }
+
+    #[test]
+    fn status_fold_orders_killed_partial_degraded_complete() {
+        use SweepStatus::*;
+        assert_eq!(SweepStatus::fold(true, true, true), Killed);
+        assert_eq!(SweepStatus::fold(false, true, true), Partial);
+        assert_eq!(SweepStatus::fold(false, false, true), Degraded);
+        assert_eq!(SweepStatus::fold(false, false, false), Complete);
+        // `ccmm stress` stops at its first conformance failure with
+        // iterations unattempted; that stop is the run's purpose, not a
+        // deadline, so it is not `stopped_short` and the run is not
+        // Partial — quarantines and journal errors still degrade it.
+        let fault = FaultPlan::none();
+        let journal = Journal::new(None, &fault);
+        let (attempted, total, failed) = (3, 10, true);
+        let stopped_short = attempted < total && !failed;
+        assert_eq!(journal.status(stopped_short, 0), Complete);
+        assert_eq!(journal.status(stopped_short, 1), Degraded);
+        assert_eq!(journal.status(attempted < total, 0), Partial, "a deadline stop");
     }
 
     #[test]

@@ -17,10 +17,14 @@
 //!
 //! Files use the text format of `ccmm_core::parse`; `-` reads stdin.
 
+use ccmm::core::ckpt::{Checkpoint, CkptWriter};
 use ccmm::core::parse::{parse_computation, parse_observer, render_observer};
+use ccmm::core::sweep::supervisor::{Frontier, Quarantined, SweepStatus};
 use ccmm::core::{Computation, Model};
 use std::io::Read;
+use std::path::Path;
 use std::process::ExitCode;
+use std::time::Duration;
 
 fn read_input(path: &str) -> Result<String, String> {
     if path == "-" {
@@ -71,13 +75,12 @@ fn cmd_models(args: &[String]) -> Result<(), String> {
 fn cmd_check(args: &[String]) -> Result<bool, String> {
     let mut model = None;
     let mut rest = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    let mut args = Args::new(args);
+    while let Some(a) = args.next_flag() {
         if a == "--model" {
-            let v = it.next().ok_or("--model needs a value")?;
-            model = Some(model_by_name(v)?);
+            model = Some(model_by_name(&args.value(a)?)?);
         } else {
-            rest.push(a.clone());
+            rest.push(a.to_string());
         }
     }
     let model = model.ok_or("usage: ccmm check --model <m> <computation> <observer>")?;
@@ -148,17 +151,14 @@ fn cmd_backer(args: &[String]) -> Result<(), String> {
     let mut cache = 16usize;
     let mut page = 1usize;
     let mut runs = 10usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or(format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--workload" => workload = take("--workload")?,
-            "--procs" => procs = take("--procs")?.parse().map_err(|_| "bad --procs")?,
-            "--cache" => cache = take("--cache")?.parse().map_err(|_| "bad --cache")?,
-            "--page" => page = take("--page")?.parse().map_err(|_| "bad --page")?,
-            "--runs" => runs = take("--runs")?.parse().map_err(|_| "bad --runs")?,
+    let mut args = Args::new(args);
+    while let Some(flag) = args.next_flag() {
+        match flag {
+            "--workload" => workload = args.value(flag)?,
+            "--procs" => procs = args.parse(flag)?,
+            "--cache" => cache = args.parse(flag)?,
+            "--page" => page = args.parse(flag)?,
+            "--runs" => runs = args.parse(flag)?,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -201,10 +201,10 @@ fn cmd_backer(args: &[String]) -> Result<(), String> {
 
 fn cmd_lattice(args: &[String]) -> Result<(), String> {
     let mut nodes = 3usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    let mut args = Args::new(args);
+    while let Some(a) = args.next_flag() {
         if a == "--nodes" {
-            nodes = it.next().ok_or("--nodes needs a value")?.parse().map_err(|_| "bad --nodes")?;
+            nodes = args.parse(a)?;
         }
     }
     if nodes > 4 {
@@ -227,10 +227,10 @@ fn cmd_lattice(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Exit codes distinguishing sweep outcomes (see `ccmm --help`):
-/// 0 complete, 1 gate/check failure, 2 usage or I/O error, 3 degraded
-/// (quarantined panics), 4 partial (deadline hit), 5 `--gate` without a
-/// baseline, 70 killed by the fault plan.
+/// Exit codes distinguishing run outcomes (see `ccmm --help`): 0
+/// complete, 1 gate/check failure, 2 usage or I/O error, 3 degraded
+/// (quarantined panics or a failed journal append), 4 partial (deadline
+/// hit), 5 `--gate` without a baseline, 70 killed by the fault plan.
 mod exit {
     pub const COMPLETE: u8 = 0;
     pub const FAIL: u8 = 1;
@@ -246,13 +246,22 @@ mod exit {
     pub const KILLED: u8 = 70;
 }
 
-fn status_name(s: ccmm::core::sweep::supervisor::SweepStatus) -> &'static str {
-    use ccmm::core::sweep::supervisor::SweepStatus;
+fn status_name(s: SweepStatus) -> &'static str {
     match s {
         SweepStatus::Complete => "complete",
         SweepStatus::Degraded => "degraded",
         SweepStatus::Partial => "partial",
         SweepStatus::Killed => "killed",
+    }
+}
+
+/// The exit code of a run that ended with status `s`.
+fn exit_code(s: SweepStatus) -> u8 {
+    match s {
+        SweepStatus::Complete => exit::COMPLETE,
+        SweepStatus::Degraded => exit::DEGRADED,
+        SweepStatus::Partial => exit::PARTIAL,
+        SweepStatus::Killed => exit::KILLED,
     }
 }
 
@@ -263,7 +272,7 @@ fn bench_json_path() -> String {
         .unwrap_or_else(|_| ccmm_bench::report::DEFAULT_BENCH_JSON.into())
 }
 
-fn report_quarantine(phase: &str, quarantined: &[ccmm::core::sweep::supervisor::Quarantined]) {
+fn report_quarantine(phase: &str, quarantined: &[Quarantined]) {
     for q in quarantined {
         println!(
             "quarantined: {phase} task {} (poset size {}) panicked twice: {}",
@@ -375,10 +384,258 @@ impl TelemetrySink {
     }
 }
 
+/// Consumes a subcommand's arguments flag by flag.
+struct Args<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Args<'a> {
+    fn new(args: &'a [String]) -> Self {
+        Args(args.iter())
+    }
+
+    fn next_flag(&mut self) -> Option<&'a str> {
+        self.0.next().map(String::as_str)
+    }
+
+    /// The value following flag `name`.
+    fn value(&mut self, name: &str) -> Result<String, String> {
+        self.0.next().cloned().ok_or(format!("{name} needs a value"))
+    }
+
+    /// The value following flag `name`, parsed.
+    fn parse<T: std::str::FromStr>(&mut self, name: &str) -> Result<T, String> {
+        self.value(name)?.parse().map_err(|_| format!("bad {name}"))
+    }
+}
+
+/// The run frame `sweep`, `stress` and `watch` share: supervision,
+/// journal, telemetry and gate flags.
+struct RunFlags {
+    deadline: Option<Duration>,
+    /// `--fault`, uninterpreted: a `FaultPlan` spec for sweep and stress,
+    /// a BACKER protocol mutation for watch.
+    fault: Option<String>,
+    ckpt: Option<String>,
+    ckpt_every: usize,
+    resume: Option<String>,
+    trace: Option<String>,
+    metrics: Option<String>,
+    progress: bool,
+    gate: bool,
+}
+
+impl RunFlags {
+    /// Parses `args`, handing every flag the frame does not own to
+    /// `own` (which returns whether it knew the flag). `gated` says the
+    /// command takes `--gate`.
+    fn parse(
+        args: &[String],
+        ckpt_every: usize,
+        gated: bool,
+        mut own: impl FnMut(&str, &mut Args) -> Result<bool, String>,
+    ) -> Result<Self, String> {
+        let mut run = RunFlags {
+            deadline: None,
+            fault: None,
+            ckpt: None,
+            ckpt_every,
+            resume: None,
+            trace: None,
+            metrics: None,
+            progress: false,
+            gate: false,
+        };
+        let mut args = Args::new(args);
+        while let Some(flag) = args.next_flag() {
+            match flag {
+                "--deadline-secs" => {
+                    let secs = args.parse(flag)?;
+                    run.deadline =
+                        Some(Duration::try_from_secs_f64(secs).map_err(|_| "bad --deadline-secs")?);
+                }
+                "--fault" => run.fault = Some(args.value(flag)?),
+                "--ckpt" => run.ckpt = Some(args.value(flag)?),
+                "--ckpt-every" => {
+                    run.ckpt_every = args.parse(flag)?;
+                    if run.ckpt_every == 0 {
+                        return Err("--ckpt-every must be at least 1".into());
+                    }
+                }
+                "--resume" => run.resume = Some(args.value(flag)?),
+                "--trace" => run.trace = Some(args.value(flag)?),
+                "--metrics" => run.metrics = Some(args.value(flag)?),
+                "--progress" => run.progress = true,
+                "--gate" if gated => run.gate = true,
+                _ if own(flag, &mut args)? => {}
+                other => return Err(format!("unknown flag `{other}`")),
+            }
+        }
+        if run.ckpt.is_some() && run.resume.is_some() {
+            return Err(
+                "--ckpt starts a fresh journal and --resume continues one; pass only one".into()
+            );
+        }
+        Ok(run)
+    }
+
+    /// The `--fault` spec as a fault plan (empty without the flag).
+    fn fault_plan(&self) -> Result<ccmm::core::fault::FaultPlan, String> {
+        use ccmm::core::fault::FaultPlan;
+        self.fault.as_deref().map_or(Ok(FaultPlan::none()), FaultPlan::from_spec)
+    }
+
+    /// The journal this run writes or continues, if any.
+    fn journal(&self) -> Option<&str> {
+        self.ckpt.as_deref().or(self.resume.as_deref())
+    }
+
+    fn telemetry(&self, command: &'static str) -> TelemetrySink {
+        TelemetrySink::new(command, self.trace.clone(), self.metrics.clone(), self.progress)
+    }
+}
+
+/// Opens a run's checkpoint journal: `create` starts a fresh one under
+/// `fingerprint`; `resume` loads one, refuses a fingerprint mismatch,
+/// decodes the state to resume from, and reopens it for appending.
+/// `decode` returns `None` for a corrupt journal and `Some(None)` for
+/// one that died before its first snapshot.
+fn open_journal<T>(
+    what: &str,
+    create: Option<&str>,
+    resume: Option<&str>,
+    fingerprint: &str,
+    decode: impl FnOnce(&Checkpoint) -> Option<Option<T>>,
+) -> Result<(Option<CkptWriter>, Option<T>), String> {
+    if let Some(path) = create {
+        let writer = CkptWriter::create(Path::new(path), fingerprint)
+            .map_err(|e| format!("creating {what} {path}: {e}"))?;
+        return Ok((Some(writer), None));
+    }
+    let Some(path) = resume else { return Ok((None, None)) };
+    let loaded =
+        Checkpoint::load(Path::new(path)).map_err(|e| format!("loading {what} {path}: {e}"))?;
+    if loaded.fingerprint != fingerprint {
+        return Err(format!(
+            "{what} fingerprint mismatch: journal is `{}`, this run is `{fingerprint}`",
+            loaded.fingerprint
+        ));
+    }
+    let state = decode(&loaded).ok_or_else(|| format!("corrupt {what} in {path}"))?;
+    let writer = CkptWriter::append_to(Path::new(path))
+        .map_err(|e| format!("reopening {what} {path}: {e}"))?;
+    Ok((Some(writer), state))
+}
+
+/// An [`open_journal`] decoder that resumes from the latest snapshot.
+fn latest<T>(
+    decode: impl FnOnce(&[u8]) -> Option<T>,
+) -> impl FnOnce(&Checkpoint) -> Option<Option<T>> {
+    |ck| match ck.latest() {
+        None => Some(None),
+        Some(snap) => decode(snap).map(Some),
+    }
+}
+
+fn warn_journal(phase: &str, error: Option<&str>) {
+    if let Some(e) = error {
+        eprintln!("warning: {phase}checkpoint journalling failed mid-run: {e}");
+    }
+}
+
+/// Reports a killed or deadline-stopped run — how far it got, and how to
+/// resume it — and returns its exit code; `None` for any other status.
+/// `done` is `(units done, units in all, what a unit is)`.
+fn report_stop(
+    status: SweepStatus,
+    phase: Option<&str>,
+    writer: Option<&CkptWriter>,
+    done: (usize, usize, &str),
+    frontier: &Frontier,
+    run: &RunFlags,
+) -> Option<u8> {
+    let (done, total, unit) = done;
+    match status {
+        SweepStatus::Killed => {
+            println!(
+                "killed by fault plan after {} {}checkpoint record(s); resume with --resume {}",
+                writer.map_or(0, CkptWriter::snapshots),
+                phase.map(|p| format!("{p} ")).unwrap_or_default(),
+                run.journal().unwrap_or("<journal>")
+            );
+            Some(exit::KILLED)
+        }
+        SweepStatus::Partial => {
+            println!(
+                "deadline hit{}: {done}/{total} {unit}; resume frontier: {:?}",
+                phase.map(|p| format!(" during {p}")).unwrap_or_default(),
+                frontier.ranges()
+            );
+            if let Some(path) = run.journal() {
+                println!("resume with --resume {path}");
+            }
+            Some(exit::PARTIAL)
+        }
+        SweepStatus::Complete | SweepStatus::Degraded => None,
+    }
+}
+
+/// A gated run needs a baseline: one without must not silently record
+/// itself as the baseline.
+fn require_baseline(gate: bool, have_baseline: bool) -> Option<u8> {
+    (gate && !have_baseline).then(|| {
+        eprintln!("error: no baseline for this config — run without --gate to record one");
+        exit::NO_BASELINE
+    })
+}
+
+/// The perf gate: only a complete run is gated, and each `(label, rate,
+/// baseline rate)` must stay within 2x of its baseline. Returns the
+/// failing exit code, if any.
+fn gate_check(status: SweepStatus, unit: &str, gates: &[(String, f64, f64)]) -> Option<u8> {
+    if status != SweepStatus::Complete {
+        println!("gate: skipped — run was {} (only complete runs are gated)", status_name(status));
+        return None;
+    }
+    for (label, rate, base) in gates {
+        println!("{label}: {rate:.0} {unit} vs baseline {base:.0} (threshold {:.0})", base / 2.0);
+        if *rate < base / 2.0 {
+            eprintln!(
+                "perf gate FAILED ({label}): {rate:.0} {unit} is more than 2x below the \
+                 committed baseline {base:.0}"
+            );
+            return Some(exit::FAIL);
+        }
+    }
+    None
+}
+
+fn emit_records(
+    bench_json: &str,
+    records: &[ccmm_bench::report::SweepRecord],
+) -> Result<(), String> {
+    ccmm_bench::report::emit(bench_json, records)
+        .map_err(|e| format!("writing bench json: {e}"))?;
+    println!("recorded {} sweep record(s) to {bench_json}", records.len());
+    Ok(())
+}
+
+/// Ends a sweep that stopped early; a partial one still records its
+/// timings.
+fn stop_sweep(
+    code: u8,
+    bench_json: &str,
+    records: &[ccmm_bench::report::SweepRecord],
+    tel: &TelemetrySink,
+) -> Result<u8, String> {
+    if code == exit::PARTIAL {
+        emit_records(bench_json, records)?;
+    }
+    tel.write()?;
+    Ok(code)
+}
+
 fn cmd_sweep(args: &[String]) -> Result<u8, String> {
     use ccmm::core::constructible::lanes::{decode_masks_journal, LaneConstructible};
     use ccmm::core::constructible::BoundedConstructible;
-    use ccmm::core::fault::FaultPlan;
     use ccmm::core::sweep::supervisor::{
         check_constructible_aug_lanes_supervised, check_constructible_aug_supervised,
         decode_counts_snapshot, lattice_lanes_supervised, lattice_supervised,
@@ -386,59 +643,24 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
     };
     use ccmm::core::sweep::SweepConfig;
     use ccmm::core::universe::Universe;
-    use ccmm::core::{ckpt, MemoryModel, Nn};
-    use ccmm_bench::report::{emit, latest_matching, SweepRecord};
+    use ccmm::core::{MemoryModel, Nn};
+    use ccmm_bench::report::{latest_matching, SweepRecord};
     use std::time::Instant;
 
-    let mut bound = 4usize;
-    let mut locs = 1usize;
-    let mut canonical = false;
-    let mut alloc = false;
+    let (mut bound, mut locs, mut canonical) = (4usize, 1usize, false);
     let mut engine_flag: Option<String> = None;
-    let mut gate = false;
     let mut threads: Option<usize> = None;
-    let mut deadline_secs: Option<f64> = None;
-    let mut fault_spec: Option<String> = None;
-    let mut ckpt_path: Option<String> = None;
-    let mut ckpt_every = 16usize;
-    let mut resume_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-    let mut progress = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or(format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--bound" => bound = take("--bound")?.parse().map_err(|_| "bad --bound")?,
-            "--trace" => trace_path = Some(take("--trace")?),
-            "--metrics" => metrics_path = Some(take("--metrics")?),
-            "--progress" => progress = true,
-            "--locs" => locs = take("--locs")?.parse().map_err(|_| "bad --locs")?,
+    let run = RunFlags::parse(args, 16, true, |flag, args| {
+        match flag {
+            "--bound" => bound = args.parse(flag)?,
+            "--locs" => locs = args.parse(flag)?,
             "--canonical" => canonical = true,
-            "--alloc" => alloc = true,
-            "--engine" => engine_flag = Some(take("--engine")?),
-            "--gate" => gate = true,
-            "--threads" => {
-                threads = Some(take("--threads")?.parse().map_err(|_| "bad --threads")?);
-            }
-            "--deadline-secs" => {
-                deadline_secs =
-                    Some(take("--deadline-secs")?.parse().map_err(|_| "bad --deadline-secs")?);
-            }
-            "--fault" => fault_spec = Some(take("--fault")?),
-            "--ckpt" => ckpt_path = Some(take("--ckpt")?),
-            "--ckpt-every" => {
-                ckpt_every = take("--ckpt-every")?.parse().map_err(|_| "bad --ckpt-every")?;
-                if ckpt_every == 0 {
-                    return Err("--ckpt-every must be at least 1".into());
-                }
-            }
-            "--resume" => resume_path = Some(take("--resume")?),
-            other => return Err(format!("unknown flag `{other}`")),
+            "--engine" => engine_flag = Some(args.value(flag)?),
+            "--threads" => threads = Some(args.parse(flag)?),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     let lane = match engine_flag.as_deref() {
         None | Some("scalar") => false,
         Some("lane64") => true,
@@ -447,11 +669,6 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
     if lane && !canonical {
         return Err("--engine lane64 requires --canonical (lane packs ride the symmetry-reduced \
                     task list)"
-            .to_string());
-    }
-    if lane && alloc {
-        return Err("--alloc is the scalar pre-scratch baseline; it cannot be combined with \
-                    --engine lane64"
             .to_string());
     }
     if bound > 5 && !lane {
@@ -466,99 +683,40 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
     // constructibility phases within budget through bound 6; beyond that
     // only the lane-parallel memberships phase is.
     let memberships_only = bound > 6;
-    if ckpt_path.is_some() && resume_path.is_some() {
-        return Err(
-            "--ckpt starts a fresh journal and --resume continues one; pass only one".to_string()
-        );
-    }
-    let supervised_flags = deadline_secs.is_some()
-        || fault_spec.is_some()
-        || ckpt_path.is_some()
-        || resume_path.is_some();
-    if alloc && supervised_flags {
-        return Err("--alloc is a baseline timing mode; it cannot be combined with \
-                    --deadline-secs/--fault/--ckpt/--resume"
-            .to_string());
-    }
-    let fault = match &fault_spec {
-        Some(spec) => FaultPlan::from_spec(spec)?,
-        None => FaultPlan::none(),
-    };
-    let sup = Supervisor::with_fault(fault);
+    let sup = Supervisor::with_fault(run.fault_plan()?);
     let mut cfg = match threads {
         Some(t) => SweepConfig::with_threads(t),
         None => SweepConfig::from_env(),
     }
     .canonical(canonical);
-    if let Some(secs) = deadline_secs {
-        cfg = cfg.deadline(std::time::Duration::from_secs_f64(secs));
-    }
-    // `--alloc` measures the pre-scratch membership path (fresh checker
-    // state allocated per pair) so BENCH_sweep.json can hold the baseline
-    // the canonical+scratch engine is compared against.
-    let engine = if lane {
-        "lane64"
-    } else {
-        match (canonical, alloc) {
-            (true, false) => "canonical",
-            (true, true) => "canonical-alloc",
-            (false, false) => "labelled",
-            (false, true) => "labelled-alloc",
-        }
+    cfg.deadline = run.deadline;
+    let engine = match (lane, canonical) {
+        (true, _) => "lane64",
+        (false, true) => "canonical",
+        (false, false) => "labelled",
     };
     let u = Universe::new(bound, locs);
 
-    // Gate precondition checked up front: a gated run that has nothing to
-    // compare against must not silently record itself as the baseline.
     // Matching is same-engine AND same-thread-count: gating a 4-thread
     // run against a 1-thread baseline would pass on scaling alone.
     let bench_json = bench_json_path();
     let baseline = latest_matching(&bench_json, "cli_sweep/memberships", engine, &u, cfg.threads);
-    if gate && baseline.is_none() {
-        eprintln!("error: no baseline for this config — run without --gate to record one");
-        return Ok(exit::NO_BASELINE);
+    if let Some(code) = require_baseline(run.gate, baseline.is_some()) {
+        return Ok(code);
     }
 
-    // Checkpoint journal: `--ckpt` starts one, `--resume` validates an
-    // existing journal's fingerprint and continues from its last
-    // snapshot. The fingerprint pins the exact sweep configuration so a
-    // journal can never be resumed into a different universe.
+    // The fingerprint pins the exact sweep configuration so a journal
+    // can never be resumed into a different universe.
     let fingerprint =
         format!("ccmm-sweep-v1 bound={bound} locs={locs} canonical={canonical} engine={engine}");
-    let mut writer: Option<ckpt::CkptWriter> = None;
-    let mut resume_state = None;
-    if let Some(path) = &ckpt_path {
-        writer = Some(
-            ckpt::CkptWriter::create(std::path::Path::new(path), &fingerprint)
-                .map_err(|e| format!("creating checkpoint {path}: {e}"))?,
-        );
-    }
-    if let Some(path) = &resume_path {
-        let loaded = ckpt::Checkpoint::load(std::path::Path::new(path))
-            .map_err(|e| format!("loading checkpoint {path}: {e}"))?;
-        if loaded.fingerprint != fingerprint {
-            return Err(format!(
-                "checkpoint fingerprint mismatch: journal is `{}`, this run is `{fingerprint}`",
-                loaded.fingerprint
-            ));
-        }
-        resume_state = match loaded.latest() {
-            Some(snap) => Some(
-                decode_counts_snapshot(snap)
-                    .ok_or_else(|| format!("corrupt checkpoint snapshot in {path}"))?,
-            ),
-            None => None, // journal died before the first snapshot
-        };
-        writer = Some(
-            ckpt::CkptWriter::append_to(std::path::Path::new(path))
-                .map_err(|e| format!("reopening checkpoint {path}: {e}"))?,
-        );
-        if let Some((f, _)) = &resume_state {
-            println!("resuming from {path}: {} task(s) already complete", f.len());
-        }
+    let (ckpt, resume) = (run.ckpt.as_deref(), run.resume.as_deref());
+    let (mut writer, resume_state) =
+        open_journal("checkpoint", ckpt, resume, &fingerprint, latest(decode_counts_snapshot))?;
+    if let (Some(path), Some((f, _))) = (resume, &resume_state) {
+        println!("resuming from {path}: {} task(s) already complete", f.len());
     }
 
-    let mut tel = TelemetrySink::new("sweep", trace_path, metrics_path, progress);
+    let mut tel = run.telemetry("sweep");
     println!(
         "sweep: bound {bound}, {locs} location(s), {} computations, {engine} enumeration, {} thread(s)",
         u.count_computations_closed(),
@@ -574,74 +732,17 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
     // number the perf gate watches. This is the checkpointable phase.
     let t0 = Instant::now();
     let phase_span = ccmm::core::telemetry::span("sweep/memberships");
-    let out = if alloc {
-        // Baseline timing mode: the pre-scratch path. The per-task
-        // accumulators are folded commutatively, so the totals (and the
-        // supervision verdict the sweep now reports) match the
-        // supervised path's.
-        use ccmm::core::enumerate::for_each_observer;
-        use ccmm::core::sweep::supervisor::CountsState;
-        use ccmm::core::sweep::sweep_computations;
-        use std::ops::ControlFlow;
-        sweep_computations(
-            &u,
-            &cfg,
-            || CountsState::new(models.len()),
-            |acc, _, c, w| {
-                let _ = for_each_observer(c, |phi| {
-                    acc.pairs += w;
-                    for (i, m) in models.iter().enumerate() {
-                        acc.per_model[i] += w * m.contains(c, phi) as u64;
-                    }
-                    ControlFlow::Continue(())
-                });
-            },
-        )
-        .map(|per_task| {
-            let mut total = CountsState::new(models.len());
-            for cs in per_task {
-                total.pairs += cs.pairs;
-                for (i, n) in cs.per_model.iter().enumerate() {
-                    total.per_model[i] += n;
-                }
-            }
-            total
-        })
-    } else if lane {
-        memberships_lanes_supervised(
-            &models,
-            &u,
-            &cfg,
-            &sup,
-            resume_state,
-            writer.as_mut().map(|w| (w, ckpt_every)),
-        )
+    let ckpt = writer.as_mut().map(|w| (w, run.ckpt_every));
+    let out = if lane {
+        memberships_lanes_supervised(&models, &u, &cfg, &sup, resume_state, ckpt)
     } else {
-        memberships_supervised(
-            &models,
-            &u,
-            &cfg,
-            &sup,
-            resume_state,
-            writer.as_mut().map(|w| (w, ckpt_every)),
-        )
+        memberships_supervised(&models, &u, &cfg, &sup, resume_state, ckpt)
     };
     drop(phase_span);
     let wall = t0.elapsed();
     tel.end_phase("memberships", wall);
-    if let Some(e) = &out.ckpt_error {
-        eprintln!("warning: checkpoint journalling failed mid-sweep: {e}");
-    }
+    warn_journal("", out.ckpt_error.as_deref());
     report_quarantine("memberships", &out.quarantined);
-    if out.status == SweepStatus::Killed {
-        let journal = ckpt_path.as_deref().or(resume_path.as_deref()).unwrap_or("<journal>");
-        println!(
-            "killed by fault plan after {} checkpoint record(s); resume with --resume {journal}",
-            writer.as_ref().map_or(0, |w| w.snapshots())
-        );
-        tel.write()?;
-        return Ok(exit::KILLED);
-    }
     worst = worst.max(out.status);
     println!(
         "memberships over {} (computation, observer) pairs [{:.2?}] ({}):",
@@ -665,321 +766,213 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
     .with_counters(tel.last_counters());
     let throughput = membership.pairs_per_sec;
     records.push(membership);
-    if out.status == SweepStatus::Partial {
-        // Deadline hit: report the exact resume frontier and stop — the
-        // later phases would blow the budget the caller just set.
-        println!(
-            "deadline hit: {}/{} task(s) complete; resume frontier: {:?}",
-            out.frontier.len(),
-            out.total_tasks,
-            out.frontier.ranges()
-        );
-        if let Some(path) = ckpt_path.as_deref().or(resume_path.as_deref()) {
-            println!("resume with --resume {path}");
-        }
-        emit(&bench_json, &records).map_err(|e| format!("writing bench json: {e}"))?;
-        println!("recorded {} sweep record(s) to {bench_json}", records.len());
-        tel.write()?;
-        return Ok(exit::PARTIAL);
+    // A stop ends the sweep: the later phases would blow the budget the
+    // caller just set, or outrun the journal the kill left behind.
+    let done = (out.frontier.len(), out.total_tasks, "task(s) complete");
+    if let Some(code) = report_stop(out.status, None, writer.as_ref(), done, &out.frontier, &run) {
+        return stop_sweep(code, &bench_json, &records, &tel);
     }
 
+    let fix_engine = if lane { "lane64" } else { "worklist" };
     if memberships_only {
         println!(
             "bound {bound} runs the memberships phase only; the lattice, fixpoint, and \
              constructibility phases need bound ≤ 6 with --engine lane64 (≤ 5 scalar)"
         );
-        tel.write()?;
-        emit(&bench_json, &records).map_err(|e| format!("writing bench json: {e}"))?;
-        println!("recorded {} sweep record(s) to {bench_json}", records.len());
-        if gate && worst == SweepStatus::Complete {
-            let b = baseline.as_ref().expect("gate precondition checked above");
-            println!(
-                "gate: {throughput:.0} pairs/sec vs baseline {:.0} (threshold {:.0})",
-                b.pairs_per_sec,
-                b.pairs_per_sec / 2.0
-            );
-            if throughput < b.pairs_per_sec / 2.0 {
-                eprintln!(
-                    "perf gate FAILED: {throughput:.0} pairs/sec is more than 2x below \
-                     the committed baseline {:.0}",
-                    b.pairs_per_sec
-                );
-                return Ok(exit::FAIL);
-            }
-        } else if gate {
-            println!(
-                "gate: skipped — run was {} (only complete runs are gated)",
-                status_name(worst)
-            );
-        }
-        println!("sweep status: {}", status_name(worst));
-        return Ok(match worst {
-            SweepStatus::Complete => exit::COMPLETE,
-            SweepStatus::Degraded => exit::DEGRADED,
-            SweepStatus::Partial => exit::PARTIAL,
-            SweepStatus::Killed => exit::KILLED,
-        });
-    }
-
-    // Phase 2: the full pairwise relation lattice (Figure 1 at this
-    // bound), under the same supervisor (the fault plan spans all
-    // phases; a task-indexed fault re-fires wherever that index recurs).
-    // One verdict pass through the same kernels as phase 1 decides every
-    // cell, so a task is scanned (and quarantined) once per phase.
-    let t0 = Instant::now();
-    let phase_span = ccmm::core::telemetry::span("sweep/lattice");
-    let lat = if lane {
-        lattice_lanes_supervised(&models, &u, &cfg, &sup)
     } else {
-        lattice_supervised(&models, &u, &cfg, &sup)
-    };
-    drop(phase_span);
-    let wall = t0.elapsed();
-    tel.end_phase("lattice", wall);
-    report_quarantine("lattice", &lat.quarantined);
-    worst = worst.max(lat.status);
-    println!("lattice [{:.2?}] ({}):", wall, status_name(lat.status));
-    print!("{:<6}", "");
-    for m in &models {
-        print!("{:>4}", m.name());
-    }
-    println!();
-    for row in &lat.value {
-        print!("  {:<4}", row.name);
-        for r in &row.relations {
-            print!("{:>4}", r.to_string());
+        // Phase 2: the full pairwise relation lattice (Figure 1 at this
+        // bound), under the same supervisor (the fault plan spans all
+        // phases; a task-indexed fault re-fires wherever that index
+        // recurs). One verdict pass through the same kernels as phase 1
+        // decides every cell, so a task is scanned (and quarantined) once
+        // per phase.
+        let t0 = Instant::now();
+        let phase_span = ccmm::core::telemetry::span("sweep/lattice");
+        let lat = if lane {
+            lattice_lanes_supervised(&models, &u, &cfg, &sup)
+        } else {
+            lattice_supervised(&models, &u, &cfg, &sup)
+        };
+        drop(phase_span);
+        let wall = t0.elapsed();
+        tel.end_phase("lattice", wall);
+        report_quarantine("lattice", &lat.quarantined);
+        worst = worst.max(lat.status);
+        println!("lattice [{:.2?}] ({}):", wall, status_name(lat.status));
+        print!("{:<6}", "");
+        for m in &models {
+            print!("{:>4}", m.name());
         }
         println!();
-    }
-    records.push(
-        SweepRecord::new("cli_sweep/lattice", engine, &u, cfg.threads, wall, 0, 0)
-            .with_status(status_name(lat.status)),
-    );
-
-    // Phase 3: constructibility. The NN Δ* fixpoint (labelled by
-    // necessity — survivor sets are keyed by concrete computations), then
-    // the one-step augmentation check for every model. The lane engine
-    // runs the mask-based fixpoint, which checkpoints to its own journal
-    // (`<path>.fixpoint`) beside the memberships journal: the fingerprint
-    // is engine-free because the mask bits are identical either way, so a
-    // fixpoint journal written under one kernel resumes under the other.
-    let t0 = Instant::now();
-    let phase_span = ccmm::core::telemetry::span("sweep/fixpoint");
-    let fix_engine = if lane { "lane64" } else { "worklist" };
-    let (fix_pairs, fix_deleted, fix_passes, fix_status) = if lane {
-        let fix_fingerprint = format!("ccmm-fixpoint-v1 bound={bound} locs={locs} model=nn");
-        let journal_base = ckpt_path.as_deref().or(resume_path.as_deref());
-        let mut fix_writer: Option<ckpt::CkptWriter> = None;
-        let mut fix_resume = None;
-        let fix_journal = journal_base.map(|base| format!("{base}.fixpoint"));
-        if let Some(p) = &fix_journal {
-            let path = std::path::Path::new(p);
-            if resume_path.is_some() && path.exists() {
-                let loaded = ckpt::Checkpoint::load(path)
-                    .map_err(|e| format!("loading fixpoint checkpoint {p}: {e}"))?;
-                if loaded.fingerprint != fix_fingerprint {
-                    return Err(format!(
-                        "fixpoint checkpoint fingerprint mismatch: journal is `{}`, this run \
-                         is `{fix_fingerprint}`",
-                        loaded.fingerprint
-                    ));
-                }
-                fix_resume = Some(
-                    decode_masks_journal(&loaded)
-                        .ok_or_else(|| format!("corrupt fixpoint checkpoint in {p}"))?,
-                );
-                fix_writer = Some(
-                    ckpt::CkptWriter::append_to(path)
-                        .map_err(|e| format!("reopening fixpoint checkpoint {p}: {e}"))?,
-                );
-                if let Some((f, _)) = &fix_resume {
-                    println!("resuming fixpoint from {p}: {} task(s) already complete", f.len());
-                }
-            } else {
-                fix_writer = Some(
-                    ckpt::CkptWriter::create(path, &fix_fingerprint)
-                        .map_err(|e| format!("creating fixpoint checkpoint {p}: {e}"))?,
-                );
+        for row in &lat.value {
+            print!("  {:<4}", row.name);
+            for r in &row.relations {
+                print!("{:>4}", r.to_string());
             }
+            println!();
         }
-        let out = LaneConstructible::compute_supervised(
-            &Nn::default(),
-            &u,
-            &cfg,
-            &sup,
-            fix_resume,
-            fix_writer.as_mut().map(|w| (w, ckpt_every)),
-            true,
+        records.push(
+            SweepRecord::new("cli_sweep/lattice", engine, &u, cfg.threads, wall, 0, 0)
+                .with_status(status_name(lat.status)),
         );
-        drop(phase_span);
-        let wall = t0.elapsed();
-        tel.end_phase("fixpoint", wall);
-        if let Some(e) = &out.ckpt_error {
-            eprintln!("warning: fixpoint checkpoint journalling failed mid-sweep: {e}");
-        }
-        report_quarantine("fixpoint", &out.quarantined);
-        if out.status == SweepStatus::Killed {
-            let journal = fix_journal.as_deref().unwrap_or("<journal>");
-            println!(
-                "killed by fault plan after {} fixpoint checkpoint record(s); resume with \
-                 --resume {}",
-                fix_writer.as_ref().map_or(0, |w| w.snapshots()),
-                ckpt_path.as_deref().or(resume_path.as_deref()).unwrap_or(journal)
-            );
-            tel.write()?;
-            return Ok(exit::KILLED);
-        }
-        if out.status == SweepStatus::Partial {
-            println!(
-                "deadline hit during fixpoint: {}/{} task(s) complete; resume frontier: {:?}",
-                out.frontier.len(),
-                out.total_tasks,
-                out.frontier.ranges()
-            );
-            if let Some(path) = ckpt_path.as_deref().or(resume_path.as_deref()) {
-                println!("resume with --resume {path}");
+
+        // Phase 3: constructibility. The NN Δ* fixpoint (labelled by
+        // necessity — survivor sets are keyed by concrete computations),
+        // then the one-step augmentation check for every model. The lane
+        // engine runs the mask-based fixpoint, which checkpoints to its
+        // own journal (`<path>.fixpoint`) beside the memberships journal:
+        // the fingerprint is engine-free because the mask bits are
+        // identical either way, so a fixpoint journal written under one
+        // kernel resumes under the other.
+        let t0 = Instant::now();
+        let phase_span = ccmm::core::telemetry::span("sweep/fixpoint");
+        let (fix_pairs, fix_deleted, fix_passes, fix_status) = if lane {
+            let fix_fingerprint = format!("ccmm-fixpoint-v1 bound={bound} locs={locs} model=nn");
+            let fix_journal = run.journal().map(|base| format!("{base}.fixpoint"));
+            let path = fix_journal.as_deref();
+            let resuming = resume.is_some() && path.is_some_and(|p| Path::new(p).exists());
+            let (mut fix_writer, fix_resume) = open_journal(
+                "fixpoint checkpoint",
+                path.filter(|_| !resuming),
+                path.filter(|_| resuming),
+                &fix_fingerprint,
+                |ck| decode_masks_journal(ck).map(Some),
+            )?;
+            if let (Some(p), Some((f, _))) = (path, &fix_resume) {
+                println!("resuming fixpoint from {p}: {} task(s) already complete", f.len());
             }
-            emit(&bench_json, &records).map_err(|e| format!("writing bench json: {e}"))?;
-            println!("recorded {} sweep record(s) to {bench_json}", records.len());
-            tel.write()?;
-            return Ok(exit::PARTIAL);
+            let out = LaneConstructible::compute_supervised(
+                &Nn::default(),
+                &u,
+                &cfg,
+                &sup,
+                fix_resume,
+                fix_writer.as_mut().map(|w| (w, run.ckpt_every)),
+                true,
+            );
+            drop(phase_span);
+            let wall = t0.elapsed();
+            tel.end_phase("fixpoint", wall);
+            warn_journal("fixpoint ", out.ckpt_error.as_deref());
+            report_quarantine("fixpoint", &out.quarantined);
+            let done = (out.frontier.len(), out.total_tasks, "task(s) complete");
+            let (phase, fix_writer) = (Some("fixpoint"), fix_writer.as_ref());
+            if let Some(code) =
+                report_stop(out.status, phase, fix_writer, done, &out.frontier, &run)
+            {
+                return stop_sweep(code, &bench_json, &records, &tel);
+            }
+            (out.value.total_pairs(), out.value.deleted, out.value.passes, out.status)
+        } else {
+            let fix = BoundedConstructible::compute_worklist_supervised(
+                &Nn::default(),
+                &u,
+                &cfg,
+                &sup.fault,
+            );
+            drop(phase_span);
+            let wall = t0.elapsed();
+            tel.end_phase("fixpoint", wall);
+            report_quarantine("fixpoint", &fix.quarantined);
+            let fix_status = SweepStatus::fold(false, false, !fix.quarantined.is_empty());
+            (fix.total_pairs(), fix.deleted, fix.passes, fix_status)
+        };
+        let wall = t0.elapsed();
+        worst = worst.max(fix_status);
+        println!(
+            "NN* {} fixpoint: {} surviving pairs, {} deleted, {} pass(es) [{:.2?}] ({})",
+            fix_engine,
+            fix_pairs,
+            fix_deleted,
+            fix_passes,
+            wall,
+            status_name(fix_status)
+        );
+        records.push(
+            SweepRecord::new(
+                "cli_sweep/nnstar_worklist",
+                fix_engine,
+                &u,
+                cfg.threads,
+                wall,
+                fix_pairs as u64,
+                fix_passes,
+            )
+            .with_status(status_name(fix_status)),
+        );
+        let t0 = Instant::now();
+        let phase_span = ccmm::core::telemetry::span("sweep/constructibility");
+        let mut cons_status = SweepStatus::Complete;
+        for m in &models {
+            let check = if lane {
+                check_constructible_aug_lanes_supervised(m, &u, &cfg, &sup)
+            } else {
+                check_constructible_aug_supervised(m, &u, &cfg, &sup)
+            };
+            report_quarantine("constructibility", &check.quarantined);
+            cons_status = cons_status.max(check.status);
+            worst = worst.max(check.status);
+            match check.value {
+                None => println!("  {:<4} constructible up to bound {bound}", m.name()),
+                Some(w) => println!(
+                    "  {:<4} NOT constructible: dead end at {} nodes appending {:?}",
+                    m.name(),
+                    w.c.node_count(),
+                    w.op
+                ),
+            }
         }
-        (out.value.total_pairs(), out.value.deleted, out.value.passes, out.status)
-    } else {
-        let fix =
-            BoundedConstructible::compute_worklist_supervised(&Nn::default(), &u, &cfg, &sup.fault);
         drop(phase_span);
         let wall = t0.elapsed();
-        tel.end_phase("fixpoint", wall);
-        report_quarantine("fixpoint", &fix.quarantined);
-        let fix_status =
-            if fix.quarantined.is_empty() { SweepStatus::Complete } else { SweepStatus::Degraded };
-        (fix.total_pairs(), fix.deleted, fix.passes, fix_status)
-    };
-    let wall = t0.elapsed();
-    worst = worst.max(fix_status);
-    println!(
-        "NN* {} fixpoint: {} surviving pairs, {} deleted, {} pass(es) [{:.2?}] ({})",
-        fix_engine,
-        fix_pairs,
-        fix_deleted,
-        fix_passes,
-        wall,
-        status_name(fix_status)
-    );
-    records.push(
-        SweepRecord::new(
-            "cli_sweep/nnstar_worklist",
-            fix_engine,
-            &u,
-            cfg.threads,
-            wall,
-            fix_pairs as u64,
-            fix_passes,
-        )
-        .with_status(status_name(fix_status)),
-    );
-    let t0 = Instant::now();
-    let phase_span = ccmm::core::telemetry::span("sweep/constructibility");
-    let mut cons_status = SweepStatus::Complete;
-    for m in &models {
-        let check = if lane {
-            check_constructible_aug_lanes_supervised(m, &u, &cfg, &sup)
-        } else {
-            check_constructible_aug_supervised(m, &u, &cfg, &sup)
-        };
-        report_quarantine("constructibility", &check.quarantined);
-        cons_status = cons_status.max(check.status);
-        worst = worst.max(check.status);
-        match check.value {
-            None => println!("  {:<4} constructible up to bound {bound}", m.name()),
-            Some(w) => println!(
-                "  {:<4} NOT constructible: dead end at {} nodes appending {:?}",
-                m.name(),
-                w.c.node_count(),
-                w.op
-            ),
-        }
-    }
-    drop(phase_span);
-    let wall = t0.elapsed();
-    tel.end_phase("constructibility", wall);
-    println!("constructibility checks [{wall:.2?}]");
-    // The constructibility record's work unit is the fixed bounded-prefix
-    // scan size (computations at bound − 1 times models checked), so its
-    // pairs/sec is comparable across engines at the same config.
-    let cons_work = Universe::new(bound.saturating_sub(1), locs).count_computations_closed() as u64
-        * models.len() as u64;
-    records.push(
-        SweepRecord::new("cli_sweep/constructibility", engine, &u, cfg.threads, wall, cons_work, 0)
+        tel.end_phase("constructibility", wall);
+        println!("constructibility checks [{wall:.2?}]");
+        // The constructibility record's work unit is the fixed
+        // bounded-prefix scan size (computations at bound − 1 times
+        // models checked), so its pairs/sec is comparable across engines
+        // at the same config.
+        let cons_work = Universe::new(bound.saturating_sub(1), locs).count_computations_closed()
+            as u64
+            * models.len() as u64;
+        records.push(
+            SweepRecord::new(
+                "cli_sweep/constructibility",
+                engine,
+                &u,
+                cfg.threads,
+                wall,
+                cons_work,
+                0,
+            )
             .with_status(status_name(cons_status)),
-    );
+        );
+    }
     tel.write()?;
 
-    // Phase baselines are read before this run's records are emitted —
-    // emitting first would make every gated run its own baseline.
-    let phase_baselines: Vec<_> =
-        [("cli_sweep/nnstar_worklist", fix_engine), ("cli_sweep/constructibility", engine)]
-            .into_iter()
-            .map(|(experiment, phase_engine)| {
-                (
-                    experiment,
-                    latest_matching(&bench_json, experiment, phase_engine, &u, cfg.threads),
-                )
-            })
-            .collect();
-    emit(&bench_json, &records).map_err(|e| format!("writing bench json: {e}"))?;
-    println!("recorded {} sweep record(s) to {bench_json}", records.len());
-    if gate && worst == SweepStatus::Complete {
-        // `baseline` was verified Some before the sweep started.
-        let b = baseline.expect("gate precondition checked above");
-        println!(
-            "gate: {throughput:.0} pairs/sec vs baseline {:.0} (threshold {:.0})",
-            b.pairs_per_sec,
-            b.pairs_per_sec / 2.0
-        );
-        if throughput < b.pairs_per_sec / 2.0 {
-            eprintln!(
-                "perf gate FAILED: {throughput:.0} pairs/sec is more than 2x below \
-                 the committed baseline {:.0}",
-                b.pairs_per_sec
-            );
-            return Ok(exit::FAIL);
-        }
-        // The fixpoint and constructibility phases gate against their
-        // own same-engine, same-thread-count baselines when one exists
-        // (only the memberships baseline is a gate precondition, so the
-        // new phases phase in without invalidating older baselines).
-        for (experiment, b) in phase_baselines {
-            let Some(rec) = records.iter().find(|r| r.experiment == experiment) else {
-                continue;
-            };
-            let Some(b) = b else { continue };
-            println!(
-                "gate[{experiment}]: {:.0} pairs/sec vs baseline {:.0} (threshold {:.0})",
-                rec.pairs_per_sec,
-                b.pairs_per_sec,
-                b.pairs_per_sec / 2.0
-            );
-            if rec.pairs_per_sec < b.pairs_per_sec / 2.0 {
-                eprintln!(
-                    "perf gate FAILED: {experiment} at {:.0} pairs/sec is more than 2x below \
-                     the committed baseline {:.0}",
-                    rec.pairs_per_sec, b.pairs_per_sec
-                );
-                return Ok(exit::FAIL);
+    // Gate baselines are read before this run's records are emitted —
+    // emitting first would make every gated run its own baseline. The
+    // fixpoint and constructibility phases gate against their own
+    // same-engine, same-thread-count baselines when one exists (only the
+    // memberships baseline is a gate precondition, so the new phases
+    // phase in without invalidating older baselines).
+    let mut gates = Vec::new();
+    if let Some(b) = baseline.filter(|_| run.gate) {
+        gates.push(("gate".to_string(), throughput, b.pairs_per_sec));
+        for (experiment, phase_engine) in
+            [("cli_sweep/nnstar_worklist", fix_engine), ("cli_sweep/constructibility", engine)]
+        {
+            let rec = records.iter().find(|r| r.experiment == experiment);
+            let b = latest_matching(&bench_json, experiment, phase_engine, &u, cfg.threads);
+            if let (Some(rec), Some(b)) = (rec, b) {
+                gates.push((format!("gate[{experiment}]"), rec.pairs_per_sec, b.pairs_per_sec));
             }
         }
-    } else if gate {
-        println!("gate: skipped — run was {} (only complete runs are gated)", status_name(worst));
+    }
+    emit_records(&bench_json, &records)?;
+    if let Some(code) = run.gate.then(|| gate_check(worst, "pairs/sec", &gates)).flatten() {
+        return Ok(code);
     }
     println!("sweep status: {}", status_name(worst));
-    Ok(match worst {
-        SweepStatus::Complete => exit::COMPLETE,
-        SweepStatus::Degraded => exit::DEGRADED,
-        SweepStatus::Partial => exit::PARTIAL,
-        SweepStatus::Killed => exit::KILLED,
-    })
+    Ok(exit_code(worst))
 }
 
 fn cmd_conformance(args: &[String]) -> Result<bool, String> {
@@ -991,30 +984,20 @@ fn cmd_conformance(args: &[String]) -> Result<bool, String> {
     let mut trace_path: Option<String> = None;
     let mut metrics_path: Option<String> = None;
     let mut progress = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or(format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--nodes" => cfg.max_nodes = take("--nodes")?.parse().map_err(|_| "bad --nodes")?,
-            "--locs" => {
-                cfg.num_locations = take("--locs")?.parse().map_err(|_| "bad --locs")?;
-            }
-            "--random" => {
-                cfg.random_cases = take("--random")?.parse().map_err(|_| "bad --random")?;
-            }
-            "--seed" => cfg.seed = take("--seed")?.parse().map_err(|_| "bad --seed")?,
+    let mut args = Args::new(args);
+    while let Some(flag) = args.next_flag() {
+        match flag {
+            "--nodes" => cfg.max_nodes = args.parse(flag)?,
+            "--locs" => cfg.num_locations = args.parse(flag)?,
+            "--random" => cfg.random_cases = args.parse(flag)?,
+            "--seed" => cfg.seed = args.parse(flag)?,
             "--no-harvest" => cfg.harvest = false,
-            "--threads" => {
-                let t: usize = take("--threads")?.parse().map_err(|_| "bad --threads")?;
-                cfg.sweep = SweepConfig::with_threads(t);
-            }
-            "--out" => out = Some(take("--out")?),
+            "--threads" => cfg.sweep = SweepConfig::with_threads(args.parse(flag)?),
+            "--out" => out = Some(args.value(flag)?),
             "--self-test" => do_self_test = true,
             "--canonical" => cfg.sweep = cfg.sweep.canonical(true),
-            "--trace" => trace_path = Some(take("--trace")?),
-            "--metrics" => metrics_path = Some(take("--metrics")?),
+            "--trace" => trace_path = Some(args.value(flag)?),
+            "--metrics" => metrics_path = Some(args.value(flag)?),
             "--progress" => progress = true,
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -1112,65 +1095,29 @@ fn cmd_conformance(args: &[String]) -> Result<bool, String> {
 }
 
 fn cmd_stress(args: &[String]) -> Result<u8, String> {
-    use ccmm::core::ckpt;
-    use ccmm::core::fault::{FaultPlan, PerturbPlan};
+    use ccmm::core::fault::PerturbPlan;
     use ccmm::core::parse::{render_computation, render_observer};
-    use ccmm::core::sweep::supervisor::SweepStatus;
-    use ccmm::stress::{self, Mutation, StressCkpt, StressConfig};
+    use ccmm::stress::{self, Mutation, StressConfig};
     use std::time::Instant;
 
-    let mut seed = 0u64;
-    let mut iters = 1000usize;
-    let mut threads = 4usize;
+    let (mut seed, mut iters, mut threads) = (0u64, 1000usize, 4usize);
     let mut perturb_spec: Option<String> = None;
     let mut mutation = Mutation::None;
-    let mut deadline_secs: Option<f64> = None;
-    let mut fault_spec: Option<String> = None;
-    let mut ckpt_path: Option<String> = None;
-    let mut ckpt_every = 32usize;
-    let mut resume_path: Option<String> = None;
     let mut do_self_test = false;
-    let mut metrics_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut progress = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or(format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--seed" => seed = take("--seed")?.parse().map_err(|_| "bad --seed")?,
-            "--iters" => iters = take("--iters")?.parse().map_err(|_| "bad --iters")?,
-            "--threads" => threads = take("--threads")?.parse().map_err(|_| "bad --threads")?,
-            "--perturb" => perturb_spec = Some(take("--perturb")?),
-            "--mutate" => mutation = Mutation::from_name(&take("--mutate")?)?,
-            "--deadline-secs" => {
-                deadline_secs =
-                    Some(take("--deadline-secs")?.parse().map_err(|_| "bad --deadline-secs")?);
-            }
-            "--fault" => fault_spec = Some(take("--fault")?),
-            "--ckpt" => ckpt_path = Some(take("--ckpt")?),
-            "--ckpt-every" => {
-                ckpt_every = take("--ckpt-every")?.parse().map_err(|_| "bad --ckpt-every")?;
-                if ckpt_every == 0 {
-                    return Err("--ckpt-every must be at least 1".into());
-                }
-            }
-            "--resume" => resume_path = Some(take("--resume")?),
+    let run = RunFlags::parse(args, 32, false, |flag, args| {
+        match flag {
+            "--seed" => seed = args.parse(flag)?,
+            "--iters" => iters = args.parse(flag)?,
+            "--threads" => threads = args.parse(flag)?,
+            "--perturb" => perturb_spec = Some(args.value(flag)?),
+            "--mutate" => mutation = Mutation::from_name(&args.value(flag)?)?,
             "--self-test" => do_self_test = true,
-            "--metrics" => metrics_path = Some(take("--metrics")?),
-            "--trace" => trace_path = Some(take("--trace")?),
-            "--progress" => progress = true,
-            other => return Err(format!("unknown flag `{other}`")),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     if threads == 0 {
         return Err("--threads must be at least 1".into());
-    }
-    if ckpt_path.is_some() && resume_path.is_some() {
-        return Err(
-            "--ckpt starts a fresh journal and --resume continues one; pass only one".to_string()
-        );
     }
 
     if do_self_test {
@@ -1193,52 +1140,24 @@ fn cmd_stress(args: &[String]) -> Result<u8, String> {
         cfg.perturb = PerturbPlan::from_spec(spec)?;
     }
     cfg.mutation = mutation;
-    if let Some(secs) = deadline_secs {
-        cfg.deadline = Some(std::time::Duration::from_secs_f64(secs));
-    }
-    let fault = match &fault_spec {
-        Some(spec) => FaultPlan::from_spec(spec)?,
-        None => FaultPlan::none(),
-    };
+    cfg.deadline = run.deadline;
+    let fault = run.fault_plan()?;
 
-    // Checkpoint journal: same scheme as `ccmm sweep` — the fingerprint
-    // pins (seed, iters, threads, perturb shape, mutation) so a journal
-    // cannot resume into a different run.
-    let fingerprint = cfg.fingerprint();
-    let mut writer: Option<ckpt::CkptWriter> = None;
-    let mut resume_state = None;
-    if let Some(path) = &ckpt_path {
-        writer = Some(
-            ckpt::CkptWriter::create(std::path::Path::new(path), &fingerprint)
-                .map_err(|e| format!("creating checkpoint {path}: {e}"))?,
-        );
-    }
-    if let Some(path) = &resume_path {
-        let loaded = ckpt::Checkpoint::load(std::path::Path::new(path))
-            .map_err(|e| format!("loading checkpoint {path}: {e}"))?;
-        if loaded.fingerprint != fingerprint {
-            return Err(format!(
-                "checkpoint fingerprint mismatch: journal is `{}`, this run is `{fingerprint}`",
-                loaded.fingerprint
-            ));
-        }
-        resume_state = match loaded.latest() {
-            Some(snap) => Some(
-                stress::decode_snapshot(snap)
-                    .ok_or_else(|| format!("corrupt checkpoint snapshot in {path}"))?,
-            ),
-            None => None,
-        };
-        writer = Some(
-            ckpt::CkptWriter::append_to(std::path::Path::new(path))
-                .map_err(|e| format!("reopening checkpoint {path}: {e}"))?,
-        );
-        if let Some((f, _)) = &resume_state {
-            println!("resuming from {path}: {} iteration(s) already complete", f.len());
-        }
+    // The fingerprint pins (seed, iters, threads, perturb shape,
+    // mutation) so a journal cannot resume into a different run.
+    let (ckpt, resume) = (run.ckpt.as_deref(), run.resume.as_deref());
+    let (mut writer, resume_state) = open_journal(
+        "checkpoint",
+        ckpt,
+        resume,
+        &cfg.fingerprint(),
+        latest(stress::decode_snapshot),
+    )?;
+    if let (Some(path), Some((f, _))) = (resume, &resume_state) {
+        println!("resuming from {path}: {} iteration(s) already complete", f.len());
     }
 
-    let mut tel = TelemetrySink::new("stress", trace_path, metrics_path, progress);
+    let mut tel = run.telemetry("stress");
     println!(
         "stress: seed {seed}, {iters} iteration(s), {threads} thread(s), perturb {}, mutation {}",
         cfg.perturb,
@@ -1246,16 +1165,14 @@ fn cmd_stress(args: &[String]) -> Result<u8, String> {
     );
     let t0 = Instant::now();
     let phase_span = ccmm::core::telemetry::span("stress/iterations");
-    let sink = writer.as_mut().map(|w| StressCkpt { writer: w, every: ckpt_every });
-    let report = stress::run_supervised(&cfg, &fault, resume_state, sink);
+    let ckpt = writer.as_mut().map(|w| (w, run.ckpt_every));
+    let report = stress::run_supervised(&cfg, &fault, resume_state, ckpt);
     drop(phase_span);
     let wall = t0.elapsed();
     tel.end_phase("iterations", wall);
     tel.write()?;
 
-    if let Some(e) = &report.ckpt_error {
-        eprintln!("warning: checkpoint journalling failed mid-run: {e}");
-    }
+    warn_journal("", report.ckpt_error.as_deref());
     for q in &report.quarantined {
         println!("quarantined: iteration {} panicked twice: {}", q.task_idx, q.payload);
     }
@@ -1292,127 +1209,48 @@ fn cmd_stress(args: &[String]) -> Result<u8, String> {
         print!("{}", render_observer(&f.phi));
         return Ok(exit::FAIL);
     }
-    if report.status == SweepStatus::Killed {
-        let journal = ckpt_path.as_deref().or(resume_path.as_deref()).unwrap_or("<journal>");
-        println!(
-            "killed by fault plan after {} checkpoint record(s); resume with --resume {journal}",
-            writer.as_ref().map_or(0, |w| w.snapshots())
-        );
-        return Ok(exit::KILLED);
-    }
-    if report.status == SweepStatus::Partial {
-        println!(
-            "deadline hit: {}/{} iteration(s) complete; resume frontier: {:?}",
-            report.frontier.len(),
-            report.total,
-            report.frontier.ranges()
-        );
-        if let Some(path) = ckpt_path.as_deref().or(resume_path.as_deref()) {
-            println!("resume with --resume {path}");
-        }
-        return Ok(exit::PARTIAL);
-    }
-    Ok(match report.status {
-        SweepStatus::Complete => exit::COMPLETE,
-        SweepStatus::Degraded => exit::DEGRADED,
-        SweepStatus::Partial => exit::PARTIAL,
-        SweepStatus::Killed => exit::KILLED,
-    })
+    let done = (report.frontier.len(), report.total, "iteration(s) complete");
+    Ok(report_stop(report.status, None, writer.as_ref(), done, &report.frontier, &run)
+        .unwrap_or(exit_code(report.status)))
 }
 
 fn cmd_watch(args: &[String]) -> Result<u8, String> {
     use ccmm::backer::FaultInjection;
-    use ccmm::core::ckpt;
-    use ccmm::core::sweep::supervisor::SweepStatus;
-    use ccmm::watch::{self, WatchCkpt, WatchConfig};
-    use ccmm_bench::report::{emit, latest_matching_shape, SweepRecord};
+    use ccmm::core::fault::FaultPlan;
+    use ccmm::watch::{self, WatchConfig};
+    use ccmm_bench::report::{latest_matching_shape, SweepRecord};
     use std::time::Instant;
 
-    let mut workload = "fib:14".to_string();
-    let mut procs = 4usize;
-    let mut cache_lines = 16usize;
-    let mut block = 16usize;
-    let mut faults = FaultInjection::NONE;
-    let mut deadline_secs: Option<f64> = None;
-    let mut sample_every = 8usize;
-    let mut sample_cap = 24usize;
-    let mut ckpt_path: Option<String> = None;
-    let mut ckpt_every = 65_536usize;
-    let mut resume_path: Option<String> = None;
-    let mut gate = false;
-    let mut metrics_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut progress = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or(format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--workload" => workload = take("--workload")?,
-            "--procs" => procs = take("--procs")?.parse().map_err(|_| "bad --procs")?,
-            "--cache" => cache_lines = take("--cache")?.parse().map_err(|_| "bad --cache")?,
-            "--block" => block = take("--block")?.parse().map_err(|_| "bad --block")?,
-            "--fault" => {
-                faults = match take("--fault")?.as_str() {
-                    "none" => FaultInjection::NONE,
-                    "skip-flush" => FaultInjection { skip_flush: true, skip_reconcile: false },
-                    "skip-reconcile" => FaultInjection { skip_flush: false, skip_reconcile: true },
-                    other => {
-                        return Err(format!(
-                            "unknown fault `{other}` (none | skip-flush | skip-reconcile)"
-                        ))
-                    }
-                }
-            }
-            "--deadline-secs" => {
-                deadline_secs =
-                    Some(take("--deadline-secs")?.parse().map_err(|_| "bad --deadline-secs")?);
-            }
-            "--sample-every" => {
-                sample_every = take("--sample-every")?.parse().map_err(|_| "bad --sample-every")?;
-            }
-            "--sample-cap" => {
-                sample_cap = take("--sample-cap")?.parse().map_err(|_| "bad --sample-cap")?;
-            }
-            "--ckpt" => ckpt_path = Some(take("--ckpt")?),
-            "--ckpt-every" => {
-                ckpt_every = take("--ckpt-every")?.parse().map_err(|_| "bad --ckpt-every")?;
-                if ckpt_every == 0 {
-                    return Err("--ckpt-every must be at least 1".into());
-                }
-            }
-            "--resume" => resume_path = Some(take("--resume")?),
-            "--gate" => gate = true,
-            "--metrics" => metrics_path = Some(take("--metrics")?),
-            "--trace" => trace_path = Some(take("--trace")?),
-            "--progress" => progress = true,
-            other => return Err(format!("unknown flag `{other}`")),
+    let mut cfg = WatchConfig::new("fib:14");
+    let run = RunFlags::parse(args, 65_536, true, |flag, args| {
+        match flag {
+            "--workload" => cfg.workload = args.value(flag)?,
+            "--procs" => cfg.procs = args.parse(flag)?,
+            "--cache" => cfg.cache_lines = args.parse(flag)?,
+            "--block" => cfg.block = args.parse(flag)?,
+            "--sample-every" => cfg.sample_every = args.parse(flag)?,
+            "--sample-cap" => cfg.sample_cap = args.parse(flag)?,
+            _ => return Ok(false),
         }
-    }
-    if procs == 0 {
+        Ok(true)
+    })?;
+    // Watch's `--fault` weakens the BACKER protocol; its journal runs
+    // under the empty fault plan.
+    cfg.faults = match run.fault.as_deref() {
+        None | Some("none") => FaultInjection::NONE,
+        Some("skip-flush") => FaultInjection { skip_flush: true, skip_reconcile: false },
+        Some("skip-reconcile") => FaultInjection { skip_flush: false, skip_reconcile: true },
+        Some(other) => {
+            return Err(format!("unknown fault `{other}` (none | skip-flush | skip-reconcile)"))
+        }
+    };
+    if cfg.procs == 0 {
         return Err("--procs must be at least 1".into());
     }
-    if ckpt_path.is_some() && resume_path.is_some() {
-        return Err(
-            "--ckpt starts a fresh journal and --resume continues one; pass only one".to_string()
-        );
-    }
-
+    cfg.deadline = run.deadline;
+    let (workload, procs) = (cfg.workload.clone(), cfg.procs);
     let trace = watch::parse_trace_workload(&workload)?;
-    let mut cfg = WatchConfig::new(&workload);
-    cfg.procs = procs;
-    cfg.cache_lines = cache_lines;
-    cfg.block = block;
-    cfg.faults = faults;
-    cfg.sample_every = sample_every;
-    cfg.sample_cap = sample_cap;
-    if let Some(secs) = deadline_secs {
-        cfg.deadline = Some(std::time::Duration::from_secs_f64(secs));
-    }
 
-    // Gate precondition up front, as in `sweep`: a gated run with no
-    // baseline must not silently record itself as one.
     let total = trace.node_count();
     let bench_json = bench_json_path();
     let baseline = latest_matching_shape(
@@ -1423,65 +1261,40 @@ fn cmd_watch(args: &[String]) -> Result<u8, String> {
         trace.num_locations as u64,
         procs as u64,
     );
-    if gate && baseline.is_none() {
-        eprintln!("error: no baseline for this config — run without --gate to record one");
-        return Ok(exit::NO_BASELINE);
+    if let Some(code) = require_baseline(run.gate, baseline.is_some()) {
+        return Ok(code);
     }
 
-    // Checkpoint journal: the fingerprint pins everything that makes the
-    // replay-based resume deterministic.
-    let fingerprint = cfg.fingerprint();
-    let mut writer: Option<ckpt::CkptWriter> = None;
-    let mut resume_state = None;
-    if let Some(path) = &ckpt_path {
-        writer = Some(
-            ckpt::CkptWriter::create(std::path::Path::new(path), &fingerprint)
-                .map_err(|e| format!("creating checkpoint {path}: {e}"))?,
-        );
-    }
-    if let Some(path) = &resume_path {
-        let loaded = ckpt::Checkpoint::load(std::path::Path::new(path))
-            .map_err(|e| format!("loading checkpoint {path}: {e}"))?;
-        if loaded.fingerprint != fingerprint {
-            return Err(format!(
-                "checkpoint fingerprint mismatch: journal is `{}`, this run is `{fingerprint}`",
-                loaded.fingerprint
-            ));
-        }
-        resume_state = match loaded.latest() {
-            Some(snap) => Some(
-                watch::decode_snapshot(snap)
-                    .ok_or_else(|| format!("corrupt checkpoint snapshot in {path}"))?,
-            ),
-            None => None,
-        };
-        writer = Some(
-            ckpt::CkptWriter::append_to(std::path::Path::new(path))
-                .map_err(|e| format!("reopening checkpoint {path}: {e}"))?,
-        );
-        if let Some(s) = &resume_state {
-            println!("resuming from {path}: {} node(s) already committed", s.position);
-        }
+    // The fingerprint pins everything that makes the replay-based
+    // resume deterministic.
+    let (ckpt, resume) = (run.ckpt.as_deref(), run.resume.as_deref());
+    let (mut writer, resume_state) = open_journal(
+        "checkpoint",
+        ckpt,
+        resume,
+        &cfg.fingerprint(),
+        latest(watch::decode_snapshot),
+    )?;
+    if let (Some(path), Some(s)) = (resume, &resume_state) {
+        println!("resuming from {path}: {} node(s) already committed", s.position);
     }
 
-    let mut tel = TelemetrySink::new("watch", trace_path, metrics_path, progress);
+    let mut tel = run.telemetry("watch");
     println!(
         "watch: {workload} ({total} node(s), {} location(s)), {procs} proc(s), \
-         {cache_lines}-line caches, block {block}",
-        trace.num_locations
+         {}-line caches, block {}",
+        trace.num_locations, cfg.cache_lines, cfg.block
     );
     let t0 = Instant::now();
     let phase_span = ccmm::core::telemetry::span("watch/stream");
-    let sink = writer.as_mut().map(|w| WatchCkpt { writer: w, every: ckpt_every });
-    let report = watch::run_supervised(&cfg, &trace, resume_state, sink)?;
+    let ckpt = writer.as_mut().map(|w| (w, run.ckpt_every));
+    let report = watch::run_supervised(&cfg, &trace, &FaultPlan::none(), resume_state, ckpt)?;
     drop(phase_span);
     let wall = t0.elapsed();
     tel.end_phase("stream", wall);
     tel.write()?;
 
-    if let Some(e) = &report.ckpt_error {
-        eprintln!("warning: checkpoint journalling failed mid-run: {e}");
-    }
+    warn_journal("", report.ckpt_error.as_deref());
     for q in &report.quarantined {
         println!(
             "quarantined: conformance sample at prefix {} panicked twice: {}",
@@ -1532,19 +1345,15 @@ fn cmd_watch(args: &[String]) -> Result<u8, String> {
         status: status_name(report.status).to_string(),
         counters: tel.last_counters(),
     };
-    emit(&bench_json, &[record]).map_err(|e| format!("writing bench json: {e}"))?;
+    ccmm_bench::report::emit(&bench_json, &[record])
+        .map_err(|e| format!("writing bench json: {e}"))?;
     println!("bench: appended watch/{workload} [stream] to {bench_json}");
 
-    if report.status == SweepStatus::Partial {
-        println!(
-            "deadline hit: {}/{total} node(s) committed; resume frontier: {:?}",
-            report.frontier.len(),
-            report.frontier.ranges()
-        );
-        if let Some(path) = ckpt_path.as_deref().or(resume_path.as_deref()) {
-            println!("resume with --resume {path}");
-        }
-        return Ok(exit::PARTIAL);
+    let done = (report.frontier.len(), total, "node(s) committed");
+    if let Some(code) =
+        report_stop(report.status, None, writer.as_ref(), done, &report.frontier, &run)
+    {
+        return Ok(code);
     }
     if !report.passed() && report.status == SweepStatus::Complete {
         println!(
@@ -1553,33 +1362,13 @@ fn cmd_watch(args: &[String]) -> Result<u8, String> {
         );
         return Ok(exit::FAIL);
     }
-    if gate && report.status == SweepStatus::Complete {
-        let b = baseline.expect("gate precondition checked above");
-        println!(
-            "gate: {:.0} reveals/sec vs baseline {:.0} (threshold {:.0})",
-            report.reveals_per_sec,
-            b.pairs_per_sec,
-            b.pairs_per_sec / 2.0
-        );
-        if report.reveals_per_sec < b.pairs_per_sec / 2.0 {
-            println!(
-                "perf gate FAILED: {:.0} reveals/sec is more than 2x below the baseline",
-                report.reveals_per_sec
-            );
-            return Ok(exit::FAIL);
+    if let Some(b) = baseline.filter(|_| run.gate) {
+        let gate = [("gate".to_string(), report.reveals_per_sec, b.pairs_per_sec)];
+        if let Some(code) = gate_check(report.status, "reveals/sec", &gate) {
+            return Ok(code);
         }
-    } else if gate {
-        println!(
-            "gate: skipped — run was {} (only complete runs are gated)",
-            status_name(report.status)
-        );
     }
-    Ok(match report.status {
-        SweepStatus::Complete => exit::COMPLETE,
-        SweepStatus::Degraded => exit::DEGRADED,
-        SweepStatus::Partial => exit::PARTIAL,
-        SweepStatus::Killed => exit::KILLED,
-    })
+    Ok(exit_code(report.status))
 }
 
 /// Installs `handler` for `SIGTERM` and `SIGINT`. Raw `signal(2)` FFI —
@@ -1658,31 +1447,16 @@ fn cmd_serve(args: &[String]) -> Result<u8, String> {
     let mut cfg = ServeConfig::default();
     let mut metrics_path: Option<String> = None;
     let mut self_test = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or(format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--addr" => cfg.addr = take("--addr")?,
-            "--max-inflight" => {
-                cfg.max_inflight =
-                    take("--max-inflight")?.parse().map_err(|_| "bad --max-inflight")?;
-            }
-            "--retry-after-ms" => {
-                cfg.retry_after_ms =
-                    take("--retry-after-ms")?.parse().map_err(|_| "bad --retry-after-ms")?;
-            }
-            "--deadline-ms" => {
-                cfg.deadline_ms =
-                    Some(take("--deadline-ms")?.parse().map_err(|_| "bad --deadline-ms")?);
-            }
-            "--cache-capacity" => {
-                cfg.cache_capacity =
-                    take("--cache-capacity")?.parse().map_err(|_| "bad --cache-capacity")?;
-            }
-            "--fault" => cfg.fault = ServeFaultPlan::from_spec(&take("--fault")?)?,
-            "--metrics" => metrics_path = Some(take("--metrics")?),
+    let mut args = Args::new(args);
+    while let Some(flag) = args.next_flag() {
+        match flag {
+            "--addr" => cfg.addr = args.value(flag)?,
+            "--max-inflight" => cfg.max_inflight = args.parse(flag)?,
+            "--retry-after-ms" => cfg.retry_after_ms = args.parse(flag)?,
+            "--deadline-ms" => cfg.deadline_ms = Some(args.parse(flag)?),
+            "--cache-capacity" => cfg.cache_capacity = args.parse(flag)?,
+            "--fault" => cfg.fault = ServeFaultPlan::from_spec(&args.value(flag)?)?,
+            "--metrics" => metrics_path = Some(args.value(flag)?),
             "--self-test" => self_test = true,
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -1761,31 +1535,24 @@ fn cmd_query(args: &[String]) -> Result<u8, String> {
     let mut retries = 5u32;
     let mut seed = 0u64;
     let mut paths: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or(format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--addr" => addr = Some(take("--addr")?),
+    let mut args = Args::new(args);
+    while let Some(flag) = args.next_flag() {
+        match flag {
+            "--addr" => addr = Some(args.value(flag)?),
             "--ping" => verb = Some("ping".into()),
             "--models" => verb = Some("models".into()),
             "--model" => {
                 verb = Some("check".into());
-                model = Some(model_by_name(&take("--model")?)?);
+                model = Some(model_by_name(&args.value(flag)?)?);
             }
             "--litmus" => {
                 verb = Some("litmus".into());
-                litmus_name = Some(take("--litmus")?);
+                litmus_name = Some(args.value(flag)?);
             }
-            "--deadline-ms" => {
-                deadline_ms = Some(take("--deadline-ms")?.parse().map_err(|_| "bad --deadline-ms")?)
-            }
-            "--timeout-ms" => {
-                timeout_ms = take("--timeout-ms")?.parse().map_err(|_| "bad --timeout-ms")?
-            }
-            "--retries" => retries = take("--retries")?.parse().map_err(|_| "bad --retries")?,
-            "--seed" => seed = take("--seed")?.parse().map_err(|_| "bad --seed")?,
+            "--deadline-ms" => deadline_ms = Some(args.parse(flag)?),
+            "--timeout-ms" => timeout_ms = args.parse(flag)?,
+            "--retries" => retries = args.parse(flag)?,
+            "--seed" => seed = args.parse(flag)?,
             other if other.starts_with("--") => return Err(format!("unknown flag `{other}`")),
             path => paths.push(path.to_string()),
         }
@@ -1915,8 +1682,9 @@ USAGE:
                                            every K tasks; --resume continues a
                                            journal bit-identically; --fault
                                            injects deterministic faults (e.g.
-                                           panic-at-task=3, kill-after-ckpt=2;
-                                           exit 3 degraded, 70 killed).
+                                           panic-at-task=3, kill-after-ckpt=2,
+                                           io-error-at-record=1; exit 3
+                                           degraded, 70 killed).
                                            --metrics writes per-phase counters
                                            (JSON; counter values bit-identical
                                            across thread counts for the
@@ -1950,10 +1718,10 @@ USAGE:
                                            oracle; --self-test proves a seeded
                                            mutation is caught before the run.
                                            Supervision matches sweep:
-                                           quarantine (exit 3), deadline +
-                                           resume frontier (exit 4), --ckpt/
-                                           --resume journals, --fault (exit 70
-                                           killed)
+                                           quarantine or a failed journal
+                                           append (exit 3), deadline + resume
+                                           frontier (exit 4), --ckpt/--resume
+                                           journals, --fault (exit 70 killed)
   ccmm watch [--workload W] [--procs P] [--cache N] [--block B]
              [--fault F] [--deadline-secs S] [--ckpt PATH] [--ckpt-every K]
              [--resume PATH] [--sample-every K] [--sample-cap N] [--gate]
@@ -1979,7 +1747,8 @@ USAGE:
                                            deadline → exit 4 + node frontier,
                                            --ckpt/--resume journals with
                                            replay-verified resume, sample
-                                           panics quarantined (exit 3).
+                                           panics quarantined or a failed
+                                           journal append (exit 3).
                                            Appends reveals/sec + counters to
                                            BENCH_sweep.json; --gate fails on
                                            >2x regression vs the same-shape
@@ -2031,7 +1800,8 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     // Exit codes: 0 success/complete, 1 failed check/gate/conformance,
-    // 2 usage or I/O error, and for `sweep` additionally 3 degraded,
+    // 2 usage or I/O error, and for `sweep`, `stress` and `watch`
+    // additionally 3 degraded (quarantine or a failed journal append),
     // 4 partial (deadline), 5 gate-without-baseline, 70 killed by the
     // fault plan.
     let result: Result<u8, String> = match cmd.as_str() {

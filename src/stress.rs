@@ -12,11 +12,12 @@
 //! where real data races may never materialize.
 //!
 //! The loop is supervised with the same machinery as `ccmm sweep`:
-//! a panicking iteration is retried once and then quarantined, a
-//! deadline turns the run Partial with a resume [`Frontier`], the
-//! frontier is journalled through [`ckpt::CkptWriter`], and a
-//! [`FaultPlan`] can panic/delay/kill specific iterations to exercise
-//! the supervision itself.
+//! a panicking iteration goes through [`retry_once`] and is then
+//! quarantined, a deadline turns the run Partial with a resume
+//! [`Frontier`], the frontier is journalled through the shared
+//! [`Journal`], and a [`FaultPlan`] can panic/delay/kill specific
+//! iterations or fail journal records to exercise the supervision
+//! itself.
 //!
 //! Determinism contract (per `(seed, iters, threads)`): the workload
 //! sequence, the perturbation decisions, the simulator-leg observers,
@@ -30,12 +31,11 @@ use ccmm_backer::harvest::harvest_observers_cfg;
 use ccmm_backer::{threads, BackerConfig, FaultInjection, PerturbPlan};
 use ccmm_conformance::{shrink, sources};
 use ccmm_core::fault::FaultPlan;
-use ccmm_core::sweep::supervisor::{Frontier, Quarantined, SweepStatus};
+use ccmm_core::sweep::supervisor::{retry_once, Frontier, Journal, Quarantined, SweepStatus};
 use ccmm_core::telemetry;
 use ccmm_core::{ckpt, Computation, Lc, Location, MemoryModel, ObserverFunction, Op, Sc};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 /// A deliberately weakened executor, used by the self-test to prove the
@@ -299,8 +299,11 @@ struct IterDelta {
     failure: Option<Box<Failure>>,
 }
 
-/// Runs one iteration: the threaded leg (every time) and the simulator
-/// leg (on `harvest_every` boundaries).
+/// Runs one iteration: the simulator leg (on `harvest_every`
+/// boundaries) and the threaded leg (every time). The deterministic leg
+/// goes first, so a failure it can witness is always the one reported —
+/// and the report's rerun hint replays it exactly — rather than racing
+/// the timing-dependent threaded leg to the same protocol bug.
 fn run_iteration(cfg: &StressConfig, iteration: usize) -> IterDelta {
     let seed = iter_seed(cfg.seed, iteration);
     let (workload, c) = workload_for(seed);
@@ -316,6 +319,18 @@ fn run_iteration(cfg: &StressConfig, iteration: usize) -> IterDelta {
         failure: None,
     };
 
+    // Simulator leg: deterministic seeded schedules through the same
+    // protocol switches — the leg that reproduces mutations reliably.
+    if iteration.is_multiple_of(cfg.harvest_every.max(1)) {
+        for phi in harvest_observers_cfg(&c, 3, cfg.threads, cfg.cache_lines, seed, &backer) {
+            delta.checks += 1;
+            if let Err(f) = check_observer(iteration, seed, &workload, "sim", &c, &phi) {
+                delta.failure = Some(f);
+                return delta;
+            }
+        }
+    }
+
     // Threaded leg: real OS threads under the perturbation plan.
     let r = threads::run_perturbed(&c, &backer, &plan);
     delta.checks += 1;
@@ -330,18 +345,6 @@ fn run_iteration(cfg: &StressConfig, iteration: usize) -> IterDelta {
         return delta;
     }
     delta.threaded_observers.push(r.observer);
-
-    // Simulator leg: deterministic seeded schedules through the same
-    // protocol switches — the leg that reproduces mutations reliably.
-    if iteration.is_multiple_of(cfg.harvest_every.max(1)) {
-        for phi in harvest_observers_cfg(&c, 3, cfg.threads, cfg.cache_lines, seed, &backer) {
-            delta.checks += 1;
-            if let Err(f) = check_observer(iteration, seed, &workload, "sim", &c, &phi) {
-                delta.failure = Some(f);
-                return delta;
-            }
-        }
-    }
     delta
 }
 
@@ -366,22 +369,15 @@ pub fn decode_snapshot(mut bytes: &[u8]) -> Option<(Frontier, u64)> {
     }
 }
 
-/// Journalling plumbing for [`run_supervised`].
-pub struct StressCkpt<'a> {
-    /// Open journal (created with the config's fingerprint).
-    pub writer: &'a mut ckpt::CkptWriter,
-    /// Snapshot every this many completed iterations.
-    pub every: usize,
-}
-
 /// Runs the stress loop under supervision.
 ///
 /// The loop is serial over iterations (the executor under test is
 /// internally parallel — nesting thread pools would only dilute the
 /// contention the perturbation works to create), but carries the full
-/// supervisor contract: panic → retry once → quarantine; deadline →
+/// supervisor contract: panic → [`retry_once`] → quarantine; deadline →
 /// Partial with a resume frontier; `fault` can panic/delay specific
-/// iterations and kill after checkpoint records; `resume` skips
+/// iterations, fail journal records, and kill after checkpoint records;
+/// `ckpt` is `(journal, every-N-iterations)`; `resume` skips
 /// already-completed iterations. The run stops early at the first
 /// conformance failure — there is nothing more valuable to learn, and
 /// the failing seed plus shrunk trace is the deliverable.
@@ -389,26 +385,16 @@ pub fn run_supervised(
     cfg: &StressConfig,
     fault: &FaultPlan,
     resume: Option<(Frontier, u64)>,
-    mut ckpt_sink: Option<StressCkpt<'_>>,
+    ckpt: Option<(&mut ckpt::CkptWriter, usize)>,
 ) -> StressReport {
     let ids: Vec<usize> = (0..cfg.iters).collect();
     fault.resolve_indices(&ids);
     let (mut frontier, mut checks) = resume.unwrap_or((Frontier::new(), 0));
-    let mut report = StressReport {
-        status: SweepStatus::Complete,
-        frontier: Frontier::new(),
-        total: cfg.iters,
-        checks,
-        failures: Vec::new(),
-        quarantined: Vec::new(),
-        distinct_observers: 0,
-        sc_member: 0,
-        sc_checked: 0,
-        ckpt_error: None,
-    };
+    let mut journal = Journal::new(ckpt, fault);
+    let mut failures = Vec::new();
+    let mut quarantined = Vec::new();
     let mut distinct: Vec<ObserverFunction> = Vec::new();
-    let mut since_ckpt = 0usize;
-    let mut killed = false;
+    let (mut sc_member, mut sc_checked) = (0, 0);
     let start = Instant::now();
 
     for i in 0..cfg.iters {
@@ -416,82 +402,57 @@ pub fn run_supervised(
             continue;
         }
         if cfg.deadline.is_some_and(|d| start.elapsed() >= d) {
-            report.status = SweepStatus::Partial;
             break;
         }
-        let delta = match catch_unwind(AssertUnwindSafe(|| {
-            fault.before_task(i);
-            run_iteration(cfg, i)
-        })) {
-            Ok(d) => d,
-            Err(_first) => match catch_unwind(AssertUnwindSafe(|| {
+        let delta = retry_once(
+            &mut (),
+            |_| {},
+            |_| {
                 fault.before_task(i);
                 run_iteration(cfg, i)
-            })) {
-                Ok(d) => d,
-                Err(second) => {
-                    telemetry::count(telemetry::Counter::Quarantines, 1);
-                    report.quarantined.push(Quarantined {
-                        task_idx: i,
-                        size: 0,
-                        payload: ccmm_core::fault::payload_string(second),
-                    });
-                    continue;
-                }
             },
+        );
+        let delta = match delta {
+            Ok(d) => d,
+            Err(payload) => {
+                quarantined.push(Quarantined { task_idx: i, size: 0, payload });
+                continue;
+            }
         };
         checks += delta.checks;
-        report.sc_member += delta.sc_member;
-        report.sc_checked += delta.sc_checked;
+        sc_member += delta.sc_member;
+        sc_checked += delta.sc_checked;
         for phi in delta.threaded_observers {
             if !distinct.contains(&phi) {
                 distinct.push(phi);
             }
         }
+        frontier.insert(i);
         if let Some(f) = delta.failure {
-            report.failures.push(*f);
-            frontier.insert(i);
+            failures.push(*f);
             break;
         }
-        frontier.insert(i);
-        telemetry::progress_tick(frontier.len(), cfg.iters, report.quarantined.len());
-        if let Some(sink) = ckpt_sink.as_mut() {
-            if report.ckpt_error.is_none() {
-                since_ckpt += 1;
-                if since_ckpt >= sink.every.max(1) {
-                    since_ckpt = 0;
-                    match sink.writer.append(&encode_snapshot(&frontier, checks)) {
-                        Ok(()) => {
-                            telemetry::count(telemetry::Counter::CkptRecords, 1);
-                            if fault.should_kill(sink.writer.snapshots()) {
-                                killed = true;
-                            }
-                        }
-                        Err(e) => report.ckpt_error = Some(e.to_string()),
-                    }
-                }
-            }
-        }
-        if killed {
-            report.status = SweepStatus::Killed;
+        telemetry::progress_tick(frontier.len(), cfg.iters, quarantined.len());
+        if journal.tick(|| encode_snapshot(&frontier, checks)) {
             break;
         }
     }
 
-    report.checks = checks;
-    report.distinct_observers = distinct.len();
-    let scanned = frontier.len() + report.quarantined.len();
-    if report.status == SweepStatus::Complete {
-        report.status = if scanned < cfg.iters && report.failures.is_empty() {
-            SweepStatus::Partial
-        } else if !report.quarantined.is_empty() {
-            SweepStatus::Degraded
-        } else {
-            SweepStatus::Complete
-        };
+    // Only a deadline leaves iterations unattempted without a failure to
+    // show for it; stopping at the first failure is the point of the run.
+    let stopped_short = frontier.len() + quarantined.len() < cfg.iters && failures.is_empty();
+    StressReport {
+        status: journal.status(stopped_short, quarantined.len()),
+        ckpt_error: journal.error().map(str::to_string),
+        frontier,
+        total: cfg.iters,
+        checks,
+        failures,
+        quarantined,
+        distinct_observers: distinct.len(),
+        sc_member,
+        sc_checked,
     }
-    report.frontier = frontier;
-    report
 }
 
 /// Convenience entry: unsupervised faults, no checkpoint.
@@ -601,6 +562,10 @@ mod tests {
         cfg.mutation = Mutation::SkipReconcile;
         let r = run(&cfg);
         let f = r.failures.first().expect("skip-reconcile must be caught");
+        // Stopping at the first failure is the point of the run, not a
+        // deadline: the status stays non-Partial.
+        assert!(r.frontier.len() < cfg.iters, "the run stops at its first failure");
+        assert_eq!(r.status, SweepStatus::Complete);
         assert!(f.c.node_count() >= 1);
         assert!(f.shrink_steps > 0 || f.c.node_count() <= 3, "trace should have shrunk");
         assert_eq!(f.seed, iter_seed(cfg.seed, f.iteration));

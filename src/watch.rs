@@ -25,10 +25,11 @@
 //!
 //! Supervision is the §8 contract shared with `ccmm sweep` and
 //! `ccmm stress`: a deadline turns the run Partial with a node
-//! [`Frontier`], progress is journalled through [`ckpt::CkptWriter`]
-//! (fingerprint-pinned, crash-safe), and a panicking conformance sample
-//! is retried once then quarantined without stopping the stream. Resume
-//! is *replay-based*: the runner and checker are deterministic per
+//! [`Frontier`], progress is journalled through the shared [`Journal`]
+//! (fingerprint-pinned, crash-safe; a failed append degrades the run),
+//! and a panicking conformance sample goes through [`retry_once`] and
+//! is then quarantined without stopping the stream. Resume is
+//! *replay-based*: the runner and checker are deterministic per
 //! config, so a resumed run re-executes to the journalled position with
 //! sampling disabled, asserts the violation counters match the snapshot
 //! bit-for-bit, and only then continues fresh work — no protocol state
@@ -36,12 +37,12 @@
 
 use ccmm_backer::{BackerConfig, FaultInjection, Stats, StreamRunner};
 use ccmm_cilk::{fib_trace, matmul_trace, stencil_trace, RawTrace};
+use ccmm_core::fault::FaultPlan;
 use ccmm_core::last_writer::last_writer_function;
 use ccmm_core::model::CheckScratch;
-use ccmm_core::sweep::supervisor::{Frontier, Quarantined, SweepStatus};
+use ccmm_core::sweep::supervisor::{retry_once, Frontier, Journal, Quarantined, SweepStatus};
 use ccmm_core::{ckpt, telemetry, Computation, Lc, MemoryModel, Sc, StreamChecker, StreamVerdicts};
 use ccmm_dag::NodeId;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 /// Parses a trace workload spec: `fib:N`, `matmul:N` (N a power of two),
@@ -180,14 +181,6 @@ pub fn decode_snapshot(mut bytes: &[u8]) -> Option<WatchSnapshot> {
     bytes.is_empty().then_some(s)
 }
 
-/// Journalling plumbing for [`run_supervised`].
-pub struct WatchCkpt<'a> {
-    /// Open journal (created with the config's fingerprint).
-    pub writer: &'a mut ckpt::CkptWriter,
-    /// Snapshot every this many committed nodes.
-    pub every: usize,
-}
-
 /// The outcome of a watch run.
 #[derive(Debug)]
 pub struct WatchReport {
@@ -293,12 +286,15 @@ fn batch_prefix_verdicts(trace: &RawTrace, obs: &[Option<NodeId>], k: usize) -> 
 /// full contract; `resume` must come from a journal whose fingerprint
 /// matched this config, and the function fails (rather than silently
 /// mis-resuming) if the deterministic replay disagrees with the
-/// snapshot's counters.
+/// snapshot's counters. `ckpt` is `(journal, every-N-commits)`; `fault`
+/// drives the journal's injected faults (`ccmm watch` passes
+/// [`FaultPlan::none`]).
 pub fn run_supervised(
     cfg: &WatchConfig,
     trace: &RawTrace,
+    fault: &FaultPlan,
     resume: Option<WatchSnapshot>,
-    mut ckpt_sink: Option<WatchCkpt<'_>>,
+    ckpt: Option<(&mut ckpt::CkptWriter, usize)>,
 ) -> Result<WatchReport, String> {
     let total = trace.node_count();
     let snap = resume.unwrap_or_default();
@@ -317,10 +313,21 @@ pub fn run_supervised(
     let mut divergences = snap.divergences;
     let mut first_divergence = None;
     let mut quarantined: Vec<Quarantined> = Vec::new();
-    let mut status = SweepStatus::Complete;
-    let mut ckpt_error: Option<String> = None;
-    let mut since_ckpt = 0usize;
+    let mut journal = Journal::new(ckpt, fault);
+    let mut deadline_hit = false;
     let start = Instant::now();
+    // The journalled state after commit `k`.
+    let snapshot = |k: usize, checker: &StreamChecker, samples, divergences| {
+        let v = checker.verdicts();
+        encode_snapshot(&WatchSnapshot {
+            position: k,
+            validity_violations: v.validity_violations,
+            sc_violations: v.sc_violations,
+            lc_violations: v.lc_violations,
+            samples,
+            divergences,
+        })
+    };
 
     while let Some((u, op, observed)) = runner.step(&trace.dag, &trace.ops) {
         checker.commit(u, op, observed);
@@ -357,62 +364,32 @@ pub fn run_supervised(
         if cfg.sample_every > 0 && k <= cfg.sample_cap && k.is_multiple_of(cfg.sample_every) {
             let sv = checker.verdicts();
             let streamed = (sv.valid, sv.sc, sv.lc);
-            let run_once = || batch_prefix_verdicts(trace, &obs_buf, k);
-            let batch = match catch_unwind(AssertUnwindSafe(run_once)) {
-                Ok(b) => Some(b),
-                Err(_first) => match catch_unwind(AssertUnwindSafe(run_once)) {
-                    Ok(b) => Some(b),
-                    Err(second) => {
-                        telemetry::count(telemetry::Counter::Quarantines, 1);
-                        quarantined.push(Quarantined {
-                            task_idx: k,
-                            size: k,
-                            payload: ccmm_core::fault::payload_string(second),
-                        });
-                        None
-                    }
-                },
-            };
-            if let Some(batch) = batch {
-                samples += 1;
-                if streamed != batch {
-                    divergences += 1;
-                    telemetry::count(telemetry::Counter::WatchDivergences, 1);
-                    if first_divergence.is_none() {
-                        first_divergence = Some(k);
+            let batch = retry_once(&mut (), |_| {}, |_| batch_prefix_verdicts(trace, &obs_buf, k));
+            match batch {
+                Ok(batch) => {
+                    samples += 1;
+                    if streamed != batch {
+                        divergences += 1;
+                        telemetry::count(telemetry::Counter::WatchDivergences, 1);
+                        if first_divergence.is_none() {
+                            first_divergence = Some(k);
+                        }
                     }
                 }
+                Err(payload) => quarantined.push(Quarantined { task_idx: k, size: k, payload }),
             }
         }
 
         // Journal a snapshot every `every` fresh commits.
-        if let Some(sink) = ckpt_sink.as_mut() {
-            if ckpt_error.is_none() {
-                since_ckpt += 1;
-                if since_ckpt >= sink.every.max(1) {
-                    since_ckpt = 0;
-                    let v = checker.verdicts();
-                    let s = WatchSnapshot {
-                        position: k,
-                        validity_violations: v.validity_violations,
-                        sc_violations: v.sc_violations,
-                        lc_violations: v.lc_violations,
-                        samples,
-                        divergences,
-                    };
-                    match sink.writer.append(&encode_snapshot(&s)) {
-                        Ok(()) => telemetry::count(telemetry::Counter::CkptRecords, 1),
-                        Err(e) => ckpt_error = Some(e.to_string()),
-                    }
-                }
-            }
+        if journal.tick(|| snapshot(k, &checker, samples, divergences)) {
+            break;
         }
 
         // Deadline + progress, amortised to every 1024 commits.
         if k & 1023 == 0 {
             telemetry::progress_tick(k, total, quarantined.len());
             if cfg.deadline.is_some_and(|d| start.elapsed() >= d) {
-                status = SweepStatus::Partial;
+                deadline_hit = true;
                 break;
             }
         }
@@ -423,26 +400,8 @@ pub fn run_supervised(
 
     // Final snapshot so a Partial run resumes at its exact frontier
     // rather than the last periodic record.
-    if let Some(sink) = ckpt_sink.as_mut() {
-        if ckpt_error.is_none() && position > snap.position {
-            let v = checker.verdicts();
-            let s = WatchSnapshot {
-                position,
-                validity_violations: v.validity_violations,
-                sc_violations: v.sc_violations,
-                lc_violations: v.lc_violations,
-                samples,
-                divergences,
-            };
-            match sink.writer.append(&encode_snapshot(&s)) {
-                Ok(()) => telemetry::count(telemetry::Counter::CkptRecords, 1),
-                Err(e) => ckpt_error = Some(e.to_string()),
-            }
-        }
-    }
-
-    if status == SweepStatus::Complete && !quarantined.is_empty() {
-        status = SweepStatus::Degraded;
+    if position > snap.position {
+        journal.finish(|| snapshot(position, &checker, samples, divergences));
     }
     let mut frontier = Frontier::new();
     for i in 0..position {
@@ -450,7 +409,8 @@ pub fn run_supervised(
     }
     let fresh = (position - snap.position) as u64;
     Ok(WatchReport {
-        status,
+        status: journal.status(deadline_hit, quarantined.len()),
+        ckpt_error: journal.error().map(str::to_string),
         workload: cfg.workload.clone(),
         nodes_total: total,
         frontier,
@@ -464,13 +424,12 @@ pub fn run_supervised(
         fresh_reveals: fresh,
         reveals_per_sec: fresh as f64 / wall.as_secs_f64().max(1e-9),
         peak_rss_kb: peak_rss_kb(),
-        ckpt_error,
     })
 }
 
 /// Convenience entry: no resume, no journal.
 pub fn run(cfg: &WatchConfig, trace: &RawTrace) -> Result<WatchReport, String> {
-    run_supervised(cfg, trace, None, None)
+    run_supervised(cfg, trace, &FaultPlan::none(), None, None)
 }
 
 #[cfg(test)]
@@ -531,11 +490,39 @@ mod tests {
 
         cfg.deadline = None;
         let resumed =
-            run_supervised(&cfg, &trace, Some(partial.snapshot()), None).expect("resumed run");
+            run_supervised(&cfg, &trace, &FaultPlan::none(), Some(partial.snapshot()), None)
+                .expect("resumed run");
         assert_eq!(resumed.status, SweepStatus::Complete);
         let fresh = run(&cfg, &trace).expect("uninterrupted run");
         assert_eq!(resumed.verdicts, fresh.verdicts, "resume must land on identical verdicts");
         assert_eq!(resumed.fresh_reveals as usize, trace.node_count() - stopped);
+    }
+
+    #[test]
+    fn journal_failure_degrades_but_keeps_every_verdict() {
+        // A failed append stops journalling and degrades the run, but the
+        // stream itself must be untouched: verdicts, samples and protocol
+        // counters identical to an unjournalled run.
+        let trace = parse_trace_workload("fib:10").expect("spec");
+        let cfg = WatchConfig::new("fib:10");
+        let clean = run(&cfg, &trace).expect("clean run");
+        assert_eq!(clean.status, SweepStatus::Complete);
+        let path =
+            std::env::temp_dir().join(format!("ccmm-watch-journal-fault-{}", std::process::id()));
+        let mut writer = ckpt::CkptWriter::create(&path, &cfg.fingerprint()).expect("journal");
+        let fault = FaultPlan::none().io_error_at_record(1);
+        let r = run_supervised(&cfg, &trace, &fault, None, Some((&mut writer, 64))).expect("run");
+        assert_eq!(r.status, SweepStatus::Degraded);
+        let err = r.ckpt_error.as_deref().expect("the I/O error is surfaced");
+        assert!(err.contains("injected fault: io error at ckpt record 1"), "{err}");
+        assert_eq!(r.verdicts, clean.verdicts);
+        assert_eq!(r.stats, clean.stats);
+        assert_eq!((r.samples, r.divergences), (clean.samples, clean.divergences));
+        assert_eq!(r.frontier, clean.frontier);
+        drop(writer);
+        let journal = ckpt::Checkpoint::load(&path).expect("journal still loads");
+        assert!(journal.snapshots.is_empty(), "nothing is appended after the failed record");
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -561,7 +548,7 @@ mod tests {
         let mut snap = full.snapshot();
         snap.position = trace.node_count() / 2;
         snap.lc_violations = 99; // a clean run counted zero
-        let err = run_supervised(&cfg, &trace, Some(snap), None).unwrap_err();
+        let err = run_supervised(&cfg, &trace, &FaultPlan::none(), Some(snap), None).unwrap_err();
         assert!(err.contains("diverged"), "{err}");
     }
 }

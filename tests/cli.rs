@@ -295,13 +295,11 @@ fn sweep_lane64_flag_validation() {
     let out = cmd.args(["--bound", "3", "--engine", "lane64"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8(out.stderr).unwrap().contains("requires --canonical"));
-    // --alloc is the scalar baseline mode.
-    let (mut cmd, _) = sweep_cmd("lane-alloc");
-    let out = cmd
-        .args(["--bound", "3", "--canonical", "--alloc", "--engine", "lane64"])
-        .output()
-        .unwrap();
+    // The allocating baseline engine is gone.
+    let (mut cmd, _) = sweep_cmd("no-alloc");
+    let out = cmd.args(["--bound", "3", "--canonical", "--alloc"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8(out.stderr).unwrap().contains("unknown flag `--alloc`"));
     // Unknown engines are rejected with the valid set.
     let (mut cmd, _) = sweep_cmd("lane-bogus");
     let out = cmd.args(["--bound", "3", "--canonical", "--engine", "warp"]).output().unwrap();
@@ -780,6 +778,36 @@ fn sweep_ckpt_io_error_degrades_but_keeps_every_verdict() {
     for p in [&ckpt, &json] {
         let _ = std::fs::remove_file(p);
     }
+}
+
+#[test]
+fn stress_ckpt_io_error_degrades_but_keeps_every_verdict() {
+    // The same journal fault `ccmm sweep` reports as degraded: every
+    // iteration still runs and conforms, but resumability is gone, so
+    // the run must warn and exit 3 rather than claim a clean pass.
+    let ckpt = std::env::temp_dir().join(format!("ccmm-cli-stress-ioerr-{}", std::process::id()));
+    let _ = std::fs::remove_file(&ckpt);
+    let shape = ["stress", "--seed", "1", "--iters", "4", "--threads", "2"];
+    let clean = bin().args(shape).output().unwrap();
+    assert_eq!(clean.status.code(), Some(0));
+    let out = bin()
+        .args(shape)
+        .args(["--ckpt-every", "1", "--fault", "io-error-at-record=1", "--ckpt"])
+        .arg(&ckpt)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(3), "ckpt I/O failure degrades, never passes");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("checkpoint journalling failed"), "{err}");
+    assert!(err.contains("injected fault: io error at ckpt record 1"), "{err}");
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("completed 4/4 iteration(s)"), "{text}");
+    assert!(text.contains("(degraded)"), "{text}");
+    // Same iterations, same checks: only the status word differs.
+    let degraded = stress_deterministic_lines(&text).join("\n").replace("(degraded)", "(complete)");
+    let clean = stress_deterministic_lines(&String::from_utf8(clean.stdout).unwrap()).join("\n");
+    assert_eq!(degraded, clean);
+    let _ = std::fs::remove_file(&ckpt);
 }
 
 fn watch_cmd(name: &str) -> (Command, std::path::PathBuf) {

@@ -1,11 +1,9 @@
 //! Pins the sweep engine's determinism contract across thread counts:
 //! counts AND witnesses must be bit-identical to the serial scan at
 //! `CCMM_THREADS` ∈ {1, 2, 4, 7}, both when the count is passed
-//! explicitly and when it arrives through the environment variable.
-//!
-//! Everything lives in ONE test function: `CCMM_THREADS` is process
-//! global, and the test harness runs `#[test]` functions concurrently —
-//! two tests mutating the variable would race.
+//! explicitly and when it arrives as a `CCMM_THREADS` value. The value
+//! goes through `SweepConfig::from_threads_var`, the pure parser behind
+//! `SweepConfig::from_env`, so no test touches the process environment.
 
 use ccmm::core::model::Model;
 use ccmm::core::relation::compare;
@@ -35,20 +33,20 @@ fn sweeps_are_bit_identical_to_serial_at_every_thread_count() {
             .sum();
         assert_eq!(counts, serial_counts, "count drift at {threads} threads");
 
-        // Same thread count by way of CCMM_THREADS.
-        std::env::set_var("CCMM_THREADS", threads.to_string());
-        let env_cfg = SweepConfig::from_env();
+        // Same thread count by way of a CCMM_THREADS value.
+        let env_cfg = SweepConfig::from_threads_var(Some(&format!(" {threads}\n")));
         assert_eq!(env_cfg.threads, threads, "CCMM_THREADS not honoured");
         check_identical(&serial, &compare_par(&Model::Lc, &Model::Nn, &u, &env_cfg), threads);
     }
-    std::env::remove_var("CCMM_THREADS");
 
-    // Garbage and empty values fall back to available parallelism (≥ 1).
-    std::env::set_var("CCMM_THREADS", "not-a-number");
-    assert!(SweepConfig::from_env().threads >= 1);
-    std::env::set_var("CCMM_THREADS", "0");
-    assert!(SweepConfig::from_env().threads >= 1, "zero threads must be rejected");
-    std::env::remove_var("CCMM_THREADS");
+    // Unset, garbage and zero values fall back to the available
+    // parallelism (≥ 1).
+    let fallback = SweepConfig::from_threads_var(None).threads;
+    assert!(fallback >= 1);
+    for bad in ["not-a-number", "", "0", "-3"] {
+        let threads = SweepConfig::from_threads_var(Some(bad)).threads;
+        assert_eq!(threads, fallback, "`{bad}` must fall back to the available parallelism");
+    }
 }
 
 #[test]
