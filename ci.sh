@@ -88,19 +88,25 @@ diff <(counts "$scratch/clean.out") <(counts "$scratch/resumed.out") \
     || { echo "resumed counts differ from the uninterrupted run"; exit 1; }
 
 echo "== lane engine smoke: scalar parity, thread determinism, kill/resume =="
-# The lane64 engine must produce bit-identical membership counts to the
-# scalar canonical engine at bound 5, at 1, 2, and 4 threads — and a
-# lane run killed mid-flight must resume to the same counts. Debug-build
-# bound-5 sweeps are slow, so fast mode drops to bound 4 (same paths).
+# The lane64 engine must produce bit-identical membership counts and
+# NN* fixpoint line (survivors, deleted, passes) to the scalar canonical
+# engine at bound 5, at 1, 2, and 4 threads — and a lane run killed
+# mid-flight must resume to the same. Debug-build bound-5 sweeps are
+# slow, so fast mode drops to bound 4 (same paths).
 lane_bound=5
 [[ "$fast" == "fast" ]] && lane_bound=4
+fixline() { sed -n 's/.*fixpoint: \(.*\) \[.*/\1/p' "$1"; }
 ccmm sweep --bound "$lane_bound" --canonical --threads 1 \
     > "$scratch/lane-scalar.out" 2>/dev/null
+[[ -n "$(fixline "$scratch/lane-scalar.out")" ]] \
+    || { echo "scalar run printed no NN* fixpoint line"; exit 1; }
 for t in 1 2 4; do
     ccmm sweep --bound "$lane_bound" --canonical --engine lane64 --threads "$t" \
         > "$scratch/lane-$t.out" 2>/dev/null
     diff <(counts "$scratch/lane-scalar.out") <(counts "$scratch/lane-$t.out") \
         || { echo "lane64 counts diverge from scalar at $t threads"; exit 1; }
+    diff <(fixline "$scratch/lane-scalar.out") <(fixline "$scratch/lane-$t.out") \
+        || { echo "lane64 NN* fixpoint diverges from the scalar worklist at $t threads"; exit 1; }
 done
 rc=0
 ccmm sweep --bound "$lane_bound" --canonical --engine lane64 --threads 2 \
@@ -111,6 +117,8 @@ ccmm sweep --bound "$lane_bound" --canonical --engine lane64 --threads 2 \
     --resume "$scratch/lane.ckpt" > "$scratch/lane-resumed.out" 2>/dev/null
 diff <(counts "$scratch/lane-scalar.out") <(counts "$scratch/lane-resumed.out") \
     || { echo "resumed lane64 counts differ from the scalar run"; exit 1; }
+diff <(fixline "$scratch/lane-scalar.out") <(fixline "$scratch/lane-resumed.out") \
+    || { echo "resumed lane64 NN* fixpoint differs from the scalar worklist"; exit 1; }
 
 echo "== lane fixpoint smoke: bound-4 kill in both phases, resume bit-identical =="
 # The lane Δ* fixpoint journals survivor masks to <ckpt>.fixpoint. The
@@ -121,7 +129,6 @@ echo "== lane fixpoint smoke: bound-4 kill in both phases, resume bit-identical 
 # 3 resumes the masks and must complete with survivor counts
 # bit-identical to both an uninterrupted lane run and the scalar
 # worklist.
-fixline() { sed -n 's/.*fixpoint: \(.*\) \[.*/\1/p' "$1"; }
 ccmm sweep --bound 4 --canonical --threads 2 --engine lane64 \
     > "$scratch/fix-clean.out" 2>/dev/null
 rc=0

@@ -8,10 +8,12 @@
 //! probe at a time. This module replaces that representation with a
 //! flat bit arena:
 //!
-//! * Every labelled computation in the universe gets an [`Entry`]: a
+//! * Every *involved* labelled computation gets an [`Entry`]: a
 //!   contiguous run of mask words in which bit `p` is the survivor flag
 //!   of the `p`-th observer in **node-major** enumeration order
-//!   ([`for_each_observer_node_major`]).
+//!   ([`for_each_observer_node_major`]). A computation is involved iff
+//!   it is below the bound (it has an augmentation) or its final node
+//!   succeeds every other node (it is some computation's augmentation).
 //! * Node-major order sorts free observer slots by `(node, location)`,
 //!   so the final node's slots always form the least-significant digits
 //!   of the mixed-radix observer index. Because augmentation appends a
@@ -29,25 +31,29 @@
 //!   scalar path removes, and a block emptiness flip is exactly the
 //!   scalar `any_extension` condition turning false, so the greatest
 //!   fixpoint (and `deleted`) is bit-identical to the scalar worklist.
+//! * Every other computation is bound-size without a top node, so the
+//!   fixpoint never touches its pairs: its survivors are its model
+//!   members, counted over the canonical top-less posets by orbit
+//!   weight, and [`LaneConstructible::contains`] asks the model.
 //!
-//! Stage A (mask materialisation) runs under the full supervisor
-//! machinery — work-stealing shards, deadlines, quarantine,
-//! checkpoint/resume — via [`sweep_supervised_ckpt`], filling each
-//! task's mask words either with the lane engine (64 observers per
-//! [`LanePack`] word through [`MemoryModel::contains_lanes`]) or the
-//! scalar kernel (bit-at-a-time; same bits, used for journal interop
-//! and differential tests). Stage B (the cascade) is a serial
-//! worklist over the arena mirroring the scalar algorithm's rounds,
-//! counters, and quarantine semantics exactly.
+//! Stage A (mask materialisation and the count) runs under the full
+//! supervisor machinery — work-stealing shards, deadlines, quarantine,
+//! checkpoint/resume — filling each involved task's mask words either
+//! with the lane engine (64 observers per [`LanePack`] word through
+//! [`MemoryModel::contains_lanes`]) or the scalar kernel (bit-at-a-time;
+//! same bits, used for journal interop and differential tests). Stage B
+//! (the cascade) is a serial worklist over the arena mirroring the
+//! scalar algorithm's rounds, counters, and quarantine semantics exactly.
 //!
 //! Checkpoint records are *incremental*: each snapshot journals only
 //! the mask groups completed since the previous record (plus the full
-//! frontier), so the journal stays proportional to the state instead
-//! of quadratic in it; decoding folds every record of the journal.
+//! frontier and the running count), so the journal stays proportional
+//! to the state instead of quadratic in it; decoding folds every record
+//! of the journal and validates it against the layout.
 
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 
 use ccmm_dag::{Dag, NodeId};
 
@@ -59,33 +65,39 @@ use crate::model::{CheckScratch, LanePack, LaneScratch, MemoryModel};
 use crate::observer::ObserverFunction;
 use crate::op::Op;
 use crate::sweep::supervisor::{
-    retry_once, sweep_supervised_ckpt, CkptSink, Frontier, Merge, Quarantined, Supervised,
-    Supervisor, SweepStatus,
+    retry_once, run_supervised, CkptSink, Frontier, Merge, Quarantined, Supervised, Supervisor,
+    SweepStatus,
 };
-use crate::sweep::{for_each_labelling, materialize, LabelScratch, SweepConfig};
+use crate::sweep::{
+    for_each_labelling, location_digit_maps, materialize, LabelScratch, SweepConfig, Task,
+};
 use crate::telemetry::{self, Counter};
 use crate::universe::Universe;
 
 #[cfg(doc)]
 use crate::constructible::BoundedConstructible;
 
-/// One completed task's survivor-mask words: all `kⁿ` labellings of one
-/// poset, in labelling order, each labelling's mask starting on a fresh
-/// word boundary.
+/// One completed involved task's survivor-mask words: all `kⁿ`
+/// labellings of one poset, in labelling order, each labelling's mask
+/// starting on a fresh word boundary.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MaskGroup {
-    /// Dense labelled-task index (position in the labelled task list).
-    pub task: u64,
+struct MaskGroup {
+    /// Global labelled task index of the poset.
+    task: u64,
     /// Mask words, concatenated per labelling.
-    pub words: Vec<u64>,
+    words: Vec<u64>,
 }
 
 /// Checkpointable Stage-A state of the lane fixpoint: the mask groups
-/// of every completed shard, in completion order.
+/// of every completed involved task, in completion order, and the count
+/// of the completed counted tasks. Built only by [`decode_masks_journal`]
+/// (which validates) and `Default`.
 #[derive(Debug, Default)]
 pub struct MaskState {
     /// Completed groups (unordered across tasks; each task appears once).
-    pub groups: Vec<MaskGroup>,
+    groups: Vec<MaskGroup>,
+    /// Weighted model members over the completed counted tasks.
+    counted: u64,
     // High-water mark of groups already written to the journal, so each
     // checkpoint record is incremental. Interior mutability because the
     // encode hook only gets `&MaskState`; records are serialised under
@@ -96,16 +108,18 @@ pub struct MaskState {
 impl Merge for MaskState {
     fn merge(&mut self, other: Self) {
         self.groups.extend(other.groups);
+        self.counted += other.counted;
     }
 }
 
 /// Serialises the groups completed since the last snapshot:
-/// `frontier ‖ ngroups ‖ (task ‖ nwords ‖ words…)*`.
+/// `frontier ‖ counted ‖ ngroups ‖ (task ‖ nwords ‖ words…)*`.
 pub fn encode_masks_snapshot(frontier: &Frontier, state: &MaskState) -> Vec<u8> {
     let from = state.journaled.get();
     let fresh = &state.groups[from..];
     let mut out = Vec::new();
     frontier.encode_into(&mut out);
+    put_u64(&mut out, state.counted);
     put_u64(&mut out, fresh.len() as u64);
     for g in fresh {
         put_u64(&mut out, g.task);
@@ -118,43 +132,76 @@ pub fn encode_masks_snapshot(frontier: &Frontier, state: &MaskState) -> Vec<u8> 
     out
 }
 
-/// Folds every record of a fixpoint journal back into `(frontier,
-/// state)`. Records are incremental, so groups concatenate across
-/// records and the *last* record's frontier wins. Returns `None` on a
-/// torn or malformed journal.
-pub fn decode_masks_journal(ckpt: &Checkpoint) -> Option<(Frontier, MaskState)> {
+/// Folds every record of a fixpoint journal for universe `u` back into
+/// `(frontier, state)`. Records are incremental, so groups concatenate
+/// across records and the *last* record's frontier and count win.
+/// Returns `None` on a torn or malformed journal, and on one that does
+/// not fit `u`'s layout: a group for an unknown, uncompleted or
+/// twice-journalled task, a group whose length disagrees with the
+/// layout, or a completed involved task without its group.
+pub fn decode_masks_journal(ckpt: &Checkpoint, u: &Universe) -> Option<(Frontier, MaskState)> {
     let mut frontier = Frontier::default();
+    let mut counted = 0;
     let mut groups = Vec::new();
     for rec in &ckpt.snapshots {
         let mut at: &[u8] = rec;
         frontier = Frontier::decode_from(&mut at)?;
+        counted = get_u64(&mut at)?;
         let n = get_u64(&mut at)? as usize;
         for _ in 0..n {
             let task = get_u64(&mut at)?;
             let nwords = get_u64(&mut at)? as usize;
-            let mut words = Vec::with_capacity(nwords);
+            // The length is journal input: allocate no more than the
+            // record can hold.
+            let mut words = Vec::with_capacity(nwords.min(at.len() / 8));
             for _ in 0..nwords {
                 words.push(get_u64(&mut at)?);
             }
             groups.push(MaskGroup { task, words });
         }
     }
-    let journaled = Cell::new(groups.len());
-    Some((frontier, MaskState { groups, journaled }))
-}
-
-impl MaskState {
-    fn group_for(&mut self, task: usize) -> &mut Vec<u64> {
-        if self.groups.last().is_none_or(|g| g.task != task as u64) {
-            self.groups.push(MaskGroup { task: task as u64, words: Vec::new() });
+    let layout = build_layout(u, &stage_a_tasks(u));
+    let mut have = vec![false; layout.metas.len()];
+    for g in &groups {
+        let t = layout.task(usize::try_from(g.task).ok()?)?;
+        let fits = layout.span(t).len() == g.words.len() && frontier.contains(layout.metas[t].idx);
+        if std::mem::replace(&mut have[t], true) || !fits {
+            return None;
         }
-        &mut self.groups.last_mut().expect("just pushed").words
     }
+    if layout.metas.iter().zip(&have).any(|(m, &h)| !h && frontier.contains(m.idx)) {
+        return None;
+    }
+    let journaled = Cell::new(groups.len());
+    Some((frontier, MaskState { groups, counted, journaled }))
 }
 
 // ---------------------------------------------------------------------
-// Layout: dense metadata for every labelled task and labelling.
+// Layout: dense metadata for every involved task and labelling.
 // ---------------------------------------------------------------------
+
+/// Whether the final node of `dag` succeeds every other node.
+fn has_top(dag: &Dag) -> bool {
+    let n = dag.node_count();
+    n > 0 && (0..n - 1).all(|u| dag.has_edge(NodeId::new(u), NodeId::new(n - 1)))
+}
+
+/// Whether a Stage-A task is masked rather than counted.
+fn is_involved(t: &Task, max_nodes: usize) -> bool {
+    t.size < max_nodes || has_top(&t.dag)
+}
+
+/// The Stage-A tasks in index order: every involved labelled poset plus
+/// the canonical top-less bound-size posets (a representative keeps its
+/// labelled index, so the two never collide).
+fn stage_a_tasks(u: &Universe) -> Vec<Task> {
+    let b = u.max_nodes;
+    let involved = materialize(u, false).into_iter().filter(|t| is_involved(t, b));
+    let counted = materialize(u, true).into_iter().filter(|t| !is_involved(t, b));
+    let mut tasks: Vec<Task> = involved.chain(counted).collect();
+    tasks.sort_by_key(|t| t.idx);
+    tasks
+}
 
 /// Per labelled computation: where its mask lives and how it factors
 /// through augmentation.
@@ -173,6 +220,8 @@ struct Entry {
 
 #[derive(Clone, Debug)]
 struct TaskMeta {
+    /// Global labelled task index of the poset.
+    idx: usize,
     size: usize,
     /// Index of this task's first entry; labellings are contiguous, one
     /// entry per base-`k` op assignment (digit of node 0 fastest).
@@ -188,13 +237,30 @@ struct TaskMeta {
     aug: Option<u32>,
 }
 
+#[derive(Default)]
 struct Layout {
-    k: usize,
+    alphabet: Vec<Op>,
+    /// Involved tasks, ascending in `idx`.
     metas: Vec<TaskMeta>,
     entries: Vec<Entry>,
     words_len: u64,
     /// `(node count, closure bits over u<v pairs)` → task position.
     key_map: HashMap<(u8, u64), u32>,
+}
+
+impl Layout {
+    /// Position of the involved task with global index `idx`.
+    fn task(&self, idx: usize) -> Option<usize> {
+        self.metas.binary_search_by_key(&idx, |m| m.idx).ok()
+    }
+
+    /// The arena words of task position `t`, all labellings.
+    fn span(&self, t: usize) -> Range<usize> {
+        let meta = &self.metas[t];
+        let start = self.entries[meta.entry_base].off as usize;
+        let last = &self.entries[meta.entry_base + meta.labellings as usize - 1];
+        start..last.off as usize + entry_words(last)
+    }
 }
 
 /// Bit-packs the edges among the first `n` nodes of a naturally
@@ -225,35 +291,29 @@ fn aug_key(dag: &Dag) -> u64 {
     bits
 }
 
-fn build_layout(u: &Universe) -> Layout {
+/// Lays out the involved tasks of `tasks` (a [`stage_a_tasks`] list).
+fn build_layout(u: &Universe, tasks: &[Task]) -> Layout {
     let alphabet = u.alphabet();
-    let k = alphabet.len();
-    let tasks = materialize(u, false);
-    let mut key_map = HashMap::with_capacity(tasks.len());
-    for (pos, t) in tasks.iter().enumerate() {
-        debug_assert_eq!(t.idx, pos, "labelled tasks are dense");
+    let involved: Vec<&Task> = tasks.iter().filter(|t| is_involved(t, u.max_nodes)).collect();
+    let mut key_map = HashMap::with_capacity(involved.len());
+    for (pos, t) in involved.iter().enumerate() {
         key_map.insert((t.size as u8, sub_key(&t.dag, t.size)), pos as u32);
     }
-    let identity: Vec<Vec<usize>> = vec![(0..k).collect()];
+    let identity: Vec<Vec<usize>> = vec![(0..alphabet.len()).collect()];
     let mut scratch = LabelScratch::new();
-    let mut metas = Vec::with_capacity(tasks.len());
+    let mut metas = Vec::with_capacity(involved.len());
     let mut entries = Vec::new();
     let mut words_len = 0u64;
-    for t in &tasks {
+    for t in involved {
         let n = t.size;
-        let parent =
-            if n > 0 && (0..n - 1).all(|us| t.dag.has_edge(NodeId::new(us), NodeId::new(n - 1))) {
-                let key = (n as u8 - 1, sub_key(&t.dag, n - 1));
-                Some(*key_map.get(&key).expect("prefix poset is enumerated"))
-            } else {
-                None
-            };
-        let aug = if n < u.max_nodes {
+        let parent = has_top(&t.dag).then(|| {
+            let key = (n as u8 - 1, sub_key(&t.dag, n - 1));
+            *key_map.get(&key).expect("prefix poset is enumerated")
+        });
+        let aug = (n < u.max_nodes).then(|| {
             let key = (n as u8 + 1, aug_key(&t.dag));
-            Some(*key_map.get(&key).expect("universe is closed under augmentation below the bound"))
-        } else {
-            None
-        };
+            *key_map.get(&key).expect("universe is closed under augmentation below the bound")
+        });
         let entry_base = entries.len();
         let _ = for_each_labelling(&alphabet, &identity, t, &mut scratch, &mut |c, _w| {
             let (observers, block) = node_major_shape(c);
@@ -266,9 +326,9 @@ fn build_layout(u: &Universe) -> Layout {
             ControlFlow::Continue(())
         });
         let labellings = (entries.len() - entry_base) as u64;
-        metas.push(TaskMeta { size: n, entry_base, labellings, parent, aug });
+        metas.push(TaskMeta { idx: t.idx, size: n, entry_base, labellings, parent, aug });
     }
-    Layout { k, metas, entries, words_len, key_map }
+    Layout { alphabet, metas, entries, words_len, key_map }
 }
 
 fn entry_words(e: &Entry) -> usize {
@@ -289,14 +349,8 @@ fn fill_arena(layout: &Layout, state: MaskState) -> Vec<u64> {
     let mut words = vec![0u64; layout.words_len as usize];
     let mut have = vec![false; layout.metas.len()];
     for g in state.groups {
-        let t = g.task as usize;
-        let meta = &layout.metas[t];
-        let start = layout.entries[meta.entry_base].off as usize;
-        let last = &layout.entries[meta.entry_base + meta.labellings as usize - 1];
-        let end = last.off as usize + entry_words(last);
-        assert!(!have[t], "task {t} journalled twice");
-        assert_eq!(end - start, g.words.len(), "mask group length mismatch for task {t}");
-        words[start..end].copy_from_slice(&g.words);
+        let t = layout.task(g.task as usize).expect("mask group of an involved task");
+        words[layout.span(t)].copy_from_slice(&g.words);
         have[t] = true;
     }
     for (t, meta) in layout.metas.iter().enumerate() {
@@ -340,9 +394,11 @@ pub(crate) fn block_empty(words: &[u64], start: u64, len: u64) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Stage A: mask materialisation under the supervisor.
+// Stage A: mask materialisation and the count under the supervisor.
 // ---------------------------------------------------------------------
 
+/// Stage A: every involved task's mask group and the weighted member
+/// count of every counted task, as one supervised sweep.
 fn materialize_masks<M: MemoryModel + Sync>(
     model: &M,
     u: &Universe,
@@ -352,64 +408,81 @@ fn materialize_masks<M: MemoryModel + Sync>(
     ckpt: Option<(&mut CkptWriter, usize)>,
     lanes: bool,
 ) -> Supervised<MaskState> {
+    let alphabet = u.alphabet();
+    let identity: Vec<Vec<usize>> = vec![(0..alphabet.len()).collect()];
+    let location_maps = location_digit_maps(&alphabet, u.num_locations);
     let encode = |s: &MaskState, f: &Frontier| encode_masks_snapshot(f, s);
     let sink = ckpt.map(|(writer, every)| CkptSink { writer, every, encode: &encode });
-    sweep_supervised_ckpt(
-        u,
-        cfg,
-        sup,
-        resume,
+    let (frontier, initial) = resume.unwrap_or_default();
+    run_supervised(
+        stage_a_tasks(u),
+        cfg.threads,
+        cfg.deadline,
+        &sup.fault,
+        frontier,
+        initial,
         sink,
-        MaskState::default,
-        || (LanePack::new(), LaneScratch::new(), CheckScratch::new()),
-        |acc, xs, idx, c, _w| {
-            let (pack, lscr, check) = xs;
-            let words = acc.group_for(idx);
-            if lanes {
-                pack.prepare(c);
-                let flush = |pack: &mut LanePack, lscr: &mut LaneScratch| {
-                    let used = pack.used();
-                    telemetry::count(Counter::LaneWords, 1);
-                    telemetry::count(Counter::LaneSlots, u64::from(used.count_ones()));
-                    telemetry::count(Counter::LaneFixpointWords, 1);
-                    let verdict = model.contains_lanes(c, pack, lscr) & used;
-                    pack.clear_lanes();
-                    verdict
-                };
-                let _ = for_each_observer_node_major(c, |phi| {
-                    pack.push_valid(c, phi);
-                    if pack.is_full() {
-                        let v = flush(pack, lscr);
-                        words.push(v);
-                    }
-                    ControlFlow::Continue(())
-                });
-                if !pack.is_empty() {
-                    let v = flush(pack, lscr);
-                    words.push(v);
-                }
-            } else {
-                let mut word = 0u64;
-                let mut bit = 0u32;
-                let _ = for_each_observer_node_major(c, |phi| {
-                    if model.contains_with(c, phi, check) {
-                        word |= 1 << bit;
-                    }
-                    bit += 1;
-                    if bit == 64 {
+        || (LabelScratch::new(), LanePack::new(), LaneScratch::new(), CheckScratch::new()),
+        |task, (ls, pack, lscr, check)| {
+            let involved = is_involved(task, u.max_nodes);
+            let maps = if involved { &identity } else { &location_maps };
+            let (mut words, mut counted) = (Vec::new(), 0);
+            let _ = for_each_labelling(&alphabet, maps, task, ls, &mut |c, w| {
+                // Member words in node-major observer order, the same
+                // from either kernel: masked if involved, else counted.
+                let mut emit = |v: u64| {
+                    if involved {
                         telemetry::count(Counter::LaneFixpointWords, 1);
-                        words.push(word);
-                        word = 0;
-                        bit = 0;
+                        words.push(v);
+                    } else {
+                        counted += w * u64::from(v.count_ones());
                     }
-                    ControlFlow::Continue(())
-                });
-                if bit > 0 {
-                    telemetry::count(Counter::LaneFixpointWords, 1);
-                    words.push(word);
+                };
+                if lanes {
+                    pack.prepare(c);
+                    let mut flush = |pack: &mut LanePack| {
+                        let used = pack.used();
+                        telemetry::count(Counter::LaneWords, 1);
+                        telemetry::count(Counter::LaneSlots, u64::from(used.count_ones()));
+                        emit(model.contains_lanes(c, pack, lscr) & used);
+                        pack.clear_lanes();
+                    };
+                    let _ = for_each_observer_node_major(c, |phi| {
+                        pack.push_valid(c, phi);
+                        if pack.is_full() {
+                            flush(pack);
+                        }
+                        ControlFlow::Continue(())
+                    });
+                    if !pack.is_empty() {
+                        flush(pack);
+                    }
+                } else {
+                    let mut word = 0u64;
+                    let mut bit = 0u32;
+                    let _ = for_each_observer_node_major(c, |phi| {
+                        if model.contains_with(c, phi, check) {
+                            word |= 1 << bit;
+                        }
+                        bit += 1;
+                        if bit == 64 {
+                            emit(word);
+                            word = 0;
+                            bit = 0;
+                        }
+                        ControlFlow::Continue(())
+                    });
+                    if bit > 0 {
+                        emit(word);
+                    }
                 }
-            }
+                ControlFlow::Continue(())
+            });
+            let groups =
+                if involved { vec![MaskGroup { task: task.idx as u64, words }] } else { vec![] };
+            MaskState { groups, counted, ..MaskState::default() }
         },
+        |g, d, _| g.merge(d),
     )
 }
 
@@ -453,7 +526,7 @@ fn run_fixpoint(layout: &Layout, words: &mut [u64], fault: &FaultPlan) -> FixOut
                     while w != 0 {
                         let p = (wi as u32) * 64 + w.trailing_zeros();
                         w &= w - 1;
-                        for j in 0..layout.k as u64 {
+                        for j in 0..layout.alphabet.len() as u64 {
                             let a = aug_meta.entry_base + (ord + j * meta.labellings) as usize;
                             let ae = &layout.entries[a];
                             let block = u64::from(ae.block);
@@ -543,12 +616,13 @@ fn run_fixpoint(layout: &Layout, words: &mut [u64], fault: &FaultPlan) -> FixOut
 /// The bounded Δ* fixpoint computed lane-parallel over mask words.
 /// Survivors, `deleted`, and `passes` are bit-identical to
 /// [`BoundedConstructible::compute_worklist`] on the same universe.
-pub struct LaneConstructible {
-    alphabet: Vec<Op>,
-    metas: Vec<TaskMeta>,
-    entries: Vec<Entry>,
-    key_map: HashMap<(u8, u64), u32>,
+/// Carries a copy of its model, which decides the uninvolved pairs.
+pub struct LaneConstructible<M> {
+    model: M,
+    layout: Layout,
     words: Vec<u64>,
+    /// Survivors of the uninvolved (bound-size, top-less) computations.
+    counted: u64,
     /// The universe bound the fixpoint was computed at.
     pub max_nodes: usize,
     /// Worklist rounds (initial pass + cascade generations).
@@ -560,14 +634,13 @@ pub struct LaneConstructible {
     pub quarantined: Vec<Quarantined>,
 }
 
-impl LaneConstructible {
-    fn empty(u: &Universe) -> Self {
+impl<M: MemoryModel + Sync + Clone> LaneConstructible<M> {
+    fn empty(model: &M, u: &Universe) -> Self {
         LaneConstructible {
-            alphabet: u.alphabet(),
-            metas: Vec::new(),
-            entries: Vec::new(),
-            key_map: HashMap::new(),
+            model: model.clone(),
+            layout: Layout::default(),
             words: Vec::new(),
+            counted: 0,
             max_nodes: u.max_nodes,
             passes: 0,
             deleted: 0,
@@ -577,25 +650,27 @@ impl LaneConstructible {
 
     /// Computes the fixpoint with the lane engine, panicking unless the
     /// run completes cleanly. See [`Self::compute_supervised`].
-    pub fn compute<M: MemoryModel + Sync>(model: &M, u: &Universe, cfg: &SweepConfig) -> Self {
+    pub fn compute(model: &M, u: &Universe, cfg: &SweepConfig) -> Self {
         Self::compute_supervised(model, u, cfg, &Supervisor::none(), None, None, true)
             .expect_complete("lane Δ* fixpoint")
     }
 
     /// Computes the fixpoint under full supervision: Stage A
-    /// (materialisation) honours deadlines, checkpoints to `ckpt`
-    /// (`(writer, every)`), resumes from a decoded journal, and
-    /// quarantines panicking shards (their masks are conservatively
-    /// kept all-ones); Stage B mirrors the scalar worklist's
-    /// per-computation quarantine. `lanes` selects the lane kernel
-    /// ([`MemoryModel::contains_lanes`]) or the scalar kernel for Stage
-    /// A — the journals and results are bit-identical either way, so a
-    /// journal written by one engine resumes under the other.
+    /// (materialisation and the uninvolved count) honours deadlines,
+    /// checkpoints to `ckpt` (`(writer, every)`), resumes from a decoded
+    /// journal, and quarantines panicking shards (their pairs are
+    /// conservatively kept: all-ones masks, all pairs counted); Stage B
+    /// mirrors the scalar worklist's per-computation quarantine. `lanes`
+    /// selects the lane kernel ([`MemoryModel::contains_lanes`]) or the
+    /// scalar kernel for Stage A — the journals and results are
+    /// bit-identical either way, so a journal written by one engine
+    /// resumes under the other. Stage A enumerates its own labelled and
+    /// canonical tasks, so `cfg.canonical` is ignored.
     ///
     /// A `Killed`/`Partial` Stage A returns an empty value carrying the
     /// status and frontier; the fixpoint only runs on a complete
     /// (possibly degraded) materialisation.
-    pub fn compute_supervised<M: MemoryModel + Sync>(
+    pub fn compute_supervised(
         model: &M,
         u: &Universe,
         cfg: &SweepConfig,
@@ -604,40 +679,50 @@ impl LaneConstructible {
         ckpt: Option<(&mut CkptWriter, usize)>,
         lanes: bool,
     ) -> Supervised<Self> {
-        // The fixpoint keys survivors by labelled computation, so Stage
-        // A always runs the labelled enumeration (as the scalar path
-        // does) even under a canonical config.
-        let cfg = &SweepConfig { canonical: false, ..*cfg };
         let stage_a = materialize_masks(model, u, cfg, sup, resume, ckpt, lanes);
         if matches!(stage_a.status, SweepStatus::Partial | SweepStatus::Killed) {
-            return stage_a.map(|_| Self::empty(u));
+            return stage_a.map(|_| Self::empty(model, u));
         }
         let Supervised { value, mut status, mut quarantined, frontier, total_tasks, ckpt_error } =
             stage_a;
-        let layout = build_layout(u);
+        let tasks = stage_a_tasks(u);
+        let layout = build_layout(u, &tasks);
+        // A quarantined counted task keeps every pair, as an all-ones
+        // mask keeps an involved one.
+        let mut counted = value.counted;
+        let maps = location_digit_maps(&layout.alphabet, u.num_locations);
+        let lost = |t: &&Task| quarantined.iter().any(|q| q.task_idx == t.idx);
+        for t in tasks.iter().filter(|t| !is_involved(t, u.max_nodes)).filter(lost) {
+            let mut ls = LabelScratch::new();
+            let _ = for_each_labelling(&layout.alphabet, &maps, t, &mut ls, &mut |c, w| {
+                counted += w * node_major_shape(c).0;
+                ControlFlow::Continue(())
+            });
+        }
         let mut words = fill_arena(&layout, value);
         let out = run_fixpoint(&layout, &mut words, &sup.fault);
         status = status.max(SweepStatus::fold(false, false, !out.quarantined.is_empty()));
         quarantined.extend(out.quarantined);
         let value = LaneConstructible {
-            alphabet: u.alphabet(),
-            metas: layout.metas,
-            entries: layout.entries,
-            key_map: layout.key_map,
+            layout,
             words,
-            max_nodes: u.max_nodes,
+            counted,
             passes: out.passes,
             deleted: out.deleted,
             quarantined: quarantined.clone(),
+            ..Self::empty(model, u)
         };
         telemetry::count(Counter::LaneSurvivorPop, value.total_pairs() as u64);
         Supervised { value, status, quarantined, frontier, total_tasks, ckpt_error }
     }
+}
 
+impl<M: MemoryModel> LaneConstructible<M> {
     /// Whether `(c, phi)` survived the fixpoint. Matches the scalar
     /// [`BoundedConstructible::contains`] on every computation of the
     /// universe: an unknown shape (too large, backward edge, op outside
-    /// the alphabet, non-enumerated closure) is simply not a survivor.
+    /// the alphabet, non-enumerated closure) is simply not a survivor,
+    /// and an uninvolved pair survives iff it is a model member.
     pub fn contains(&self, c: &Computation, phi: &ObserverFunction) -> bool {
         let n = c.node_count();
         if n > self.max_nodes || n > 11 {
@@ -648,18 +733,22 @@ impl LaneConstructible {
                 return false; // tasks are naturally labelled
             }
         }
-        let Some(&t) = self.key_map.get(&(n as u8, sub_key(c.dag(), n))) else {
-            return false;
-        };
-        let meta = &self.metas[t as usize];
+        let l = &self.layout;
         let mut ord = 0u64;
         for v in (0..n).rev() {
-            let Some(d) = self.alphabet.iter().position(|&o| o == c.op(NodeId::new(v))) else {
+            let Some(d) = l.alphabet.iter().position(|&o| o == c.op(NodeId::new(v))) else {
                 return false;
             };
-            ord = ord * self.alphabet.len() as u64 + d as u64;
+            ord = ord * l.alphabet.len() as u64 + d as u64;
         }
-        let e = &self.entries[meta.entry_base + ord as usize];
+        let Some(&t) = l.key_map.get(&(n as u8, sub_key(c.dag(), n))) else {
+            // Every closed involved shape is keyed, so a closed unkeyed
+            // one is a bound-size poset without a top node: its pairs
+            // are never touched and survive iff they are members.
+            let closed = c.dag().transitive_closure().edge_count() == c.dag().edge_count();
+            return n == self.max_nodes && closed && self.model.contains(c, phi);
+        };
+        let e = &l.entries[l.metas[t as usize].entry_base + ord as usize];
         let Some(p) = node_major_index(c, phi) else {
             return false;
         };
@@ -667,21 +756,17 @@ impl LaneConstructible {
         self.words[e.off as usize + (p / 64) as usize] & (1u64 << (p % 64)) != 0
     }
 
-    /// Total surviving pairs (mask population count).
+    /// Total surviving pairs (mask popcount plus the uninvolved count).
     pub fn total_pairs(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.words.iter().map(|w| w.count_ones() as usize).sum::<usize>() + self.counted as usize
     }
 
     /// Surviving pairs for computations of exactly `n` nodes.
     pub fn pairs_of_size(&self, n: usize) -> usize {
-        self.metas
-            .iter()
-            .filter(|m| m.size == n)
-            .flat_map(|m| &self.entries[m.entry_base..m.entry_base + m.labellings as usize])
-            .map(|e| {
-                entry_slice(&self.words, e).iter().map(|w| w.count_ones() as usize).sum::<usize>()
-            })
-            .sum()
+        let l = &self.layout;
+        let tasks = (0..l.metas.len()).filter(|&t| l.metas[t].size == n);
+        let masked = tasks.flat_map(|t| &self.words[l.span(t)]).map(|w| w.count_ones() as usize);
+        masked.sum::<usize>() + if n == self.max_nodes { self.counted as usize } else { 0 }
     }
 }
 
@@ -699,7 +784,7 @@ mod tests {
     fn assert_matches_scalar<M: MemoryModel + Sync>(
         model: &M,
         u: &Universe,
-        lane: &LaneConstructible,
+        lane: &LaneConstructible<M>,
     ) {
         let scalar = BoundedConstructible::compute_worklist(model, u, &cfg(1));
         assert_eq!(lane.total_pairs(), scalar.total_pairs());
@@ -757,45 +842,131 @@ mod tests {
     }
 
     #[test]
+    fn bound5_nnstar_is_pinned() {
+        // Theorem 23 at bound 5 (E20): 514,080 NN members, 96 deleted.
+        let u = Universe::new(5, 1);
+        let lane = LaneConstructible::compute(&Nn::default(), &u, &cfg(2));
+        assert_eq!((lane.total_pairs(), lane.deleted, lane.passes), (513_984, 96, 1));
+        let sizes: Vec<usize> = (0..=5).map(|m| lane.pairs_of_size(m)).collect();
+        assert_eq!(sizes, [1, 3, 22, 335, 9_608, 504_015]);
+    }
+
+    #[test]
     fn kill_and_resume_is_bit_identical_across_engines() {
         let path = std::env::temp_dir().join(format!("ccmm-lanefix-resume-{}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
         let u = Universe::new(4, 1);
         let clean = LaneConstructible::compute(&Nn::default(), &u, &cfg(1));
+        // One serial worker takes tasks in index order: 11 below-bound
+        // masks, then the bound-size masks and counts interleaved. Two
+        // records of four tasks stop inside the masks; five stop with
+        // part of the uninvolved count done.
+        for (records, mid_count) in [(2, false), (5, true)] {
+            let _ = std::fs::remove_file(&path);
+            let sup = Supervisor::with_fault(FaultPlan::none().kill_after_records(records));
+            let mut writer = CkptWriter::create(&path, "lanefix-test").expect("create journal");
+            let killed = LaneConstructible::compute_supervised(
+                &Nn::default(),
+                &u,
+                &cfg(1),
+                &sup,
+                None,
+                Some((&mut writer, 4)),
+                true,
+            );
+            assert_eq!(killed.status, SweepStatus::Killed);
+            drop(writer);
 
-        let sup = Supervisor::with_fault(FaultPlan::none().kill_after_records(2));
-        let mut writer = CkptWriter::create(&path, "lanefix-test").expect("create journal");
-        let killed = LaneConstructible::compute_supervised(
+            let ckpt = Checkpoint::load(&path).expect("journal readable");
+            let (frontier, state) = decode_masks_journal(&ckpt, &u).expect("journal decodes");
+            assert_eq!(frontier.len(), 4 * records, "kill happened after a checkpoint");
+            assert_eq!(0 < state.counted && state.counted < clean.counted, mid_count);
+            // Resume with the *scalar* kernel: journals interoperate.
+            let mut writer = CkptWriter::append_to(&path).expect("reopen journal");
+            let resumed = LaneConstructible::compute_supervised(
+                &Nn::default(),
+                &u,
+                &cfg(1),
+                &Supervisor::none(),
+                Some((frontier, state)),
+                Some((&mut writer, 4)),
+                false,
+            )
+            .expect_complete("resumed fixpoint");
+            assert_eq!(resumed.words, clean.words);
+            assert_eq!(resumed.counted, clean.counted);
+            assert_eq!(resumed.deleted, clean.deleted);
+            assert_eq!(resumed.passes, clean.passes);
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn journal_that_disagrees_with_the_layout_is_rejected() {
+        let path =
+            std::env::temp_dir().join(format!("ccmm-lanefix-corrupt-{}", std::process::id()));
+        let u = Universe::new(3, 1);
+        // Task 0 (the empty poset) has one labelling with one observer:
+        // one mask word.
+        let journal = |groups: Vec<MaskGroup>| {
+            let mut frontier = Frontier::new();
+            frontier.insert(0);
+            let state = MaskState { groups, ..MaskState::default() };
+            let mut writer = CkptWriter::create(&path, "lanefix-test").expect("create journal");
+            writer.append(&encode_masks_snapshot(&frontier, &state)).expect("append");
+            drop(writer);
+            let ckpt = Checkpoint::load(&path).expect("journal readable");
+            decode_masks_journal(&ckpt, &u).map(|(f, s)| (f.len(), s.groups.len()))
+        };
+        let group = |task, words: Vec<u64>| MaskGroup { task, words };
+        assert_eq!(journal(vec![group(0, vec![1])]), Some((1, 1)));
+        assert_eq!(journal(vec![group(0, vec![1, 0])]), None, "group length mismatch");
+        assert_eq!(journal(vec![group(0, vec![1]), group(0, vec![1])]), None, "task twice");
+        assert_eq!(journal(vec![group(1, vec![1])]), None, "group outside the frontier");
+        assert_eq!(journal(vec![group(99, vec![1])]), None, "unknown task");
+        assert_eq!(journal(vec![]), None, "completed task without its group");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn quarantined_count_task_keeps_all_its_pairs() {
+        let u = Universe::new(4, 1);
+        let clean = LaneConstructible::compute(&Nn::default(), &u, &cfg(1));
+        let maps = location_digit_maps(&u.alphabet(), u.num_locations);
+        // (all pairs, members) of a counted task, weighted by orbit.
+        let pairs = |task: &Task| {
+            let (mut all, mut members) = (0, 0);
+            let mut ls = LabelScratch::new();
+            let _ = for_each_labelling(&u.alphabet(), &maps, task, &mut ls, &mut |c, w| {
+                let _ = for_each_observer(c, |phi| {
+                    all += w as usize;
+                    members += usize::from(Nn::default().contains(c, phi)) * w as usize;
+                    ControlFlow::Continue(())
+                });
+                ControlFlow::Continue(())
+            });
+            (all, members)
+        };
+        let tasks = stage_a_tasks(&u);
+        let (task, (all, members)) = tasks
+            .iter()
+            .filter(|t| !is_involved(t, 4))
+            .map(|t| (t, pairs(t)))
+            .find(|(_, (all, members))| all > members)
+            .expect("a top-less 4-node poset with non-members");
+        let sup = Supervisor::with_fault(FaultPlan::none().panic_at_task(task.idx));
+        let out = LaneConstructible::compute_supervised(
             &Nn::default(),
             &u,
             &cfg(1),
             &sup,
             None,
-            Some((&mut writer, 4)),
+            None,
             true,
         );
-        assert_eq!(killed.status, SweepStatus::Killed);
-        drop(writer);
-
-        let ckpt = Checkpoint::load(&path).expect("journal readable");
-        let (frontier, state) = decode_masks_journal(&ckpt).expect("journal decodes");
-        assert!(!frontier.is_empty(), "kill happened after a checkpoint");
-        // Resume with the *scalar* kernel: journals interoperate.
-        let mut writer = CkptWriter::append_to(&path).expect("reopen journal");
-        let resumed = LaneConstructible::compute_supervised(
-            &Nn::default(),
-            &u,
-            &cfg(1),
-            &Supervisor::none(),
-            Some((frontier, state)),
-            Some((&mut writer, 4)),
-            false,
-        )
-        .expect_complete("resumed fixpoint");
-        assert_eq!(resumed.words, clean.words);
-        assert_eq!(resumed.deleted, clean.deleted);
-        assert_eq!(resumed.passes, clean.passes);
-        let _ = std::fs::remove_file(&path);
+        assert_eq!(out.status, SweepStatus::Degraded);
+        assert_eq!(out.quarantined.len(), 1);
+        assert_eq!(out.value.pairs_of_size(4), clean.pairs_of_size(4) + all - members);
+        assert_eq!(out.value.total_pairs(), clean.total_pairs() + all - members);
     }
 
     #[test]

@@ -179,7 +179,7 @@ impl LabelScratch {
 /// entry `d` is the alphabet index of `alphabet[d]` with `π` applied to
 /// its location. The identity is included. Labelled sweeps pass
 /// `num_locations = 0` (or 1), collapsing the group to the identity.
-fn location_digit_maps(alphabet: &[Op], num_locations: usize) -> Vec<Vec<usize>> {
+pub(crate) fn location_digit_maps(alphabet: &[Op], num_locations: usize) -> Vec<Vec<usize>> {
     let mut perms: Vec<Vec<usize>> = vec![Vec::new()];
     for i in 0..num_locations {
         perms = perms

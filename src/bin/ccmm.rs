@@ -819,15 +819,18 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
         // Phase 3: constructibility. The NN Δ* fixpoint (labelled by
         // necessity — survivor sets are keyed by concrete computations),
         // then the one-step augmentation check for every model. The lane
-        // engine runs the mask-based fixpoint, which checkpoints to its
-        // own journal (`<path>.fixpoint`) beside the memberships journal:
-        // the fingerprint is engine-free because the mask bits are
-        // identical either way, so a fixpoint journal written under one
-        // kernel resumes under the other.
+        // engine runs the mask-based fixpoint: it masks only the involved
+        // computations (below the bound, or with a top node) and counts
+        // the rest over canonical posets (DESIGN §12). It checkpoints to
+        // its own journal (`<path>.fixpoint`) beside the memberships
+        // journal. The fingerprint is engine-free because the mask bits
+        // are identical either way, so a fixpoint journal written under
+        // one kernel resumes under the other; v1 journals (a group for
+        // every labelled task) are refused by fingerprint.
         let t0 = Instant::now();
         let phase_span = ccmm::core::telemetry::span("sweep/fixpoint");
         let (fix_pairs, fix_deleted, fix_passes, fix_status) = if lane {
-            let fix_fingerprint = format!("ccmm-fixpoint-v1 bound={bound} locs={locs} model=nn");
+            let fix_fingerprint = format!("ccmm-fixpoint-v2 bound={bound} locs={locs} model=nn");
             let fix_journal = run.journal().map(|base| format!("{base}.fixpoint"));
             let path = fix_journal.as_deref();
             let resuming = resume.is_some() && path.is_some_and(|p| Path::new(p).exists());
@@ -836,7 +839,7 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
                 path.filter(|_| !resuming),
                 path.filter(|_| resuming),
                 &fix_fingerprint,
-                |ck| decode_masks_journal(ck).map(Some),
+                |ck| decode_masks_journal(ck, &u).map(Some),
             )?;
             if let (Some(p), Some((f, _))) = (path, &fix_resume) {
                 println!("resuming fixpoint from {p}: {} task(s) already complete", f.len());

@@ -426,6 +426,35 @@ fn sweep_lane64_kill_and_resume_round_trip_is_bit_identical() {
 }
 
 #[test]
+fn sweep_lane64_refuses_a_v1_fixpoint_journal() {
+    // A v1 `<ckpt>.fixpoint` holds mask groups for every labelled task;
+    // the v2 layout masks only the involved ones, so resuming from it
+    // must fail cleanly on the fingerprint, never reach the decoder.
+    let ckpt = std::env::temp_dir().join(format!("ccmm-cli-fix-v1-{}", std::process::id()));
+    let fix = ckpt.with_extension("fixpoint");
+    let shape = ["--bound", "3", "--canonical", "--engine", "lane64", "--threads", "2"];
+    let (mut cmd, json) = sweep_cmd("fix-v1");
+    let clean = cmd.args(shape).arg("--ckpt").arg(&ckpt).output().unwrap();
+    assert_eq!(clean.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&clean.stderr));
+    assert!(fix.exists(), "the lane run journals its fixpoint beside --ckpt");
+
+    let v1 = "ccmm-fixpoint-v1 bound=3 locs=1 model=nn";
+    let mut writer = ccmm::core::ckpt::CkptWriter::create(&fix, v1).unwrap();
+    writer.append(&[0; 16]).unwrap();
+    drop(writer);
+    let (mut cmd, _) = sweep_cmd("fix-v1");
+    let resumed = cmd.args(shape).arg("--resume").arg(&ckpt).output().unwrap();
+    assert_eq!(resumed.status.code(), Some(2), "a refused journal is an I/O-class error");
+    let err = String::from_utf8(resumed.stderr).unwrap();
+    assert!(err.contains("fixpoint checkpoint fingerprint mismatch"), "{err}");
+    assert!(err.contains(v1), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    for p in [&ckpt, &fix, &json] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+#[test]
 fn sweep_zero_deadline_exits_partial_with_resume_frontier() {
     let (mut cmd, json) = sweep_cmd("deadline");
     let out = cmd.args(["--bound", "4", "--canonical", "--deadline-secs", "0"]).output().unwrap();
