@@ -88,25 +88,40 @@ diff <(counts "$scratch/clean.out") <(counts "$scratch/resumed.out") \
     || { echo "resumed counts differ from the uninterrupted run"; exit 1; }
 
 echo "== lane engine smoke: scalar parity, thread determinism, kill/resume =="
-# The lane64 engine must produce bit-identical membership counts and
-# NN* fixpoint line (survivors, deleted, passes) to the scalar canonical
-# engine at bound 5, at 1, 2, and 4 threads — and a lane run killed
-# mid-flight must resume to the same. Debug-build bound-5 sweeps are
-# slow, so fast mode drops to bound 4 (same paths).
+# The lane64 engine must produce bit-identical membership counts,
+# Figure-1 lattice block, NN* fixpoint line (survivors, deleted, passes)
+# and six constructibility lines to the scalar canonical engine at
+# bound 5, at 1, 2, and 4 threads — and a lane run killed mid-flight
+# must resume to the same. Debug-build bound-5 sweeps are slow, so fast
+# mode drops to bound 4 (same paths).
 lane_bound=5
 [[ "$fast" == "fast" ]] && lane_bound=4
 fixline() { sed -n 's/.*fixpoint: \(.*\) \[.*/\1/p' "$1"; }
+lattice() { grep -A7 "^lattice \[" "$1" | tail -7; }
+constructibility() { grep -E "^  (SC|LC|NN|NW|WN|WW) +(NOT )?constructible" "$1"; }
+# Every verdict block of a lane64 run against the scalar run.
+lane_parity() {
+    diff <(counts "$scratch/lane-scalar.out") <(counts "$1") \
+        || { echo "lane64 counts diverge from scalar ($2)"; exit 1; }
+    diff <(lattice "$scratch/lane-scalar.out") <(lattice "$1") \
+        || { echo "lane64 lattice diverges from scalar ($2)"; exit 1; }
+    diff <(fixline "$scratch/lane-scalar.out") <(fixline "$1") \
+        || { echo "lane64 NN* fixpoint diverges from the scalar worklist ($2)"; exit 1; }
+    diff <(constructibility "$scratch/lane-scalar.out") <(constructibility "$1") \
+        || { echo "lane64 constructibility diverges from scalar ($2)"; exit 1; }
+}
 ccmm sweep --bound "$lane_bound" --canonical --threads 1 \
     > "$scratch/lane-scalar.out" 2>/dev/null
 [[ -n "$(fixline "$scratch/lane-scalar.out")" ]] \
     || { echo "scalar run printed no NN* fixpoint line"; exit 1; }
+[[ "$(lattice "$scratch/lane-scalar.out" | wc -l)" == 7 ]] \
+    || { echo "scalar run printed no lattice block"; exit 1; }
+[[ "$(constructibility "$scratch/lane-scalar.out" | wc -l)" == 6 ]] \
+    || { echo "scalar run printed no six constructibility lines"; exit 1; }
 for t in 1 2 4; do
     ccmm sweep --bound "$lane_bound" --canonical --engine lane64 --threads "$t" \
         > "$scratch/lane-$t.out" 2>/dev/null
-    diff <(counts "$scratch/lane-scalar.out") <(counts "$scratch/lane-$t.out") \
-        || { echo "lane64 counts diverge from scalar at $t threads"; exit 1; }
-    diff <(fixline "$scratch/lane-scalar.out") <(fixline "$scratch/lane-$t.out") \
-        || { echo "lane64 NN* fixpoint diverges from the scalar worklist at $t threads"; exit 1; }
+    lane_parity "$scratch/lane-$t.out" "$t threads"
 done
 rc=0
 ccmm sweep --bound "$lane_bound" --canonical --engine lane64 --threads 2 \
@@ -115,10 +130,7 @@ ccmm sweep --bound "$lane_bound" --canonical --engine lane64 --threads 2 \
 [[ "$rc" == 70 ]] || { echo "expected lane64 killed exit 70, got $rc"; exit 1; }
 ccmm sweep --bound "$lane_bound" --canonical --engine lane64 --threads 2 \
     --resume "$scratch/lane.ckpt" > "$scratch/lane-resumed.out" 2>/dev/null
-diff <(counts "$scratch/lane-scalar.out") <(counts "$scratch/lane-resumed.out") \
-    || { echo "resumed lane64 counts differ from the scalar run"; exit 1; }
-diff <(fixline "$scratch/lane-scalar.out") <(fixline "$scratch/lane-resumed.out") \
-    || { echo "resumed lane64 NN* fixpoint differs from the scalar worklist"; exit 1; }
+lane_parity "$scratch/lane-resumed.out" "after kill/resume"
 
 echo "== lane fixpoint smoke: bound-4 kill in both phases, resume bit-identical =="
 # The lane Δ* fixpoint journals survivor masks to <ckpt>.fixpoint. The

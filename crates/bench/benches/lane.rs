@@ -10,7 +10,7 @@
 use ccmm_core::constructible::lanes::LaneConstructible;
 use ccmm_core::constructible::BoundedConstructible;
 use ccmm_core::enumerate::for_each_observer;
-use ccmm_core::model::{CheckScratch, LanePack, LaneScratch, Nn};
+use ccmm_core::model::{CheckScratch, LanePack, LaneScratch, Nn, ObserverIndex, SlotOrder};
 use ccmm_core::sweep::{sweep_computations, SweepConfig};
 use ccmm_core::universe::Universe;
 use ccmm_core::{MemoryModel, Model};
@@ -47,33 +47,22 @@ fn memberships_lanes(u: &Universe, cfg: &SweepConfig) -> u64 {
     sweep_computations(
         u,
         cfg,
-        || (0u64, LanePack::new(), LaneScratch::new()),
+        || (0u64, ObserverIndex::new(), LanePack::new(), LaneScratch::new()),
         |acc, _, c, w| {
-            let (total, pack, lanes) = acc;
-            pack.prepare(c);
-            let mut flush = |pack: &mut LanePack, lanes: &mut LaneScratch| {
+            let (total, index, pack, lanes) = acc;
+            index.prepare(c, SlotOrder::LocationMajor, pack);
+            index.for_each_pack(pack, |pack| {
                 let used = pack.used();
                 for m in &MODELS {
                     let verdict = m.contains_lanes(c, pack, lanes) & used;
                     *total += w * u64::from(verdict.count_ones());
                 }
-                pack.clear_lanes();
-            };
-            let _ = for_each_observer(c, |phi| {
-                pack.push_valid(c, phi);
-                if pack.is_full() {
-                    flush(pack, lanes);
-                }
-                ControlFlow::Continue(())
             });
-            if !pack.is_empty() {
-                flush(pack, lanes);
-            }
         },
     )
     .expect_complete("bench lane memberships")
     .into_iter()
-    .map(|(n, _, _)| n)
+    .map(|(n, _, _, _)| n)
     .sum()
 }
 

@@ -215,15 +215,24 @@ impl Computation {
     }
 
     /// Undoes the most recent [`push`](Computation::push), restoring the
-    /// previous computation (LIFO). The location count is *not* shrunk —
-    /// equality, hashing, and serialization ignore derived fields, and
-    /// [`writes_to`](Computation::writes_to) tolerates trailing empties.
-    /// No-op on the empty computation.
+    /// previous computation (LIFO), location count included. The write
+    /// index may keep a trailing empty entry, which
+    /// [`writes_to`](Computation::writes_to) tolerates. No-op on the empty
+    /// computation.
     pub fn pop_last(&mut self) {
         let Some(op) = self.ops.pop() else { return };
         if let Op::Write(l) = op {
             let popped = self.writes[l.index()].pop();
             debug_assert_eq!(popped, Some(NodeId::new(self.dag.node_count() - 1)));
+        }
+        if op.location().is_some_and(|l| l.index() + 1 == self.num_locations) {
+            self.num_locations = self
+                .ops
+                .iter()
+                .filter_map(|o| o.location())
+                .map(|l| l.index() + 1)
+                .max()
+                .unwrap_or(0);
         }
         self.reach.shrink_last();
         self.dag.pop_node();
@@ -551,6 +560,7 @@ mod tests {
         for snap in snapshots.iter().rev().skip(1) {
             inc.pop_last();
             assert_eq!(&inc, snap);
+            assert_eq!(inc.num_locations(), snap.num_locations());
             for loc in 0..snap.num_locations() {
                 assert_eq!(inc.writes_to(l(loc)), snap.writes_to(l(loc)));
             }

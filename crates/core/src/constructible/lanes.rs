@@ -59,9 +59,9 @@ use ccmm_dag::{Dag, NodeId};
 
 use crate::ckpt::{get_u64, put_u64, Checkpoint, CkptWriter};
 use crate::computation::Computation;
-use crate::enumerate::{for_each_observer_node_major, node_major_index, node_major_shape};
+use crate::enumerate::{for_each_observer_node_major, node_major_index};
 use crate::fault::FaultPlan;
-use crate::model::{CheckScratch, LanePack, LaneScratch, MemoryModel};
+use crate::model::{CheckScratch, LanePack, LaneScratch, MemoryModel, ObserverIndex, SlotOrder};
 use crate::observer::ObserverFunction;
 use crate::op::Op;
 use crate::sweep::supervisor::{
@@ -301,6 +301,7 @@ fn build_layout(u: &Universe, tasks: &[Task]) -> Layout {
     }
     let identity: Vec<Vec<usize>> = vec![(0..alphabet.len()).collect()];
     let mut scratch = LabelScratch::new();
+    let mut index = ObserverIndex::new();
     let mut metas = Vec::with_capacity(involved.len());
     let mut entries = Vec::new();
     let mut words_len = 0u64;
@@ -316,7 +317,7 @@ fn build_layout(u: &Universe, tasks: &[Task]) -> Layout {
         });
         let entry_base = entries.len();
         let _ = for_each_labelling(&alphabet, &identity, t, &mut scratch, &mut |c, _w| {
-            let (observers, block) = node_major_shape(c);
+            let (observers, block) = index.index(c, SlotOrder::NodeMajor);
             entries.push(Entry {
                 off: words_len,
                 observers: u32::try_from(observers).expect("observer count fits u32"),
@@ -375,7 +376,7 @@ fn fill_arena(layout: &Layout, state: MaskState) -> Vec<u64> {
 /// Whether the `len`-bit block starting at bit `start` of an entry's
 /// mask slice is all zeros. Counts the words it examines toward
 /// [`Counter::LaneFixpointWords`].
-pub(crate) fn block_empty(words: &[u64], start: u64, len: u64) -> bool {
+fn block_empty(words: &[u64], start: u64, len: u64) -> bool {
     debug_assert!(len > 0);
     let end = start + len;
     telemetry::count(Counter::LaneFixpointWords, (end - 1) / 64 - start / 64 + 1);
@@ -422,8 +423,11 @@ fn materialize_masks<M: MemoryModel + Sync>(
         frontier,
         initial,
         sink,
-        || (LabelScratch::new(), LanePack::new(), LaneScratch::new(), CheckScratch::new()),
-        |task, (ls, pack, lscr, check)| {
+        || {
+            let ls = LabelScratch::new();
+            (ls, ObserverIndex::new(), LanePack::new(), LaneScratch::new(), CheckScratch::new())
+        },
+        |task, (ls, index, pack, lscr, check)| {
             let involved = is_involved(task, u.max_nodes);
             let maps = if involved { &identity } else { &location_maps };
             let (mut words, mut counted) = (Vec::new(), 0);
@@ -439,24 +443,10 @@ fn materialize_masks<M: MemoryModel + Sync>(
                     }
                 };
                 if lanes {
-                    pack.prepare(c);
-                    let mut flush = |pack: &mut LanePack| {
-                        let used = pack.used();
-                        telemetry::count(Counter::LaneWords, 1);
-                        telemetry::count(Counter::LaneSlots, u64::from(used.count_ones()));
-                        emit(model.contains_lanes(c, pack, lscr) & used);
-                        pack.clear_lanes();
-                    };
-                    let _ = for_each_observer_node_major(c, |phi| {
-                        pack.push_valid(c, phi);
-                        if pack.is_full() {
-                            flush(pack);
-                        }
-                        ControlFlow::Continue(())
+                    index.prepare(c, SlotOrder::NodeMajor, pack);
+                    index.for_each_pack(pack, |pack| {
+                        emit(model.contains_lanes(c, pack, lscr) & pack.used());
                     });
-                    if !pack.is_empty() {
-                        flush(pack);
-                    }
                 } else {
                     let mut word = 0u64;
                     let mut bit = 0u32;
@@ -692,10 +682,11 @@ impl<M: MemoryModel + Sync + Clone> LaneConstructible<M> {
         let mut counted = value.counted;
         let maps = location_digit_maps(&layout.alphabet, u.num_locations);
         let lost = |t: &&Task| quarantined.iter().any(|q| q.task_idx == t.idx);
+        let mut index = ObserverIndex::new();
         for t in tasks.iter().filter(|t| !is_involved(t, u.max_nodes)).filter(lost) {
             let mut ls = LabelScratch::new();
             let _ = for_each_labelling(&layout.alphabet, &maps, t, &mut ls, &mut |c, w| {
-                counted += w * node_major_shape(c).0;
+                counted += w * index.index(c, SlotOrder::NodeMajor).0;
                 ControlFlow::Continue(())
             });
         }

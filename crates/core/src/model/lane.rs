@@ -213,25 +213,12 @@ impl LanePack {
         self.valid
     }
 
-    /// Packs `phi` into the next free lane and returns its index.
-    /// Panics if the pack is full; the caller flushes at [`LANES`].
+    /// Packs `phi` into the next free lane and returns its index,
+    /// recording whether it is valid for `c`. Panics if the pack is full;
+    /// the caller flushes at [`LANES`]. The sweeps fill packs from an
+    /// [`ObserverIndex`] instead; this is for observers that come from
+    /// elsewhere (tests, the conformance harness's random packings).
     pub fn push(&mut self, c: &Computation, phi: &ObserverFunction) -> usize {
-        let valid = phi.is_valid_for(c);
-        self.push_raw(c, phi, valid)
-    }
-
-    /// [`push`] for observers the caller already knows are valid — the
-    /// exhaustive enumeration ([`for_each_observer`]) yields only valid
-    /// Φ, so the sweep engines skip re-deriving Definition 2 per lane.
-    ///
-    /// [`push`]: LanePack::push
-    /// [`for_each_observer`]: crate::enumerate::for_each_observer
-    pub fn push_valid(&mut self, c: &Computation, phi: &ObserverFunction) -> usize {
-        debug_assert!(phi.is_valid_for(c), "push_valid given an invalid observer");
-        self.push_raw(c, phi, true)
-    }
-
-    fn push_raw(&mut self, c: &Computation, phi: &ObserverFunction, valid: bool) -> usize {
         assert!(!self.is_full(), "lane pack is full");
         let lane = self.len as usize;
         let n = self.node_count;
@@ -247,7 +234,7 @@ impl LanePack {
                     (self.cols[idx] & !(0xffu64 << shift)) | (u64::from(byte) << shift);
             }
         }
-        if valid {
+        if phi.is_valid_for(c) {
             self.valid |= 1u64 << lane;
         }
         self.len += 1;
@@ -307,6 +294,242 @@ impl LanePack {
         }
         phi
     }
+
+    /// Sets lanes `[from, from + n)` of cell `cell`'s column to `byte`,
+    /// a whole word at a time where the run covers one.
+    #[inline]
+    fn fill_bytes(&mut self, cell: usize, from: usize, n: usize, byte: u8) {
+        let col = &mut self.cols[cell * 8..cell * 8 + 8];
+        let pat = u64::from(byte).wrapping_mul(0x0101_0101_0101_0101);
+        let end = from + n;
+        let mut i = from;
+        while i < end {
+            let (w, lo) = (i / 8, i % 8);
+            let hi = (end - w * 8).min(8);
+            let mask = if hi - lo == 8 { !0 } else { ((1u64 << (8 * (hi - lo))) - 1) << (8 * lo) };
+            col[w] = (col[w] & !mask) | (pat & mask);
+            i = w * 8 + hi;
+        }
+    }
+
+    /// Marks `k` more lanes occupied and valid.
+    fn append_valid(&mut self, k: usize) {
+        if k == 0 {
+            return;
+        }
+        let (base, end) = (self.len as usize, self.len as usize + k);
+        let mask = if end == LANES { !0 } else { (1u64 << end) - 1 };
+        self.valid |= mask & !((1u64 << base) - 1);
+        self.len = end as u32;
+        self.nwords = self.len.div_ceil(8);
+        self.generation = self.generation.wrapping_add(1);
+    }
+}
+
+/// The order in which an [`ObserverIndex`] numbers a computation's
+/// valid observer functions.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SlotOrder {
+    /// Free slots by `(location, node)`: the
+    /// [`for_each_observer`](crate::enumerate::for_each_observer) order.
+    LocationMajor,
+    /// Free slots by `(node, location)`: the
+    /// [`for_each_observer_node_major`](crate::enumerate::for_each_observer_node_major)
+    /// order, in which an augmentation's last node owns the
+    /// least-significant digits.
+    NodeMajor,
+}
+
+/// One free table slot with at least two candidates.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    /// Pack cell `l · n + u`.
+    cell: u32,
+    radix: u32,
+    /// Offset of the slot's candidate bytes in [`ObserverIndex::cands`].
+    cands: u32,
+    /// Product of the radices of every later slot: the digit of observer
+    /// `i` is `(i / stride) % radix`.
+    stride: u64,
+}
+
+/// The valid observer functions of one computation as a mixed-radix
+/// index, written straight into [`LanePack`] columns.
+///
+/// [`index`](ObserverIndex::index) derives the free table slots once, in
+/// either [`SlotOrder`], into flat reusable buffers of candidate *lane
+/// bytes* (the pack's column encoding: 0 for ⊥, `i + 1` for the `i`-th
+/// write of the location). Observer `i` is then the mixed-radix number
+/// `i` over those slots, first slot most significant, exactly as the
+/// recursive enumerators number it. [`fill`](ObserverIndex::fill) writes
+/// any index range into a pack's next lanes as byte runs — no
+/// `ObserverFunction` per lane, and no allocation once the buffers have
+/// grown. Slots with the single candidate ⊥ stay at the zero bytes
+/// [`LanePack::prepare`] leaves, and a write's forced self-observation is
+/// stamped into its column once per [`prepare`](ObserverIndex::prepare).
+#[derive(Default)]
+pub struct ObserverIndex {
+    slots: Vec<Slot>,
+    cands: Vec<u8>,
+    /// `(cell, byte)` of every write observing itself.
+    forced: Vec<(u32, u8)>,
+    node_count: usize,
+    observers: u64,
+}
+
+impl ObserverIndex {
+    /// An empty index; buffers grow on first use and are then reused.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Derives `c`'s free slots in `order` and returns `(observers,
+    /// block)`: the number of valid observer functions, and the product
+    /// of the last node's slot radices — the size `E` of one contiguous
+    /// extension block in node-major order when `c` is an augmentation.
+    /// `block` is 1 for the empty computation.
+    pub fn index(&mut self, c: &Computation, order: SlotOrder) -> (u64, u64) {
+        let n = c.node_count();
+        self.slots.clear();
+        self.cands.clear();
+        self.forced.clear();
+        self.node_count = n;
+        let (mut observers, mut block) = (1u64, 1u64);
+        let mut visit = |l: Location, u: NodeId| {
+            let cell = (l.index() * n + u.index()) as u32;
+            let writes = c.writes_to(l);
+            if c.op(u).is_write_to(l) {
+                let at = writes.binary_search(&u).expect("a write is in its location's index");
+                self.forced.push((cell, (at + 1) as u8));
+                return;
+            }
+            let start = self.cands.len();
+            self.cands.push(0);
+            for (i, &w) in writes.iter().enumerate() {
+                if !c.precedes(u, w) {
+                    self.cands.push((i + 1) as u8);
+                }
+            }
+            let radix = self.cands.len() - start;
+            if radix == 1 {
+                self.cands.truncate(start); // ⊥ only: a zero byte, no digit
+                return;
+            }
+            let r = radix as u64;
+            observers = observers.checked_mul(r).expect("observer count overflows u64");
+            if u.index() + 1 == n {
+                block *= r;
+            }
+            self.slots.push(Slot { cell, radix: radix as u32, cands: start as u32, stride: 0 });
+        };
+        match order {
+            SlotOrder::LocationMajor => {
+                for l in c.locations() {
+                    for u in c.nodes() {
+                        visit(l, u);
+                    }
+                }
+            }
+            SlotOrder::NodeMajor => {
+                for u in c.nodes() {
+                    for l in c.locations() {
+                        visit(l, u);
+                    }
+                }
+            }
+        }
+        let mut stride = 1u64;
+        for s in self.slots.iter_mut().rev() {
+            s.stride = stride;
+            stride *= u64::from(s.radix);
+        }
+        self.observers = observers;
+        (observers, block)
+    }
+
+    /// [`index`](ObserverIndex::index) plus [`LanePack::prepare`], then
+    /// stamps every forced write column: the pack is ready for
+    /// [`fill`](ObserverIndex::fill).
+    pub fn prepare(
+        &mut self,
+        c: &Computation,
+        order: SlotOrder,
+        pack: &mut LanePack,
+    ) -> (u64, u64) {
+        let shape = self.index(c, order);
+        pack.prepare(c);
+        for &(cell, byte) in &self.forced {
+            pack.fill_bytes(cell as usize, 0, LANES, byte);
+        }
+        shape
+    }
+
+    /// Appends observers `[start, start + k)` to `pack`'s next `k` lanes,
+    /// all valid. The pack must have been readied by
+    /// [`prepare`](ObserverIndex::prepare) for the same computation and
+    /// order; panics if the lanes do not fit or the range overruns.
+    pub fn fill(&self, pack: &mut LanePack, start: u64, k: usize) {
+        let base = pack.len();
+        assert!(base + k <= LANES, "lane pack overflow");
+        assert!(start + k as u64 <= self.observers, "observer range overruns the index");
+        for s in &self.slots {
+            let stride = s.stride;
+            let mut digit = (start / stride % u64::from(s.radix)) as usize;
+            let mut run = stride - start % stride;
+            let (mut lane, end) = (base, base + k);
+            while lane < end {
+                let take = run.min((end - lane) as u64) as usize;
+                let byte = self.cands[s.cands as usize + digit];
+                pack.fill_bytes(s.cell as usize, lane, take, byte);
+                lane += take;
+                run = stride;
+                digit += 1;
+                if digit == s.radix as usize {
+                    digit = 0;
+                }
+            }
+        }
+        pack.append_valid(k);
+    }
+
+    /// Decides every observer of the indexed computation in full packs,
+    /// in index order: clears `pack`, fills the next up-to-[`LANES`]
+    /// observers and calls `f(pack)`. Counts [`Counter::LaneWords`] and
+    /// [`Counter::LaneSlots`] per pack.
+    pub fn for_each_pack(&self, pack: &mut LanePack, mut f: impl FnMut(&mut LanePack)) {
+        let mut start = 0;
+        while start < self.observers {
+            let k = (self.observers - start).min(LANES as u64) as usize;
+            pack.clear_lanes();
+            self.fill(pack, start, k);
+            count_pack(pack);
+            f(pack);
+            start += k as u64;
+        }
+    }
+
+    /// Observer `i` of the indexed computation `c` as a table, for
+    /// witnesses.
+    pub fn observer(&self, c: &Computation, i: u64) -> ObserverFunction {
+        debug_assert_eq!(c.node_count(), self.node_count);
+        debug_assert!(i < self.observers);
+        let n = self.node_count;
+        let mut phi = ObserverFunction::base(c);
+        for s in &self.slots {
+            let digit = (i / s.stride % u64::from(s.radix)) as usize;
+            let byte = self.cands[s.cands as usize + digit];
+            let (l, u) = (Location::new(s.cell as usize / n), NodeId::new(s.cell as usize % n));
+            phi.set(l, u, (byte > 0).then(|| c.writes_to(l)[byte as usize - 1]));
+        }
+        phi
+    }
+}
+
+/// Counts one decided pack toward [`Counter::LaneWords`] and
+/// [`Counter::LaneSlots`].
+pub(crate) fn count_pack(pack: &LanePack) {
+    telemetry::count(Counter::LaneWords, 1);
+    telemetry::count(Counter::LaneSlots, u64::from(pack.used().count_ones()));
 }
 
 /// Reusable working memory for the lane kernels: the Q-dag between-set,
@@ -763,7 +986,9 @@ impl ScLaneSearch<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate::for_each_observer;
+    use crate::enumerate::{
+        count_observers, for_each_observer, for_each_observer_node_major, node_major_shape,
+    };
     use crate::model::{MemoryModel, Model};
     use crate::op::Op;
     use crate::universe::Universe;
@@ -912,6 +1137,125 @@ mod tests {
             });
             if !pack.is_empty() {
                 flush(&mut pack, &mut scalars, base);
+            }
+            ControlFlow::Continue(())
+        });
+    }
+
+    /// Every observer of `c` in `order`, as the recursive enumerators
+    /// list them.
+    fn enumerated(c: &Computation, order: SlotOrder) -> Vec<ObserverFunction> {
+        let mut out = Vec::new();
+        let push = |phi: &ObserverFunction| {
+            out.push(phi.clone());
+            ControlFlow::Continue(())
+        };
+        let _ = match order {
+            SlotOrder::LocationMajor => for_each_observer(c, push),
+            SlotOrder::NodeMajor => for_each_observer_node_major(c, push),
+        };
+        out
+    }
+
+    #[test]
+    fn observer_index_fills_extract_to_the_enumeration() {
+        // Every computation of ≤ 4 nodes over 2 locations, both orders.
+        // Ranges of `k` observers are appended behind `pad` lanes of an
+        // arbitrary earlier range, so fills start mid-word and index
+        // ranges cross 64-lane boundaries.
+        let u = Universe::new(4, 2);
+        let mut index = ObserverIndex::new();
+        let mut pack = LanePack::new();
+        let _ = u.for_each_computation(|c| {
+            for order in [SlotOrder::LocationMajor, SlotOrder::NodeMajor] {
+                let want = enumerated(c, order);
+                let (observers, block) = index.index(c, order);
+                assert_eq!(u128::from(observers), count_observers(c), "{c:?}");
+                assert_eq!((observers, block), node_major_shape(c), "{c:?}");
+                for (i, phi) in want.iter().enumerate() {
+                    assert_eq!(&index.observer(c, i as u64), phi, "{order:?} observer {i}");
+                }
+                for (k, pad) in [(1u64, 0usize), (5, 37), (64, 0), (64, 3)] {
+                    index.prepare(c, order, &mut pack);
+                    let mut at: Vec<u64> = Vec::new();
+                    let check = |pack: &mut LanePack, at: &mut Vec<u64>| {
+                        assert_eq!(pack.valid(), pack.used());
+                        for (lane, &i) in at.iter().enumerate() {
+                            assert_eq!(
+                                pack.extract(c, lane),
+                                want[i as usize],
+                                "{order:?} {k}/{pad}"
+                            );
+                        }
+                        pack.clear_lanes();
+                        at.clear();
+                    };
+                    let mut start = 0u64;
+                    while start < observers {
+                        if pack.is_empty() && pad > 0 {
+                            let s = observers.saturating_sub(pad as u64) / 2;
+                            let p = (observers - s).min(pad as u64);
+                            index.fill(&mut pack, s, p as usize);
+                            at.extend(s..s + p);
+                        }
+                        let take = k.min(observers - start).min((LANES - pack.len()) as u64);
+                        index.fill(&mut pack, start, take as usize);
+                        at.extend(start..start + take);
+                        start += take;
+                        if pack.is_full() {
+                            check(&mut pack, &mut at);
+                        }
+                    }
+                    if !pack.is_empty() {
+                        check(&mut pack, &mut at);
+                    }
+                }
+            }
+            ControlFlow::Continue(())
+        });
+    }
+
+    #[test]
+    fn in_place_augmentation_fills_like_augment() {
+        // For every computation of ≤ 4 nodes over 2 locations and every
+        // op (some on a location `c` never mentions), the pushed state
+        // has the shape and lane bytes of `c.augment(o)`, and `pop_last`
+        // gives `c` back.
+        let u = Universe::new(4, 2);
+        let alphabet = u.alphabet();
+        let (mut ia, mut ib) = (ObserverIndex::new(), ObserverIndex::new());
+        let (mut pa, mut pb) = (LanePack::new(), LanePack::new());
+        let _ = u.for_each_computation(|c| {
+            let mut scratch = c.clone();
+            let preds: Vec<NodeId> = c.nodes().collect();
+            for &o in &alphabet {
+                scratch.push(&preds, o).expect("every node is in range");
+                let aug = c.augment(o);
+                assert_eq!(scratch, aug);
+                assert_eq!(scratch.num_locations(), aug.num_locations());
+                let shape = ia.prepare(&scratch, SlotOrder::NodeMajor, &mut pa);
+                assert_eq!(shape, ib.prepare(&aug, SlotOrder::NodeMajor, &mut pb), "{aug:?}");
+                let mut start = 0;
+                while start < shape.0 {
+                    let k = (shape.0 - start).min(LANES as u64) as usize;
+                    pa.clear_lanes();
+                    pb.clear_lanes();
+                    ia.fill(&mut pa, start, k);
+                    ib.fill(&mut pb, start, k);
+                    assert_eq!((pa.used(), pa.valid()), (pb.used(), pb.valid()));
+                    let nw = pa.nwords as usize;
+                    let cells = pa.cols.chunks(8).zip(pb.cols.chunks(8));
+                    for (a, b) in cells {
+                        assert_eq!(a[..nw], b[..nw], "{aug:?} from {start}");
+                    }
+                    start += k as u64;
+                }
+                scratch.pop_last();
+                assert_eq!(&scratch, c);
+                assert_eq!(scratch.num_locations(), c.num_locations(), "{c:?} after {o}");
+                for l in c.locations() {
+                    assert_eq!(scratch.writes_to(l), c.writes_to(l));
+                }
             }
             ControlFlow::Continue(())
         });

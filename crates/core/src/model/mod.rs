@@ -28,7 +28,7 @@ use crate::telemetry::{self, Counter};
 
 pub use composite::{Intersection, Union};
 pub use dagcons::{DynQ, Nn, Nw, QDag, QPredicate, Wn, Ww};
-pub use lane::{LanePack, LaneScratch, LANES};
+pub use lane::{LanePack, LaneScratch, ObserverIndex, SlotOrder, LANES};
 pub use lc::Lc;
 pub use sc::Sc;
 

@@ -241,7 +241,9 @@ fn location_canonical_weight(digits: &[usize], maps: &[Vec<usize>]) -> (bool, u6
 /// base-`k` digit-counter order as `Universe::for_each_computation_of_size`,
 /// plus the labelling's universe multiplicity (poset orbit × location
 /// orbit; 1 in labelled mode). With more than one digit map, only
-/// location-canonical labellings are visited.
+/// location-canonical labellings are visited. `f` may grow the
+/// computation in place ([`Computation::push`]) but must undo it
+/// ([`Computation::pop_last`]) before returning.
 pub(crate) fn for_each_labelling<F>(
     alphabet: &[Op],
     maps: &[Vec<usize>],
@@ -250,7 +252,7 @@ pub(crate) fn for_each_labelling<F>(
     f: &mut F,
 ) -> ControlFlow<()>
 where
-    F: FnMut(&Computation, u64) -> ControlFlow<()>,
+    F: FnMut(&mut Computation, u64) -> ControlFlow<()>,
 {
     let n = task.size;
     let k = alphabet.len();
@@ -269,7 +271,7 @@ where
             scratch.ops.clear();
             scratch.ops.extend(scratch.digits.iter().map(|&d| alphabet[d]));
             scratch.c.refresh_ops(&scratch.ops);
-            f(&scratch.c, task.weight * loc_weight)?;
+            f(&mut scratch.c, task.weight * loc_weight)?;
         }
         let mut i = 0;
         loop {

@@ -55,12 +55,12 @@ use super::{
 };
 use crate::ckpt::{get_u64, put_u64, CkptWriter};
 use crate::computation::Computation;
-use crate::constructible::lanes::block_empty;
-use crate::enumerate::{
-    for_each_observer, for_each_observer_node_major, location_major_index, node_major_shape,
-};
+use crate::enumerate::{for_each_observer, location_major_index};
 use crate::fault::{payload_string, FaultPlan};
-use crate::model::{CheckScratch, LanePack, LaneScratch, MemoryModel};
+use crate::model::lane::count_pack;
+use crate::model::{
+    CheckScratch, LanePack, LaneScratch, MemoryModel, ObserverIndex, SlotOrder, LANES,
+};
 use crate::observer::ObserverFunction;
 use crate::props::{
     any_extension, ConstructibilityWitness, IncompleteWitness, MonotonicityWitness,
@@ -68,6 +68,7 @@ use crate::props::{
 use crate::relation::{Comparison, LatticeRow, Relation};
 use crate::telemetry::{self, Counter};
 use crate::universe::Universe;
+use ccmm_dag::NodeId;
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -707,7 +708,7 @@ fn search_supervised<W: Send, X>(
     cfg: &SweepConfig,
     sup: &Supervisor,
     scratch: impl Fn() -> X + Sync,
-    find: impl Fn(&Computation, &mut X) -> Option<W> + Sync,
+    find: impl Fn(&mut Computation, &mut X) -> Option<W> + Sync,
 ) -> Supervised<Option<W>> {
     let alphabet = u.alphabet();
     let maps = maps_for(u, cfg, &alphabet);
@@ -837,45 +838,55 @@ pub fn check_constructible_aug_supervised<M: MemoryModel + Sync>(
     })
 }
 
-/// Packs the membership verdicts of `c`'s observers, in node-major
-/// enumeration order, into a bit mask (bit `p` ⇔ `p`-th node-major
-/// observer is a member) via the lane kernel.
-fn lane_member_mask<M: MemoryModel + Sync>(
-    model: &M,
-    c: &Computation,
-    pack: &mut LanePack,
-    lscr: &mut LaneScratch,
-    out: &mut Vec<u64>,
-) {
-    out.clear();
-    pack.prepare(c);
-    let flush = |pack: &mut LanePack, lscr: &mut LaneScratch, out: &mut Vec<u64>| {
-        let used = pack.used();
-        telemetry::count(Counter::LaneWords, 1);
-        telemetry::count(Counter::LaneSlots, u64::from(used.count_ones()));
-        out.push(model.contains_lanes(c, pack, lscr) & used);
-        pack.clear_lanes();
-    };
-    let _ = for_each_observer_node_major(c, |phi| {
-        pack.push_valid(c, phi);
-        if pack.is_full() {
-            flush(pack, lscr, out);
-        }
-        ControlFlow::Continue(())
-    });
-    if !pack.is_empty() {
-        flush(pack, lscr, out);
-    }
+/// Per-worker state of the lane constructibility check.
+#[derive(Default)]
+struct AugScratch {
+    index: ObserverIndex,
+    pack: LanePack,
+    lanes: LaneScratch,
+    /// Node-major member mask of the computation under check.
+    members: Vec<u64>,
+    /// Members that have a surviving extension under every op so far.
+    alive: Vec<u64>,
+    /// Alive members with a surviving extension under the current op.
+    hit: Vec<u64>,
+    /// `(first lane, member)` of each block segment in the current pack.
+    segments: Vec<(usize, u64)>,
+    /// Every node of the computation: the predecessors of an
+    /// augmentation's new node.
+    preds: Vec<NodeId>,
+    /// `(member, op position)` of every dead end found.
+    failing: Vec<(u64, usize)>,
 }
 
-/// Lane-parallel [`check_constructible_aug_supervised`]: instead of
-/// probing `any_extension` per member observer, it packs each
-/// labelling's member verdicts and each augmentation's member verdicts
-/// into node-major masks, so one aligned block-emptiness test per
-/// `(member, op)` replaces the scalar candidate enumeration. The
-/// returned witness is **identical** to the scalar scan's: node-major
-/// failures are re-ranked by location-major observer index (the scalar
-/// enumeration order) and op position before the first one is chosen.
+/// Decides the pack's lanes and sets the hit bit of every member whose
+/// block segment holds a verdict lane.
+fn flush_blocks<M: MemoryModel>(model: &M, c: &Computation, x: &mut AugScratch) {
+    count_pack(&x.pack);
+    let verdict = model.contains_lanes(c, &x.pack, &mut x.lanes) & x.pack.used();
+    let len = x.pack.len();
+    for (i, &(first, p)) in x.segments.iter().enumerate() {
+        let end = x.segments.get(i + 1).map_or(len, |s| s.0);
+        let lanes = if end - first == LANES { !0 } else { ((1u64 << (end - first)) - 1) << first };
+        if verdict & lanes != 0 {
+            x.hit[(p / 64) as usize] |= 1 << (p % 64);
+        }
+    }
+    x.segments.clear();
+    x.pack.clear_lanes();
+}
+
+/// Lane-parallel [`check_constructible_aug_supervised`]. A computation's
+/// member mask is decided in node-major order. Each op then augments the
+/// computation *in place* ([`Computation::push`] of a node above every
+/// node, undone by [`Computation::pop_last`]); member `p`'s extensions
+/// are exactly the node-major block `[p·E, (p+1)·E)` of the
+/// augmentation, so only the blocks of members without a dead end so far
+/// are filled, and a block with no verdict lane is a dead end. The
+/// returned witness is **identical** to the scalar scan's: dead ends are
+/// re-ranked by location-major observer index (the scalar enumeration
+/// order) and op position before the first one is chosen, and
+/// [`Computation::augment`] builds only that witness's extension.
 pub fn check_constructible_aug_lanes_supervised<M: MemoryModel + Sync>(
     model: &M,
     u: &Universe,
@@ -884,62 +895,74 @@ pub fn check_constructible_aug_lanes_supervised<M: MemoryModel + Sync>(
 ) -> Supervised<Option<ConstructibilityWitness>> {
     let alphabet = u.alphabet();
     let bounded = Universe { max_nodes: u.max_nodes.saturating_sub(1), ..*u };
-    let scratch = || (LanePack::new(), LaneScratch::new());
-    search_supervised(&bounded, cfg, sup, scratch, |c, (pack, lscr)| {
-        let mut members = Vec::new();
-        lane_member_mask(model, c, pack, lscr, &mut members);
+    search_supervised(&bounded, cfg, sup, AugScratch::default, |c, x| {
+        x.index.prepare(c, SlotOrder::NodeMajor, &mut x.pack);
+        x.members.clear();
+        let (index, members, lanes) = (&x.index, &mut x.members, &mut x.lanes);
+        index.for_each_pack(&mut x.pack, |pack| {
+            members.push(model.contains_lanes(c, pack, lanes) & pack.used());
+        });
         if members.iter().all(|&w| w == 0) {
             return None;
         }
-        // Per op: the augmentation's member mask and its block size E —
-        // member bit p of `c` extends exactly into the block
-        // [p·E, (p+1)·E) of the augmentation's mask.
-        let augs: Vec<_> = alphabet
-            .iter()
-            .map(|&o| {
-                let aug = c.augment(o);
-                let (_, block) = node_major_shape(&aug);
-                let mut mask = Vec::new();
-                lane_member_mask(model, &aug, pack, lscr, &mut mask);
-                (o, aug, mask, block)
-            })
-            .collect();
-        // For each member, the first op (alphabet order) whose extension
-        // block is empty — mirroring the scalar scan's inner op loop.
-        let mut failing: Vec<(u64, usize)> = Vec::new();
-        for (wi, &w) in members.iter().enumerate() {
-            let mut w = w;
-            while w != 0 {
-                let p = (wi as u64) * 64 + u64::from(w.trailing_zeros());
-                w &= w - 1;
-                for (j, (_, _, mask, block)) in augs.iter().enumerate() {
-                    if block_empty(mask, p * block, *block) {
-                        failing.push((p, j));
-                        break;
+        x.alive.clone_from(&x.members);
+        x.failing.clear();
+        x.preds.clear();
+        x.preds.extend(c.nodes());
+        for (j, &o) in alphabet.iter().enumerate() {
+            if x.alive.iter().all(|&w| w == 0) {
+                break;
+            }
+            c.push(&x.preds, o).expect("every node is in range");
+            let (_, block) = x.index.prepare(c, SlotOrder::NodeMajor, &mut x.pack);
+            x.hit.clear();
+            x.hit.resize(x.alive.len(), 0);
+            for wi in 0..x.alive.len() {
+                let mut w = x.alive[wi];
+                while w != 0 {
+                    let p = wi as u64 * 64 + u64::from(w.trailing_zeros());
+                    w &= w - 1;
+                    let (mut lo, hi) = (p * block, (p + 1) * block);
+                    while lo < hi {
+                        let k = (hi - lo).min((LANES - x.pack.len()) as u64);
+                        x.segments.push((x.pack.len(), p));
+                        x.index.fill(&mut x.pack, lo, k as usize);
+                        lo += k;
+                        if x.pack.is_full() {
+                            flush_blocks(model, c, x);
+                        }
                     }
                 }
             }
-        }
-        if failing.is_empty() {
-            return None;
-        }
-        // Re-rank node-major failures into the scalar scan's
-        // (location-major observer, op) order and keep the first.
-        let mut best: Option<(u64, usize, ObserverFunction)> = None;
-        let mut p = 0u64;
-        let _ = for_each_observer_node_major(c, |phi| {
-            if let Some(&(_, j)) = failing.iter().find(|&&(q, _)| q == p) {
-                let rank = location_major_index(c, phi).expect("enumerated observer is valid");
-                if best.as_ref().is_none_or(|(r, bj, _)| (rank, j) < (*r, *bj)) {
-                    best = Some((rank, j, phi.clone()));
+            if !x.pack.is_empty() {
+                flush_blocks(model, c, x);
+            }
+            for (wi, (a, &h)) in x.alive.iter_mut().zip(&x.hit).enumerate() {
+                let mut dead = *a & !h;
+                *a &= h;
+                while dead != 0 {
+                    x.failing.push((wi as u64 * 64 + u64::from(dead.trailing_zeros()), j));
+                    dead &= dead - 1;
                 }
             }
-            p += 1;
-            ControlFlow::Continue(())
-        });
-        let (_, j, phi) = best.expect("failing set is non-empty");
-        let (o, aug, _, _) = &augs[j];
-        Some(ConstructibilityWitness { c: c.clone(), phi, extension: aug.clone(), op: *o })
+            c.pop_last();
+        }
+        if x.failing.is_empty() {
+            return None;
+        }
+        // Re-rank node-major dead ends into the scalar scan's
+        // (location-major observer, op) order and keep the first.
+        x.index.index(c, SlotOrder::NodeMajor);
+        let (phi, j) = x
+            .failing
+            .iter()
+            .map(|&(p, j)| (x.index.observer(c, p), j))
+            .min_by_key(|(phi, j)| {
+                (location_major_index(c, phi).expect("an indexed observer is valid"), *j)
+            })
+            .expect("failing set is non-empty");
+        let o = alphabet[j];
+        Some(ConstructibilityWitness { c: c.clone(), phi, extension: c.augment(o), op: o })
     })
 }
 
@@ -1068,44 +1091,32 @@ impl VerdictKernel for Scalar {
     }
 }
 
-/// 64-lane kernel: one [`MemoryModel::contains_lanes`] per [`LanePack`].
+/// 64-lane kernel: one [`MemoryModel::contains_lanes`] per [`LanePack`],
+/// filled straight from the computation's [`ObserverIndex`].
 struct Lane64;
 
 impl VerdictKernel for Lane64 {
-    type Scratch = (LanePack, LaneScratch);
+    type Scratch = (ObserverIndex, LanePack, LaneScratch);
 
     fn scratch() -> Self::Scratch {
-        (LanePack::new(), LaneScratch::new())
+        (ObserverIndex::new(), LanePack::new(), LaneScratch::new())
     }
 
     fn decide<M: MemoryModel>(
         models: &[M],
         c: &Computation,
-        (pack, lanes): &mut Self::Scratch,
+        (index, pack, lanes): &mut Self::Scratch,
         verdicts: &mut [u64],
         mut flush: impl FnMut(u64, &[u64], SlotObserver<'_>),
     ) {
-        pack.prepare(c);
-        let mut run = |pack: &mut LanePack, lanes: &mut LaneScratch| {
+        index.prepare(c, SlotOrder::LocationMajor, pack);
+        index.for_each_pack(pack, |pack| {
             let used = pack.used();
-            telemetry::count(Counter::LaneWords, 1);
-            telemetry::count(Counter::LaneSlots, u64::from(used.count_ones()));
             for (v, m) in verdicts.iter_mut().zip(models) {
                 *v = m.contains_lanes(c, pack, lanes) & used;
             }
             flush(used, verdicts, &|lane| pack.extract(c, lane));
-            pack.clear_lanes();
-        };
-        let _ = for_each_observer(c, |phi| {
-            pack.push_valid(c, phi);
-            if pack.is_full() {
-                run(pack, lanes);
-            }
-            ControlFlow::Continue(())
         });
-        if !pack.is_empty() {
-            run(pack, lanes);
-        }
     }
 }
 
@@ -1437,6 +1448,7 @@ pub fn lattice_lanes_supervised<M: MemoryModel + Sync>(
 mod tests {
     use super::*;
     use crate::model::Model;
+    use crate::op::Op;
     use crate::relation::compare;
 
     const MODELS: [Model; 6] = [Model::Sc, Model::Lc, Model::Nn, Model::Nw, Model::Wn, Model::Ww];
@@ -1932,6 +1944,33 @@ mod tests {
             let lane = check_constructible_aug_lanes_supervised(&m, &u, &cfg, &Supervisor::none())
                 .expect_complete("lane constructibility");
             assert!(lane.is_none(), "{m:?} is constructible");
+        }
+    }
+
+    #[test]
+    fn bound5_two_location_witnesses_are_pinned() {
+        // The first dead end of NN, NW and WN at bound 5 over two
+        // locations, labelled and canonical alike: a 4-node member pair
+        // that no observer of its `N` augmentation extends.
+        use crate::parse::{render_computation, render_observer};
+        let crossed_writes = "n0: W(l0)\nn1: W(l0)\nn2: N <- n0\nn3: N <- n1\n";
+        let crossed_nops = "n0: N\nn1: N\nn2: W(l0) <- n0\nn3: W(l0) <- n1\n";
+        let pins = [
+            (Model::Nn, crossed_writes, "l0: n0 n1 n1 n0\n"),
+            (Model::Nw, crossed_nops, "l0: n3 n2 n2 n3\n"),
+            (Model::Wn, crossed_writes, "l0: n0 n1 n1 n0\n"),
+        ];
+        let u = Universe::new(5, 2);
+        for cfg in [SweepConfig::with_threads(2), SweepConfig::with_threads(2).canonical(true)] {
+            for (m, c, phi) in pins {
+                let w = check_constructible_aug_lanes_supervised(&m, &u, &cfg, &Supervisor::none())
+                    .expect_complete("lane constructibility")
+                    .expect("not constructible at bound 5");
+                assert_eq!(render_computation(&w.c), c, "{m}");
+                assert_eq!(render_observer(&w.phi), phi, "{m}");
+                assert_eq!(w.op, Op::Nop, "{m}");
+                assert_eq!(w.extension, w.c.augment(Op::Nop), "{m}");
+            }
         }
     }
 

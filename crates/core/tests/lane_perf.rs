@@ -2,7 +2,7 @@
 //! `cargo test -p ccmm-core --release --test lane_perf -- --ignored --nocapture`.
 
 use ccmm_core::enumerate::for_each_observer;
-use ccmm_core::model::{CheckScratch, LanePack, LaneScratch};
+use ccmm_core::model::{CheckScratch, LanePack, LaneScratch, ObserverIndex, SlotOrder};
 use ccmm_core::sweep::{sweep_computations, SweepConfig};
 use ccmm_core::universe::Universe;
 use ccmm_core::{MemoryModel, Model};
@@ -33,32 +33,21 @@ fn lanes(u: &Universe, cfg: &SweepConfig, models: &[Model]) -> u64 {
     sweep_computations(
         u,
         cfg,
-        || (0u64, LanePack::new(), LaneScratch::new()),
+        || (0u64, ObserverIndex::new(), LanePack::new(), LaneScratch::new()),
         |acc, _, c, w| {
-            let (total, pack, ls) = acc;
-            pack.prepare(c);
-            let mut flush = |pack: &mut LanePack, ls: &mut LaneScratch| {
+            let (total, index, pack, ls) = acc;
+            index.prepare(c, SlotOrder::LocationMajor, pack);
+            index.for_each_pack(pack, |pack| {
                 let used = pack.used();
                 for m in models {
                     *total += w * u64::from((m.contains_lanes(c, pack, ls) & used).count_ones());
                 }
-                pack.clear_lanes();
-            };
-            let _ = for_each_observer(c, |phi| {
-                pack.push_valid(c, phi);
-                if pack.is_full() {
-                    flush(pack, ls);
-                }
-                ControlFlow::Continue(())
             });
-            if !pack.is_empty() {
-                flush(pack, ls);
-            }
         },
     )
     .expect_complete("lanes")
     .into_iter()
-    .map(|(n, _, _)| n)
+    .map(|(n, _, _, _)| n)
     .sum()
 }
 

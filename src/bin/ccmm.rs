@@ -541,18 +541,37 @@ fn warn_journal(phase: &str, error: Option<&str>) {
     }
 }
 
+/// What a sweep frontier's indices count: posets in the labelled
+/// enumeration, which a canonical sweep's task count does not.
+const POSET_INDICES: &str = "poset indices in the labelled enumeration";
+
+/// How many frontier ranges a stop report prints before summarising.
+const FRONTIER_SHOWN: usize = 8;
+
+/// A resume frontier for a stop report: its first [`FRONTIER_SHOWN`]
+/// half-open ranges, how many more there are, and what the indices
+/// count (`index`).
+fn frontier_text(frontier: &Frontier, index: &str) -> String {
+    let ranges = frontier.ranges();
+    let shown = &ranges[..ranges.len().min(FRONTIER_SHOWN)];
+    let more = ranges.len() - shown.len();
+    let more = if more > 0 { format!(" … {more} more range(s)") } else { String::new() };
+    format!("{shown:?}{more} (ranges of {index})")
+}
+
 /// Reports a killed or deadline-stopped run — how far it got, and how to
 /// resume it — and returns its exit code; `None` for any other status.
-/// `done` is `(units done, units in all, what a unit is)`.
+/// `done` is `(units done, units in all, what a unit is, what the
+/// frontier's indices count)`.
 fn report_stop(
     status: SweepStatus,
     phase: Option<&str>,
     writer: Option<&CkptWriter>,
-    done: (usize, usize, &str),
+    done: (usize, usize, &str, &str),
     frontier: &Frontier,
     run: &RunFlags,
 ) -> Option<u8> {
-    let (done, total, unit) = done;
+    let (done, total, unit, index) = done;
     match status {
         SweepStatus::Killed => {
             println!(
@@ -565,9 +584,9 @@ fn report_stop(
         }
         SweepStatus::Partial => {
             println!(
-                "deadline hit{}: {done}/{total} {unit}; resume frontier: {:?}",
+                "deadline hit{}: {done}/{total} {unit}; resume frontier: {}",
                 phase.map(|p| format!(" during {p}")).unwrap_or_default(),
-                frontier.ranges()
+                frontier_text(frontier, index)
             );
             if let Some(path) = run.journal() {
                 println!("resume with --resume {path}");
@@ -768,7 +787,7 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
     records.push(membership);
     // A stop ends the sweep: the later phases would blow the budget the
     // caller just set, or outrun the journal the kill left behind.
-    let done = (out.frontier.len(), out.total_tasks, "task(s) complete");
+    let done = (out.frontier.len(), out.total_tasks, "task(s) complete", POSET_INDICES);
     if let Some(code) = report_stop(out.status, None, writer.as_ref(), done, &out.frontier, &run) {
         return stop_sweep(code, &bench_json, &records, &tel);
     }
@@ -858,7 +877,7 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
             tel.end_phase("fixpoint", wall);
             warn_journal("fixpoint ", out.ckpt_error.as_deref());
             report_quarantine("fixpoint", &out.quarantined);
-            let done = (out.frontier.len(), out.total_tasks, "task(s) complete");
+            let done = (out.frontier.len(), out.total_tasks, "task(s) complete", POSET_INDICES);
             let (phase, fix_writer) = (Some("fixpoint"), fix_writer.as_ref());
             if let Some(code) =
                 report_stop(out.status, phase, fix_writer, done, &out.frontier, &run)
@@ -1212,7 +1231,7 @@ fn cmd_stress(args: &[String]) -> Result<u8, String> {
         print!("{}", render_observer(&f.phi));
         return Ok(exit::FAIL);
     }
-    let done = (report.frontier.len(), report.total, "iteration(s) complete");
+    let done = (report.frontier.len(), report.total, "iteration(s) complete", "iteration indices");
     Ok(report_stop(report.status, None, writer.as_ref(), done, &report.frontier, &run)
         .unwrap_or(exit_code(report.status)))
 }
@@ -1352,7 +1371,7 @@ fn cmd_watch(args: &[String]) -> Result<u8, String> {
         .map_err(|e| format!("writing bench json: {e}"))?;
     println!("bench: appended watch/{workload} [stream] to {bench_json}");
 
-    let done = (report.frontier.len(), total, "node(s) committed");
+    let done = (report.frontier.len(), total, "node(s) committed", "node indices");
     if let Some(code) =
         report_stop(report.status, None, writer.as_ref(), done, &report.frontier, &run)
     {
@@ -1833,5 +1852,31 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::from(2)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stop_report_prints_only_the_head_of_a_long_frontier() {
+        let mut frontier = Frontier::new();
+        for r in 0..300 {
+            frontier.insert(3 * r);
+            frontier.insert(3 * r + 1);
+        }
+        assert_eq!(frontier.ranges().len(), 300);
+        let text = frontier_text(&frontier, POSET_INDICES);
+        assert_eq!(
+            text,
+            "[(0, 2), (3, 5), (6, 8), (9, 11), (12, 14), (15, 17), (18, 20), (21, 23)] \
+             … 292 more range(s) (ranges of poset indices in the labelled enumeration)"
+        );
+        assert!(format!("resume frontier: {text}").starts_with("resume frontier: [(0, "));
+        let mut short = Frontier::new();
+        short.insert(0);
+        assert_eq!(frontier_text(&short, "node indices"), "[(0, 1)] (ranges of node indices)");
+        assert_eq!(frontier_text(&Frontier::new(), "iterations"), "[] (ranges of iterations)");
     }
 }
