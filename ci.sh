@@ -323,5 +323,21 @@ jq -e '.schema == "ccmm-metrics-v1"' "$scratch/serve-metrics.json" > /dev/null \
 served=$(jq '[.phases[] | select(.name == "serve")
               | .counters.serve_requests] | first' "$scratch/serve-metrics.json")
 [[ "$served" -gt 0 ]] || { echo "serve_requests counter is zero"; exit 1; }
+# Each check/models request canonicalises its pair once (none for
+# pings, parse errors or expired deadlines), so the count is positive
+# and at most the request count.
+canon=$(jq '[.phases[] | select(.name == "serve")
+             | .counters.serve_canonicalisations] | first' "$scratch/serve-metrics.json")
+[[ "$canon" -gt 0 && "$canon" -le "$served" ]] \
+    || { echo "serve_canonicalisations ($canon) not in 1..serve_requests ($served)"; exit 1; }
+
+# 4. The cache key's pruned prefix search must equal the full
+#    linear-extension enumeration byte for byte on every pair of the
+#    bound-5 × 1 and bound-4 × 2 universes plus 3,000 seeded 6–8-node
+#    pairs. Release only: debug tier-1 runs the bound-4 × 2 part.
+if [[ "$fast" != "fast" ]]; then
+    cargo test -q --release -p ccmm-core --lib -- --ignored --exact \
+        serve::tests::keys_match_oracle_on_bound5_and_bound4x2_universes
+fi
 
 echo "CI OK"

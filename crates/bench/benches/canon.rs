@@ -8,12 +8,18 @@
 //! (one `CheckScratch` reused across every pair vs fresh checker state
 //! per call) on a fixed pair set. Both run single-threaded so the ratios
 //! are engine ratios, not scheduling artifacts.
+//!
+//! `serve_key` times one `ccmm serve` cache key (`verdict_key`) on the
+//! shapes that bound its cost: litmus shapes, four 2-chains, the 8-node
+//! antichain, whose 40,320 linear extensions all tie on the ancestor-mask
+//! vector, and a 16-node pair above the cap, which keys literally.
 
 use ccmm_core::enumerate::for_each_observer;
 use ccmm_core::model::CheckScratch;
+use ccmm_core::serve::verdict_key;
 use ccmm_core::sweep::{sweep_computations, SweepConfig};
 use ccmm_core::universe::Universe;
-use ccmm_core::{MemoryModel, Model};
+use ccmm_core::{litmus, Computation, Location, MemoryModel, Model, ObserverFunction, Op};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::ops::ControlFlow;
@@ -90,5 +96,35 @@ fn bench_scratch(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_enumeration, bench_scratch);
+fn bench_serve_key(c: &mut Criterion) {
+    let mut group = c.benchmark_group("serve_key");
+    let (x, y) = (Location::new(0), Location::new(1));
+    let ops = vec![
+        Op::Write(x),
+        Op::Read(x),
+        Op::Write(y),
+        Op::Read(y),
+        Op::Write(x),
+        Op::Read(y),
+        Op::Nop,
+        Op::Read(x),
+    ];
+    // Above the canonicalisation cap: four 4-chains, keyed literally.
+    let chains: Vec<(usize, usize)> = (0..16).filter(|v| v % 4 != 3).map(|v| (v, v + 1)).collect();
+    let literal_ops = ops.iter().chain(&ops).copied().collect();
+    let shapes: [(&str, Computation); 5] = [
+        ("mp", litmus::message_passing().computation),
+        ("iriw", litmus::iriw().computation),
+        ("chains4x2", Computation::from_edges(8, &[(0, 1), (2, 3), (4, 5), (6, 7)], ops.clone())),
+        ("antichain8", Computation::from_edges(8, &[], ops)),
+        ("literal16", Computation::from_edges(16, &chains, literal_ops)),
+    ];
+    for (name, comp) in shapes {
+        let phi = ObserverFunction::base(&comp);
+        group.bench_function(name, |b| b.iter(|| black_box(verdict_key(Model::Sc, &comp, &phi))));
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_enumeration, bench_scratch, bench_serve_key);
 criterion_main!(benches);

@@ -47,9 +47,7 @@ use crate::model::{CheckScratch, MemoryModel, Model};
 use crate::observer::ObserverFunction;
 use crate::parse::{parse_computation, parse_observer, render_computation, render_observer};
 use crate::telemetry::{self, Counter};
-use ccmm_dag::topo::for_each_topo_sort;
 use std::collections::{HashMap, VecDeque};
-use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -70,8 +68,8 @@ pub const MAX_FRAME: usize = 1 << 20;
 pub const MAX_REQUEST_NODES: usize = 64;
 
 /// Canonicalisation cap: pairs with at most this many nodes are
-/// hash-consed to their canonical labelling (linear-extension
-/// enumeration is factorial, so bigger pairs cache under their literal
+/// hash-consed to their canonical labelling (the prefix search is still
+/// factorial on an antichain, so bigger pairs cache under their literal
 /// encoding instead — still sound, just no isomorphism sharing).
 pub const CANON_NODE_CAP: usize = 8;
 
@@ -521,9 +519,10 @@ pub fn verdict_line(model: Model, member: bool) -> String {
 // Verdict cache
 // ---------------------------------------------------------------------
 
-/// The canonical cache key of `(model, c, phi)`.
+/// The canonical cache key of `(model, c, phi)`: the model byte
+/// followed by the model-independent [`pair_key_into`] body.
 ///
-/// For pairs of at most [`CANON_NODE_CAP`] nodes the key encodes the
+/// For pairs of at most [`CANON_NODE_CAP`] nodes the body encodes the
 /// lex-min relabelling of the pair over all linear extensions that
 /// minimise the ancestor-mask vector (ties broken by the encoded op and
 /// observer bytes) — exactly [`ccmm_dag::canon`]'s representative,
@@ -532,9 +531,15 @@ pub fn verdict_line(model: Model, member: bool) -> String {
 /// is isomorphism-invariant the shared verdict is exact. Larger pairs
 /// encode literally (marker byte 0), which is always sound.
 pub fn verdict_key(model: Model, c: &Computation, phi: &ObserverFunction) -> Vec<u8> {
-    let n = c.node_count();
-    let mut key = Vec::with_capacity(8 + n * (2 + c.num_locations()));
-    key.push(match model {
+    let mut key = Vec::new();
+    pair_key_into(&mut key, c, phi);
+    key[0] = model_tag(model);
+    key
+}
+
+/// Byte 0 of a [`verdict_key`].
+fn model_tag(model: Model) -> u8 {
+    match model {
         Model::Sc => 1,
         Model::Lc => 2,
         Model::Nn => 3,
@@ -542,75 +547,213 @@ pub fn verdict_key(model: Model, c: &Computation, phi: &ObserverFunction) -> Vec
         Model::Wn => 5,
         Model::Ww => 6,
         Model::Any => 7,
-    });
-    if n > CANON_NODE_CAP {
-        key.push(0); // literal marker
-        encode_pair(&mut key, c, phi, &(0..n).collect::<Vec<_>>());
-        return key;
     }
-    key.push(1); // canonical marker
-                 // Enumerate linear extensions of c's dag; each sort t relabels the
-                 // pair (new node i = old node t[i]). Keep the lex-min (ancestor-mask
-                 // vector, encoded pair bytes).
-    let mut pos = vec![0usize; n];
-    let mut best: Option<(Vec<u32>, Vec<u8>)> = None;
-    let mut enc = Vec::new();
-    let _ = for_each_topo_sort(c.dag(), |t| {
-        for (i, u) in t.iter().enumerate() {
-            pos[u.index()] = i;
-        }
-        // Ancestor masks under the relabelling, via the reachability the
-        // computation already carries (canon_info uses closure edges; the
-        // reachability relation is the same thing).
-        let masks: Vec<u32> = t
-            .iter()
-            .map(|&v| {
-                let mut m = 0u32;
-                for (j, &u) in t.iter().enumerate() {
-                    if u != v && c.precedes(u, v) {
-                        m |= 1 << j;
-                    }
-                }
-                m
-            })
-            .collect();
-        if let Some((bm, _)) = &best {
-            if masks > *bm {
-                return ControlFlow::Continue(());
-            }
-        }
-        enc.clear();
-        let perm: Vec<usize> = t.iter().map(|u| u.index()).collect();
-        encode_pair(&mut enc, c, phi, &perm);
-        let cand = (masks, std::mem::take(&mut enc));
-        match &best {
-            Some(b) if *b <= cand => {}
-            _ => best = Some(cand),
-        }
-        ControlFlow::Continue(())
-    });
-    let (masks, bytes) = best.unwrap_or_default();
-    for m in masks {
-        key.extend_from_slice(&m.to_le_bytes());
-    }
-    key.extend_from_slice(&bytes);
-    key
 }
 
-/// Encodes the pair under the relabelling `perm` (new index `i` = old
-/// node `perm[i]`).
-fn encode_pair(out: &mut Vec<u8>, c: &Computation, phi: &ObserverFunction, perm: &[usize]) {
-    use crate::op::{Location, Op};
-    use ccmm_dag::NodeId;
+/// Overwrites `key` with the cache key of `(c, phi)` for every model at
+/// once: [`verdict_key`]'s bytes with byte 0 left as a placeholder for
+/// the model tag, which [`VerdictCache::check_keyed`] fills in per
+/// lookup. One call canonicalises a request however many models it asks.
+///
+/// The canonical labelling comes from a depth-first branch-and-bound
+/// over topological *prefixes* rather than an enumeration of every
+/// linear extension; the private `PrefixSearch` explains why the bytes
+/// are the same.
+pub fn pair_key_into(key: &mut Vec<u8>, c: &Computation, phi: &ObserverFunction) {
     let n = c.node_count();
-    let mut inv = vec![0u16; n];
-    for (i, &old) in perm.iter().enumerate() {
-        inv[old] = i as u16;
+    key.clear();
+    key.reserve(8 + n * (8 + 2 * c.num_locations()));
+    key.push(0); // model tag, filled in per lookup
+    if n > CANON_NODE_CAP {
+        key.push(0); // literal marker
+        encode_pair(key, c, phi);
+        return;
     }
-    out.extend_from_slice(&(n as u16).to_le_bytes());
+    key.push(1); // canonical marker
+    let mut search = PrefixSearch::new(c, phi);
+    search.descend(0, 0, false);
+    for m in &search.best[..n] {
+        key.extend_from_slice(&m.to_le_bytes());
+    }
+    key.extend_from_slice(&search.best_bytes);
+}
+
+/// The lex-min `(ancestor-mask vector, encoded pair)` over the linear
+/// extensions of a pair of at most [`CANON_NODE_CAP`] nodes, found
+/// without visiting every extension.
+///
+/// A linear extension `t` relabels node `t[i]` as `i`; its mask vector
+/// holds, at position `i`, the positions of `t[i]`'s ancestors. Every
+/// ancestor precedes `t[i]` in `t`, so mask `i` is fixed by the prefix
+/// `t[..=i]`. Hence, below a fixed prefix:
+///
+/// * a ready node whose relabelled mask is not the minimum over the
+///   ready set only leads to mask vectors strictly greater than some
+///   sibling's, so only the minimum-mask ready nodes are expanded;
+/// * a prefix whose masks already compare greater than the best
+///   vector's prefix cannot finish below it, so it is cut.
+///
+/// The encoded bytes only break ties between equal mask vectors, so
+/// they are built at leaves alone. The search returns the exact minimum
+/// of the same total order the full enumeration minimises, so the key is
+/// bit-identical to enumerating every extension (the unit tests pin this
+/// against that enumeration). It allocates when it starts, never per
+/// extension.
+struct PrefixSearch {
+    /// The pair's [`encode_pair`] bytes, relabelled at each leaf.
+    base: Vec<u8>,
+    n: usize,
+    /// Strict ancestors of each node, as a mask over original indices.
+    anc: [u32; CANON_NODE_CAP],
+    /// Strict descendants of each node, as a mask over original indices.
+    desc: [u32; CANON_NODE_CAP],
+    /// Each node's ancestors as a mask over the positions placed so far;
+    /// complete once the node is ready.
+    rel: [u32; CANON_NODE_CAP],
+    /// The current prefix: `perm[i]` is the node placed at position `i`.
+    perm: [usize; CANON_NODE_CAP],
+    /// Leaf scratch for [`relabel_encoding`].
+    pos: [u16; CANON_NODE_CAP],
+    /// Mask vector of the current prefix.
+    masks: [u32; CANON_NODE_CAP],
+    /// Mask vector of the best extension found; meaningful once `found`.
+    best: [u32; CANON_NODE_CAP],
+    best_bytes: Vec<u8>,
+    /// Leaf scratch for the encoding of a mask-tied extension.
+    bytes: Vec<u8>,
+    found: bool,
+    /// Bumped whenever the best extension changes.
+    generation: u64,
+}
+
+impl PrefixSearch {
+    fn new(c: &Computation, phi: &ObserverFunction) -> Self {
+        let n = c.node_count();
+        debug_assert!(n <= CANON_NODE_CAP);
+        let mut anc = [0u32; CANON_NODE_CAP];
+        let mut desc = [0u32; CANON_NODE_CAP];
+        for (v, a) in anc.iter_mut().enumerate().take(n) {
+            for u in c.reach().ancestors(ccmm_dag::NodeId::new(v)).iter() {
+                *a |= 1 << u;
+                desc[u] |= 1 << v;
+            }
+        }
+        let len = 4 + n * (4 + 2 * c.num_locations());
+        let mut base = Vec::with_capacity(len);
+        encode_pair(&mut base, c, phi);
+        PrefixSearch {
+            base,
+            n,
+            anc,
+            desc,
+            rel: [0; CANON_NODE_CAP],
+            perm: [0; CANON_NODE_CAP],
+            pos: [0; CANON_NODE_CAP],
+            masks: [0; CANON_NODE_CAP],
+            best: [0; CANON_NODE_CAP],
+            best_bytes: Vec::with_capacity(len),
+            bytes: Vec::new(),
+            found: false,
+            generation: 0,
+        }
+    }
+
+    /// Extends the prefix of length `depth` (node set `placed`). `tight`
+    /// says the prefix's masks equal the best vector's first `depth`
+    /// masks; when false and a best exists, they compare strictly less.
+    fn descend(&mut self, depth: usize, placed: u32, mut tight: bool) {
+        if depth == self.n {
+            self.leaf(tight);
+            return;
+        }
+        let mut ready = 0u32;
+        let mut lo = u32::MAX;
+        for v in 0..self.n {
+            if placed & (1 << v) == 0 && self.anc[v] & !placed == 0 {
+                ready |= 1 << v;
+                lo = lo.min(self.rel[v]);
+            }
+        }
+        let mut rest = ready;
+        while rest != 0 {
+            let v = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            if self.rel[v] != lo {
+                continue;
+            }
+            // Every candidate shares mask `lo`, so one comparison decides
+            // them all; it is redone per candidate because a leaf under
+            // the previous one may have replaced the best.
+            let child_tight = if self.found && tight {
+                match lo.cmp(&self.best[depth]) {
+                    std::cmp::Ordering::Greater => return,
+                    std::cmp::Ordering::Equal => true,
+                    std::cmp::Ordering::Less => false,
+                }
+            } else {
+                false
+            };
+            self.perm[depth] = v;
+            self.masks[depth] = lo;
+            let mut d = self.desc[v];
+            while d != 0 {
+                self.rel[d.trailing_zeros() as usize] |= 1 << depth;
+                d &= d - 1;
+            }
+            let before = self.generation;
+            self.descend(depth + 1, placed | (1 << v), child_tight);
+            let mut d = self.desc[v];
+            while d != 0 {
+                self.rel[d.trailing_zeros() as usize] &= !(1 << depth);
+                d &= d - 1;
+            }
+            // A new best below this prefix shares it: the prefix is now
+            // tight against the best, whatever it was before.
+            tight |= self.generation != before;
+        }
+    }
+
+    /// A complete extension: it replaces the best when its masks compare
+    /// less, or when they tie and its encoding compares less.
+    fn leaf(&mut self, tight: bool) {
+        let n = self.n;
+        if self.found && tight {
+            // The op fields come first and move whole with their nodes,
+            // so most losing extensions lose there, before any encoding.
+            let best_ops = self.best_bytes[4..4 + 4 * n].chunks_exact(4);
+            for (&old, best_op) in self.perm[..n].iter().zip(best_ops) {
+                match self.base[4 + 4 * old..8 + 4 * old].cmp(best_op) {
+                    std::cmp::Ordering::Greater => return,
+                    std::cmp::Ordering::Less => break,
+                    std::cmp::Ordering::Equal => {}
+                }
+            }
+            self.bytes.clear();
+            relabel_encoding(&mut self.bytes, &self.base, &self.perm[..n], &mut self.pos[..n]);
+            if self.bytes >= self.best_bytes {
+                return;
+            }
+            std::mem::swap(&mut self.bytes, &mut self.best_bytes);
+        } else {
+            self.best[..n].copy_from_slice(&self.masks[..n]);
+            self.best_bytes.clear();
+            relabel_encoding(&mut self.best_bytes, &self.base, &self.perm[..n], &mut self.pos[..n]);
+            self.found = true;
+        }
+        self.generation += 1;
+    }
+}
+
+/// Appends the pair's encoding under its own labelling: the node and
+/// location counts, each node's op as `(tag, location)`, then `Φ`
+/// location by location with each observed node as its index plus one
+/// (0 for ⊥). Every field is a little-endian `u16`.
+fn encode_pair(out: &mut Vec<u8>, c: &Computation, phi: &ObserverFunction) {
+    use crate::op::Op;
+    out.extend_from_slice(&(c.node_count() as u16).to_le_bytes());
     out.extend_from_slice(&(c.num_locations() as u16).to_le_bytes());
-    for &old in perm {
-        let (tag, loc) = match c.op(NodeId::new(old)) {
+    for op in c.ops() {
+        let (tag, loc) = match *op {
             Op::Nop => (0u16, 0u16),
             Op::Read(l) => (1, l.index() as u16),
             Op::Write(l) => (2, l.index() as u16),
@@ -618,11 +761,30 @@ fn encode_pair(out: &mut Vec<u8>, c: &Computation, phi: &ObserverFunction, perm:
         out.extend_from_slice(&tag.to_le_bytes());
         out.extend_from_slice(&loc.to_le_bytes());
     }
-    for l in 0..c.num_locations() {
+    for l in c.locations() {
+        for u in c.nodes() {
+            let v = phi.get(l, u).map_or(0, |w| w.index() as u16 + 1);
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+}
+
+/// Appends the encoding of the pair relabelled by `perm` (new index `i`
+/// = old node `perm[i]`), given its [`encode_pair`] bytes `base`: the
+/// op fields move with their nodes and each observed index is mapped to
+/// its new position. `pos` is scratch of one slot per node.
+fn relabel_encoding(out: &mut Vec<u8>, base: &[u8], perm: &[usize], pos: &mut [u16]) {
+    let n = perm.len();
+    out.extend_from_slice(&base[..4]);
+    for (i, &old) in perm.iter().enumerate() {
+        out.extend_from_slice(&base[4 + 4 * old..8 + 4 * old]);
+        pos[old] = i as u16;
+    }
+    for row in base[4 + 4 * n..].chunks_exact(2 * n.max(1)) {
         for &old in perm {
-            let v = match phi.get(Location::new(l), NodeId::new(old)) {
-                None => 0u16,
-                Some(w) => inv[w.index()] + 1,
+            let v = match u16::from_le_bytes([row[2 * old], row[2 * old + 1]]) {
+                0 => 0,
+                w => pos[w as usize - 1] + 1,
             };
             out.extend_from_slice(&v.to_le_bytes());
         }
@@ -730,12 +892,27 @@ impl VerdictCache {
         phi: &ObserverFunction,
         scratch: &mut CheckScratch,
     ) -> (bool, bool) {
-        let key = verdict_key(model, c, phi);
-        if let Some(v) = self.lookup(&key) {
+        let mut key = verdict_key(model, c, phi);
+        self.check_keyed(model, &mut key, c, phi, scratch)
+    }
+
+    /// [`check`](VerdictCache::check) under a key already built by
+    /// [`pair_key_into`] for `(c, phi)`: writes `model`'s tag into byte
+    /// 0, so one canonicalisation serves every model of a request.
+    pub fn check_keyed(
+        &self,
+        model: Model,
+        key: &mut [u8],
+        c: &Computation,
+        phi: &ObserverFunction,
+        scratch: &mut CheckScratch,
+    ) -> (bool, bool) {
+        key[0] = model_tag(model);
+        if let Some(v) = self.lookup(key) {
             return (v, true);
         }
         let v = model.contains_with(c, phi, scratch);
-        self.insert(key, v);
+        self.insert(key.to_vec(), v);
         (v, false)
     }
 
@@ -791,13 +968,21 @@ pub struct Handler {
     cache: std::sync::Arc<VerdictCache>,
     default_deadline_ms: Option<u64>,
     scratch: CheckScratch,
+    /// The current request's cache key, reused across requests.
+    key: Vec<u8>,
 }
 
 impl Handler {
     /// A handler sharing `cache`, applying `default_deadline_ms` to
     /// requests that set no budget of their own.
     pub fn new(cache: std::sync::Arc<VerdictCache>, default_deadline_ms: Option<u64>) -> Self {
-        Handler { cache, default_deadline_ms, scratch: CheckScratch::new() }
+        Handler { cache, default_deadline_ms, scratch: CheckScratch::new(), key: Vec::new() }
+    }
+
+    /// Canonicalises the request pair into `self.key`, once per request.
+    fn canonicalise(&mut self, c: &Computation, phi: &ObserverFunction) {
+        pair_key_into(&mut self.key, c, phi);
+        telemetry::count(Counter::ServeCanonicalisations, 1);
     }
 
     /// Handles one request payload end to end. Never panics and never
@@ -853,13 +1038,17 @@ impl Handler {
                 if expired(&deadline) {
                     return Reply::Partial { done: 0, total: 1, body: Vec::new() };
                 }
-                let (member, cached) = self.cache.check(*model, c, phi, &mut self.scratch);
+                self.canonicalise(c, phi);
+                let (member, cached) =
+                    self.cache.check_keyed(*model, &mut self.key, c, phi, &mut self.scratch);
                 Reply::Ok { body: vec![verdict_line(*model, member)], cached }
             }
             Verb::Models { c, phi } => {
                 // Cooperative deadline at model granularity: each of the
                 // six verdicts is one budget poll, mirroring the sweep
-                // supervisor's per-task polls.
+                // supervisor's per-task polls. The pair is canonicalised
+                // once, after the first poll, so an expired request pays
+                // for no canonicalisation and touches no cache.
                 let mut body = Vec::new();
                 let mut all_cached = true;
                 for m in SERVED_MODELS {
@@ -870,7 +1059,11 @@ impl Handler {
                             body,
                         };
                     }
-                    let (member, cached) = self.cache.check(m, c, phi, &mut self.scratch);
+                    if body.is_empty() {
+                        self.canonicalise(c, phi);
+                    }
+                    let (member, cached) =
+                        self.cache.check_keyed(m, &mut self.key, c, phi, &mut self.scratch);
                     all_cached &= cached;
                     body.push(verdict_line(m, member));
                 }
@@ -1064,7 +1257,7 @@ mod tests {
     #[test]
     fn zero_deadline_yields_partial() {
         let cache = std::sync::Arc::new(VerdictCache::new(1, 8));
-        let mut h = Handler::new(cache, None);
+        let mut h = Handler::new(std::sync::Arc::clone(&cache), None);
         let (c, phi) = mp_pair();
         let req = render_request(&Request { verb: Verb::Models { c, phi }, deadline_ms: Some(0) });
         let Reply::Partial { done, total, body } = h.handle(req.as_bytes(), false) else {
@@ -1072,6 +1265,26 @@ mod tests {
         };
         assert_eq!((done, total), (0, 6));
         assert!(body.is_empty());
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (0, 0), "an expired request must not touch the cache");
+    }
+
+    #[test]
+    fn zero_deadline_check_yields_partial() {
+        let cache = std::sync::Arc::new(VerdictCache::new(1, 8));
+        let mut h = Handler::new(std::sync::Arc::clone(&cache), None);
+        let (c, phi) = mp_pair();
+        let req = render_request(&Request {
+            verb: Verb::Check { model: Model::Sc, c, phi },
+            deadline_ms: Some(0),
+        });
+        let Reply::Partial { done, total, body } = h.handle(req.as_bytes(), false) else {
+            panic!("expected partial")
+        };
+        assert_eq!((done, total), (0, 1));
+        assert!(body.is_empty());
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (0, 0), "an expired request must not touch the cache");
     }
 
     #[test]
@@ -1127,6 +1340,312 @@ mod tests {
         );
         // Different models never collide.
         assert_ne!(k1, verdict_key(Model::Lc, &c, &phi));
+    }
+
+    /// Every linear extension of `c`'s dag (`t[i]` = old node at
+    /// position `i`) with its ancestor-mask vector.
+    fn extensions(c: &Computation) -> Vec<(Vec<u32>, Vec<usize>)> {
+        use ccmm_dag::topo::for_each_topo_sort;
+        use std::ops::ControlFlow;
+        let mut out = Vec::new();
+        let _ = for_each_topo_sort(c.dag(), |t| {
+            let masks = t
+                .iter()
+                .map(|&v| {
+                    let mut m = 0u32;
+                    for (j, &u) in t.iter().enumerate() {
+                        if u != v && c.precedes(u, v) {
+                            m |= 1 << j;
+                        }
+                    }
+                    m
+                })
+                .collect();
+            out.push((masks, t.iter().map(|u| u.index()).collect()));
+            ControlFlow::Continue(())
+        });
+        out
+    }
+
+    /// The pair encoding as it was first defined, under the relabelling
+    /// `perm` (new index `i` = old node `perm[i]`).
+    fn oracle_encoding(out: &mut Vec<u8>, c: &Computation, phi: &ObserverFunction, perm: &[usize]) {
+        use crate::op::{Location, Op};
+        use ccmm_dag::NodeId;
+        let n = c.node_count();
+        let mut inv = vec![0u16; n];
+        for (i, &old) in perm.iter().enumerate() {
+            inv[old] = i as u16;
+        }
+        out.extend_from_slice(&(n as u16).to_le_bytes());
+        out.extend_from_slice(&(c.num_locations() as u16).to_le_bytes());
+        for &old in perm {
+            let (tag, loc) = match c.op(NodeId::new(old)) {
+                Op::Nop => (0u16, 0u16),
+                Op::Read(l) => (1, l.index() as u16),
+                Op::Write(l) => (2, l.index() as u16),
+            };
+            out.extend_from_slice(&tag.to_le_bytes());
+            out.extend_from_slice(&loc.to_le_bytes());
+        }
+        for l in 0..c.num_locations() {
+            for &old in perm {
+                let v = match phi.get(Location::new(l), NodeId::new(old)) {
+                    None => 0u16,
+                    Some(w) => inv[w.index()] + 1,
+                };
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+    }
+
+    /// The key as it was first defined: over every linear extension of
+    /// the dag, the lex-min `(ancestor-mask vector, encoded pair)`. The
+    /// pruned prefix search must reproduce it byte for byte. `exts` is
+    /// [`extensions`]`(c)`, shared by every observer of `c`.
+    fn oracle_key(
+        model: Model,
+        c: &Computation,
+        phi: &ObserverFunction,
+        exts: &[(Vec<u32>, Vec<usize>)],
+    ) -> Vec<u8> {
+        let n = c.node_count();
+        let mut key = vec![model_tag(model)];
+        if n > CANON_NODE_CAP {
+            key.push(0);
+            oracle_encoding(&mut key, c, phi, &(0..n).collect::<Vec<_>>());
+            return key;
+        }
+        key.push(1);
+        let mut best: Option<(&[u32], Vec<u8>)> = None;
+        for (masks, perm) in exts {
+            if best.as_ref().is_some_and(|(bm, _)| masks.as_slice() > *bm) {
+                continue;
+            }
+            let mut enc = Vec::new();
+            oracle_encoding(&mut enc, c, phi, perm);
+            let cand = (masks.as_slice(), enc);
+            match &best {
+                Some(b) if *b <= cand => {}
+                _ => best = Some(cand),
+            }
+        }
+        let (masks, bytes) = best.unwrap_or_default();
+        for m in masks {
+            key.extend_from_slice(&m.to_le_bytes());
+        }
+        key.extend_from_slice(&bytes);
+        key
+    }
+
+    /// Asserts the served key equals the oracle's. The body is
+    /// model-independent by construction, so one model is enough;
+    /// `model_byte_is_the_only_model_dependence` pins the rest.
+    fn assert_oracle_key(c: &Computation, phi: &ObserverFunction) {
+        assert_oracle_key_over(c, phi, &extensions(c));
+    }
+
+    fn assert_oracle_key_over(
+        c: &Computation,
+        phi: &ObserverFunction,
+        exts: &[(Vec<u32>, Vec<usize>)],
+    ) {
+        assert_eq!(
+            verdict_key(Model::Nw, c, phi),
+            oracle_key(Model::Nw, c, phi, exts),
+            "prefix-search key diverges from the enumeration on {} / {:?}",
+            crate::parse::render_computation(c),
+            phi
+        );
+    }
+
+    #[test]
+    fn model_byte_is_the_only_model_dependence() {
+        let mut body = Vec::new();
+        for t in crate::litmus::standard_tests() {
+            let phi = ObserverFunction::base(&t.computation);
+            pair_key_into(&mut body, &t.computation, &phi);
+            for m in SERVED_MODELS.into_iter().chain([Model::Any]) {
+                let key = verdict_key(m, &t.computation, &phi);
+                let want = oracle_key(m, &t.computation, &phi, &extensions(&t.computation));
+                assert_eq!(key, want, "{} / {}", t.name, m.name());
+                assert_eq!(key[0], model_tag(m));
+                assert_eq!(key[1..], body[1..], "{}: body depends on {}", t.name, m.name());
+            }
+        }
+    }
+
+    /// Every pair of the universe of at most `nodes` nodes over `locs`
+    /// locations, against the oracle. Returns the number of pairs.
+    fn assert_universe_matches_oracle(nodes: usize, locs: usize) -> u64 {
+        use crate::enumerate::for_each_observer;
+        use crate::universe::Universe;
+        use std::ops::ControlFlow;
+        let mut pairs = 0u64;
+        let _ = Universe::new(nodes, locs).for_each_computation(|c| {
+            let exts = extensions(c);
+            let _ = for_each_observer(c, |phi| {
+                assert_oracle_key_over(c, phi, &exts);
+                pairs += 1;
+                ControlFlow::Continue(())
+            });
+            ControlFlow::Continue(())
+        });
+        pairs
+    }
+
+    /// A seeded pair on `n` nodes: a G(n, p) dag under a random node
+    /// relabelling (so the labelling is not natural), random ops over
+    /// `locs` locations, and a random valid observer.
+    fn seeded_pair(seed: u64, n: usize, locs: usize) -> (Computation, ObserverFunction) {
+        use crate::op::{Location, Op};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let p = rng.gen_range(0.0..0.6);
+        let dag = ccmm_dag::generate::gnp_dag(n, p, &mut rng);
+        let mut label: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            label.swap(i, rng.gen_range(0..=i));
+        }
+        let edges: Vec<(usize, usize)> =
+            dag.edges().map(|(u, v)| (label[u.index()], label[v.index()])).collect();
+        let ops = (0..n)
+            .map(|_| {
+                let l = Location::new(rng.gen_range(0..locs));
+                match rng.gen_range(0..5u32) {
+                    0 => Op::Nop,
+                    1 | 2 => Op::Write(l),
+                    _ => Op::Read(l),
+                }
+            })
+            .collect();
+        let c = Computation::from_edges(n, &edges, ops);
+        let phi = random_observer(&mut rng, &c);
+        (c, phi)
+    }
+
+    fn random_observer(rng: &mut impl rand::Rng, c: &Computation) -> ObserverFunction {
+        ObserverFunction::from_fn(c, |l, u| {
+            if c.op(u).is_write_to(l) {
+                return Some(u);
+            }
+            let cands: Vec<_> =
+                c.writes_to(l).iter().copied().filter(|&w| !c.precedes(u, w)).collect();
+            let k = rng.gen_range(0..=cands.len());
+            (k > 0).then(|| cands[k - 1])
+        })
+    }
+
+    /// The pair relabelled by `perm` (new node `i` = old node `perm[i]`).
+    fn relabel(
+        c: &Computation,
+        phi: &ObserverFunction,
+        perm: &[usize],
+    ) -> (Computation, ObserverFunction) {
+        use ccmm_dag::NodeId;
+        let mut inv = vec![0; perm.len()];
+        for (i, &old) in perm.iter().enumerate() {
+            inv[old] = i;
+        }
+        let edges: Vec<(usize, usize)> =
+            c.dag().edges().map(|(u, v)| (inv[u.index()], inv[v.index()])).collect();
+        let ops = perm.iter().map(|&old| c.op(NodeId::new(old))).collect();
+        let c2 = Computation::from_edges(perm.len(), &edges, ops);
+        let phi2 = ObserverFunction::from_fn(&c2, |l, u| {
+            phi.get(l, NodeId::new(perm[u.index()])).map(|w| NodeId::new(inv[w.index()]))
+        });
+        (c2, phi2)
+    }
+
+    #[test]
+    fn keys_match_oracle_on_every_small_pair() {
+        // Every pair of at most 4 nodes over 2 locations; the full
+        // bound-5 × 1 and bound-4 × 2 universes run in release below.
+        let pairs = assert_universe_matches_oracle(4, 2);
+        assert!(pairs > 10_000, "universe enumerated only {pairs} pairs");
+    }
+
+    #[test]
+    #[ignore = "release-only: ci.sh runs it with --ignored"]
+    fn keys_match_oracle_on_bound5_and_bound4x2_universes() {
+        let pairs = assert_universe_matches_oracle(5, 1) + assert_universe_matches_oracle(4, 2);
+        assert!(pairs > 1_000_000, "universes enumerated only {pairs} pairs");
+        for seed in 0..3_000 {
+            let (c, phi) = seeded_pair(seed, 6 + (seed % 3) as usize, 2);
+            assert_oracle_key(&c, &phi);
+        }
+    }
+
+    #[test]
+    fn keys_match_oracle_on_seeded_six_to_eight_node_pairs() {
+        for seed in 0..60 {
+            let (c, phi) = seeded_pair(seed, 6 + (seed % 3) as usize, 2);
+            assert_oracle_key(&c, &phi);
+        }
+    }
+
+    #[test]
+    fn keys_match_oracle_on_adversarial_shapes() {
+        use crate::enumerate::for_each_observer;
+        use crate::op::{Location, Op};
+        use rand::SeedableRng;
+        use std::ops::ControlFlow;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        let (x, y) = (Location::new(0), Location::new(1));
+        // The 8-node antichain: all 40,320 extensions tie on masks, so
+        // the encoding decides alone. Blank, then with ops and observers.
+        let blank = Computation::from_edges(8, &[], vec![Op::Nop; 8]);
+        assert_oracle_key(&blank, &ObserverFunction::base(&blank));
+        let ops = vec![
+            Op::Write(x),
+            Op::Read(x),
+            Op::Write(y),
+            Op::Read(y),
+            Op::Write(x),
+            Op::Read(y),
+            Op::Nop,
+            Op::Read(x),
+        ];
+        let antichain = Computation::from_edges(8, &[], ops.clone());
+        assert_oracle_key(&antichain, &random_observer(&mut rng, &antichain));
+        // Four 2-chains (2,520 extensions), labelled both ways round.
+        for edges in [[(0, 1), (2, 3), (4, 5), (6, 7)], [(7, 6), (5, 4), (3, 2), (1, 0)]] {
+            let chains = Computation::from_edges(8, &edges, ops.clone());
+            assert_oracle_key(&chains, &ObserverFunction::base(&chains));
+            assert_oracle_key(&chains, &random_observer(&mut rng, &chains));
+        }
+        // Every litmus shape under every valid observer.
+        for t in crate::litmus::standard_tests() {
+            let _ = for_each_observer(&t.computation, |phi| {
+                assert_oracle_key(&t.computation, phi);
+                ControlFlow::Continue(())
+            });
+        }
+        // Above the cap the key stays literal.
+        let big = Computation::from_edges(9, &[], vec![Op::Write(x); 9]);
+        let phi = ObserverFunction::base(&big);
+        assert_eq!(verdict_key(Model::Sc, &big, &phi)[1], 0, "literal marker");
+        assert_oracle_key(&big, &phi);
+    }
+
+    #[test]
+    fn every_topological_relabelling_shares_one_key() {
+        use ccmm_dag::topo::for_each_topo_sort;
+        use std::ops::ControlFlow;
+        for seed in 100..104 {
+            let (c, phi) = seeded_pair(seed, 6, 2);
+            let want = verdict_key(Model::Nn, &c, &phi);
+            let mut seen = 0;
+            let _ = for_each_topo_sort(c.dag(), |t| {
+                let perm: Vec<usize> = t.iter().map(|u| u.index()).collect();
+                let (c2, phi2) = relabel(&c, &phi, &perm);
+                assert_eq!(verdict_key(Model::Nn, &c2, &phi2), want, "seed {seed}: {perm:?}");
+                seen += 1;
+                ControlFlow::Continue(())
+            });
+            assert!(seen > 0);
+        }
     }
 
     #[test]

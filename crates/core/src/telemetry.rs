@@ -153,10 +153,16 @@ pub enum Counter {
     /// Sampled prefixes where the streaming verdict disagreed with the
     /// batch checker (must stay 0).
     WatchDivergences,
+    /// Request pairs the serve handler canonicalised into a cache key:
+    /// one per `check`/`models` request that passed its first deadline
+    /// poll (pairs above the canonicalisation cap build their literal
+    /// key, and count too). At most `serve_requests`; deterministic for
+    /// a fixed request stream without deadlines.
+    ServeCanonicalisations,
 }
 
 /// Number of distinct counters.
-pub const NUM_COUNTERS: usize = 44;
+pub const NUM_COUNTERS: usize = 45;
 
 impl Counter {
     /// Every counter, in snapshot order.
@@ -205,6 +211,7 @@ impl Counter {
         Counter::DagClones,
         Counter::WatchReveals,
         Counter::WatchDivergences,
+        Counter::ServeCanonicalisations,
     ];
 
     /// The counter's stable snake_case name, used as its key in metrics
@@ -255,6 +262,7 @@ impl Counter {
             Counter::DagClones => "dag_clones",
             Counter::WatchReveals => "watch_reveals",
             Counter::WatchDivergences => "watch_divergences",
+            Counter::ServeCanonicalisations => "serve_canonicalisations",
         }
     }
 }

@@ -49,6 +49,11 @@ pub struct CanonInfo {
 /// Computes the [`CanonInfo`] of `dag`, which must be transitively closed
 /// (every strict precedence pair an explicit edge, as the poset enumerator
 /// emits). Enumerates all linear extensions, so `n` must stay small.
+///
+/// The enumeration is deliberate: the orbit and automorphism counts need
+/// every extension, not just the least one. The `ccmm serve` cache key
+/// wants only the lex-min vector and finds it by a pruned search over
+/// topological prefixes instead; that pruning does not apply here.
 pub fn canon_info(dag: &Dag) -> CanonInfo {
     let n = dag.node_count();
     assert!(n <= 10, "canonical form enumerates linear extensions; n={n} is too large");
