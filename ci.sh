@@ -340,4 +340,13 @@ if [[ "$fast" != "fast" ]]; then
         serve::tests::keys_match_oracle_on_bound5_and_bound4x2_universes
 fi
 
+# 5. The Q-dag word-mask kernel must report the between-set walk's
+#    first violation triple, for all four predicates, on every pair of
+#    the bound-5 × 1 universe. Release only: debug tier-1 runs the
+#    bound-4 × 2 universe.
+if [[ "$fast" != "fast" ]]; then
+    cargo test -q --release -p ccmm-core --lib -- --ignored --exact \
+        model::dagcons::tests::first_triple_matches_oracle_on_bound5_universe
+fi
+
 echo "CI OK"

@@ -567,19 +567,11 @@ impl LaneScratch {
 }
 
 /// Q-dag consistency (Definition 20) on all lanes at once: the verdict
-/// mask of lanes containing `(c, Φ_lane)`. The four named predicates
-/// share one structural scan ([`qdag_all_lanes`]), cached per pack
-/// generation, so a sweep evaluating several Q-dag models pays for the
-/// ancestor/between walks once. Other (hypothetical) predicates take the
-/// uncached single-model scan.
+/// mask of lanes containing `(c, Φ_lane)`. Every predicate reads its slot,
+/// `2·U + V` of its two conditions, from one structural scan
+/// ([`qdag_all_lanes`]) cached per pack generation.
 pub(crate) fn qdag_lanes<Q: QPredicate>(c: &Computation, p: &LanePack, s: &mut LaneScratch) -> u64 {
-    let slot = match Q::NAME {
-        "NN" => 0,
-        "NW" => 1,
-        "WN" => 2,
-        "WW" => 3,
-        _ => return qdag_lanes_single::<Q>(c, p, s),
-    };
+    let slot = 2 * usize::from(Q::U_WRITES) + usize::from(Q::V_WRITES);
     if let Some((generation, verdicts)) = s.q_cache {
         if generation == p.generation() {
             return verdicts[slot];
@@ -590,11 +582,10 @@ pub(crate) fn qdag_lanes<Q: QPredicate>(c: &Computation, p: &LanePack, s: &mut L
     verdicts[slot]
 }
 
-/// The four Q-dag models in one fused scan: verdict masks in the order
-/// `[NN, NW, WN, WW]`. Every predicate of Section 5 factors into "`u` is
-/// ⊥-or-a-write" × "`v` is a write", so a violating triple is routed to
-/// the models it fires under while the SWAR masks and the structural
-/// walk (ancestors, between-sets) are computed once.
+/// The four Q-dag models in one fused scan: verdict masks in slot order
+/// `[NN, NW, WN, WW]`. A violating triple is routed to the models whose
+/// [`QPredicate`] conditions it meets, while the SWAR masks and the
+/// structural walk (ancestors, between-sets) are computed once.
 fn qdag_all_lanes(c: &Computation, p: &LanePack, s: &mut LaneScratch) -> [u64; 4] {
     const NN: usize = 0;
     const NW: usize = 1;
@@ -670,55 +661,6 @@ fn qdag_all_lanes(c: &Computation, p: &LanePack, s: &mut LaneScratch) -> [u64; 4
         }
     }
     [valid & !viol[NN], valid & !viol[NW], valid & !viol[WN], valid & !viol[WW]]
-}
-
-/// The uncached single-predicate scan, for `QPredicate`s outside the
-/// four named models. Mirrors `QDag::find_violation_with`, accumulating
-/// a violation mask instead of returning the first triple.
-fn qdag_lanes_single<Q: QPredicate>(c: &Computation, p: &LanePack, s: &mut LaneScratch) -> u64 {
-    let valid = p.valid();
-    if valid == 0 {
-        return 0;
-    }
-    let reach = c.reach();
-    let mut viol = 0u64;
-    for l in c.locations() {
-        for w in c.nodes() {
-            let col_w = p.col(l, w);
-            // u = ⊥ case: Φ(l,⊥) = ⊥, so the premise needs Φ(l,w) = ⊥
-            // and fires when any Q-ancestor v observes a write.
-            let bot_w = zero_lanes(col_w) & valid & !viol;
-            if bot_w != 0 {
-                for v_idx in reach.ancestors(w).iter() {
-                    let v = NodeId::new(v_idx);
-                    if Q::holds(c, l, None, v, w) {
-                        viol |= bot_w & !zero_lanes(p.col(l, v));
-                    }
-                }
-            }
-            // u ∈ V case: lanes with Φ(l,u) = Φ(l,w) violate when some
-            // Q-middle v between u and w observes differently.
-            for u_idx in reach.ancestors(w).iter() {
-                let u = NodeId::new(u_idx);
-                let eq_uw = eq_lanes(p.col(l, u), col_w) & valid & !viol;
-                if eq_uw == 0 {
-                    continue;
-                }
-                reach.between_into(u, w, &mut s.mid);
-                for v_idx in s.mid.iter() {
-                    let v = NodeId::new(v_idx);
-                    if Q::holds(c, l, Some(u), v, w) {
-                        viol |= eq_uw & !eq_lanes(p.col(l, v), col_w);
-                    }
-                }
-            }
-            if viol & valid == valid {
-                telemetry::count(Counter::LaneEarlyExits, 1);
-                return 0;
-            }
-        }
-    }
-    valid & !viol
 }
 
 /// Location consistency (Definition 18) on all lanes at once. Per

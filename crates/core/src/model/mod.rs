@@ -27,7 +27,7 @@ use crate::observer::ObserverFunction;
 use crate::telemetry::{self, Counter};
 
 pub use composite::{Intersection, Union};
-pub use dagcons::{DynQ, Nn, Nw, QDag, QPredicate, Wn, Ww};
+pub use dagcons::{DynQ, Nn, Nw, QDag, QPredicate, QViolation, Wn, Ww};
 pub use lane::{LanePack, LaneScratch, ObserverIndex, SlotOrder, LANES};
 pub use lc::Lc;
 pub use sc::Sc;
@@ -244,6 +244,19 @@ impl Model {
             Model::Wn => Wn::default().contains(c, phi),
             Model::Ww => Ww::default().contains(c, phi),
             Model::Any => AnyObserver.contains(c, phi),
+        }
+    }
+
+    /// The first violated Condition 20.1 instance of a Q-dag model: the
+    /// certificate behind a "no". `None` for a member and for every model
+    /// other than NN/NW/WN/WW.
+    pub fn qdag_violation(self, c: &Computation, phi: &ObserverFunction) -> Option<QViolation> {
+        match self {
+            Model::Nn => Nn::find_violation(c, phi),
+            Model::Nw => Nw::find_violation(c, phi),
+            Model::Wn => Wn::find_violation(c, phi),
+            Model::Ww => Ww::find_violation(c, phi),
+            Model::Sc | Model::Lc | Model::Any => None,
         }
     }
 

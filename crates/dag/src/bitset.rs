@@ -164,6 +164,13 @@ impl BitSet {
         self.capacity = other.capacity;
     }
 
+    /// The backing words, lowest elements first: bit `i % 64` of word
+    /// `i / 64` is element `i`. Bits at or beyond `capacity` are zero.
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Iterates over the elements in increasing order.
     pub fn iter(&self) -> Ones<'_> {
         Ones { words: &self.words, current: self.words.first().copied().unwrap_or(0), word_idx: 0 }
@@ -254,6 +261,14 @@ mod tests {
         }
         assert!(!s.contains(1));
         assert_eq!(s.len(), 7);
+    }
+
+    #[test]
+    fn words_expose_members_bit_by_bit() {
+        let mut s = BitSet::full(70);
+        s.remove(64);
+        assert_eq!(s.words(), &[!0, (1 << 6) - 2]);
+        assert!(BitSet::new(0).words().is_empty());
     }
 
     #[test]

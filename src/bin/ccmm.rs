@@ -90,6 +90,17 @@ fn cmd_check(args: &[String]) -> Result<bool, String> {
     let (c, phi) = load_pair(cpath, opath)?;
     let member = model.contains(&c, &phi);
     println!("{}: {}", model.name(), if member { "member" } else { "NOT a member" });
+    // A valid pair outside a Q-dag model: say which triple (Definition 20) fails.
+    if let Some((l, u, v, w)) = model.qdag_violation(&c, &phi).filter(|_| phi.is_valid_for(&c)) {
+        let show = |x: Option<ccmm::dag::NodeId>| x.map_or("⊥".to_string(), |x| x.to_string());
+        println!(
+            "violation at {l}: (u, v, w) = ({}, {v}, {w}) observe ({}, {}, {})",
+            show(u),
+            show(u.and_then(|u| phi.get(l, u))),
+            show(phi.get(l, v)),
+            show(phi.get(l, w)),
+        );
+    }
     Ok(member)
 }
 
@@ -1673,7 +1684,9 @@ ccmm — computation-centric memory models (Frigo & Luchangco, SPAA 1998)
 
 USAGE:
   ccmm models <computation> <observer>     memberships of a pair in all models
-  ccmm check --model <m> <comp> <obs>      exit 0 iff member (m: sc|lc|nn|nw|wn|ww)
+  ccmm check --model <m> <comp> <obs>      exit 0 iff member (m: sc|lc|nn|nw|wn|ww);
+                                           a Q-dag non-member also prints
+                                           its violating (l, u, v, w) triple
   ccmm witness [fig2|fig3|fig4]            the paper's witness pairs
   ccmm litmus [name]                       litmus outcome counts per model
   ccmm backer [--workload W] [--procs P] [--cache N] [--page B] [--runs K]

@@ -47,6 +47,35 @@ fn check_exit_codes_reflect_membership() {
 }
 
 #[test]
+fn check_prints_the_qdag_violation_certificate() {
+    // W -> R(sees W) -> R(sees ⊥): the initial value resurfaces, so the
+    // triple (⊥, n0, n2) fails under every predicate.
+    let c = write_temp("chain", "n0: W(0)\nn1: R(0) <- n0\nn2: R(0) <- n1\n");
+    let stale = write_temp("resurface", "l0: n0 n0 _\n");
+    for m in ["nn", "nw", "wn", "ww"] {
+        let out = bin().args(["check", "--model", m]).arg(&c).arg(&stale).output().unwrap();
+        assert_eq!(out.status.code(), Some(1));
+        let text = String::from_utf8(out.stdout).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                format!("{}: NOT a member", m.to_ascii_uppercase()).as_str(),
+                "violation at l0: (u, v, w) = (⊥, n0, n2) observe (⊥, n0, ⊥)",
+            ]
+        );
+    }
+    // Members and the other models keep the one-line answer.
+    let steady = write_temp("steady", "l0: n0 n0 n0\n");
+    let ok = bin().args(["check", "--model", "ww"]).arg(&c).arg(&steady).output().unwrap();
+    assert_eq!(ok.status.code(), Some(0));
+    assert_eq!(String::from_utf8(ok.stdout).unwrap(), "WW: member\n");
+    let lc = bin().args(["check", "--model", "lc"]).arg(&c).arg(&stale).output().unwrap();
+    assert_eq!(lc.status.code(), Some(1));
+    assert_eq!(String::from_utf8(lc.stdout).unwrap(), "LC: NOT a member\n");
+}
+
+#[test]
 fn models_reads_stdin() {
     let obs = write_temp("o", "l0: n0 n0\n");
     let mut child = bin()
