@@ -163,9 +163,9 @@ diff <(fixline "$scratch/clean.out") <(fixline "$scratch/fix-resumed.out") \
     || { echo "lane fixpoint differs from the scalar worklist"; exit 1; }
 
 echo "== stress smoke: perturbed-executor conformance + seeded-mutation self-test =="
-# The self-test proves the oracle has teeth (a seeded skip-reconcile
-# mutation must be caught and shrunk, and the same seeds must pass
-# unmutated); then a fixed-seed 200-iteration perturbed run at 4 threads
+# The self-test proves the oracle has teeth (seeded skip-flush and
+# skip-reconcile mutations must each be caught and shrunk, and the same
+# seeds must pass unmutated); then a fixed-seed 200-iteration perturbed run at 4 threads
 # must hold LC conformance end to end. Both are deterministic per
 # (seed, iters, threads), so a failure here is replayable verbatim.
 ccmm stress --self-test --seed 1 --iters 1 --threads 4 > "$scratch/stress-self.out" \
@@ -218,10 +218,10 @@ for t in 2 4; do
         || { echo "lane64 deterministic-phase counters drifted at $t threads"; exit 1; }
 done
 echo "== watch smoke: streaming LC check, deadline kill + replay resume, gate =="
-# A fib:16 trace streams clean through the lean BACKER executor with the
-# on-the-fly checker (exit 0, zero streaming-vs-batch divergences); a
-# skip-reconcile run must detect the LC violation (exit 1, batch still
-# agreeing on every sampled prefix); a zero-deadline run exits 4 with a
+# A fib:16 trace streams clean through the streaming BACKER runner with
+# the on-the-fly checker (exit 0, zero streaming-vs-batch divergences);
+# skip-reconcile and skip-flush runs must each detect the LC violation
+# (exit 1, batch still agreeing on every sampled prefix); a zero-deadline run exits 4 with a
 # node frontier and its journal resumes to verdicts bit-identical to the
 # uninterrupted run; and a repeat clean run gates its reveal throughput
 # against the record the first one left in the scratch bench file.
@@ -235,6 +235,13 @@ ccmm watch --workload fib:12 --fault skip-reconcile --sample-every 2 \
 [[ "$rc" == 1 ]] || { echo "expected faulted watch exit 1, got $rc"; exit 1; }
 grep -q "LC false" "$scratch/watch-fault.out"
 grep -q " 0 divergence(s)" "$scratch/watch-fault.out"
+# matmul:8, not fib: fib:12 and fib:16 stay LC under skip-flush.
+rc=0
+ccmm watch --workload matmul:8 --fault skip-flush > "$scratch/watch-flush.out" 2>/dev/null \
+    || rc=$?
+[[ "$rc" == 1 ]] || { echo "expected skip-flush watch exit 1, got $rc"; exit 1; }
+grep -q "LC false" "$scratch/watch-flush.out"
+grep -q " 0 divergence(s)" "$scratch/watch-flush.out"
 rc=0
 ccmm watch --workload fib:16 --deadline-secs 0 --ckpt "$scratch/watch.ckpt" \
     > "$scratch/watch-part.out" 2>/dev/null || rc=$?

@@ -17,10 +17,38 @@ pub struct FaultInjection {
 impl FaultInjection {
     /// The correct protocol: nothing skipped.
     pub const NONE: FaultInjection = FaultInjection { skip_flush: false, skip_reconcile: false };
+    /// Only the flush is skipped.
+    pub const SKIP_FLUSH: FaultInjection = FaultInjection { skip_flush: true, ..Self::NONE };
+    /// Only the reconcile is skipped.
+    pub const SKIP_RECONCILE: FaultInjection =
+        FaultInjection { skip_reconcile: true, ..Self::NONE };
+
+    /// Parses a fault name (`ccmm stress --mutate`, `ccmm watch --fault`):
+    /// `none | skip-flush | skip-reconcile`.
+    pub fn from_name(name: &str) -> Result<Self, String> {
+        match name {
+            "none" => Ok(Self::NONE),
+            "skip-flush" => Ok(Self::SKIP_FLUSH),
+            "skip-reconcile" => Ok(Self::SKIP_RECONCILE),
+            other => Err(format!("unknown fault `{other}` (none | skip-flush | skip-reconcile)")),
+        }
+    }
+
+    /// The canonical name (inverse of [`FaultInjection::from_name`]). Both
+    /// switches together, which no name parses to, render as
+    /// `skip-flush+skip-reconcile`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::NONE => "none",
+            Self::SKIP_FLUSH => "skip-flush",
+            Self::SKIP_RECONCILE => "skip-reconcile",
+            _ => "skip-flush+skip-reconcile",
+        }
+    }
 
     /// Whether any fault is enabled.
     pub fn any(self) -> bool {
-        self.skip_flush || self.skip_reconcile
+        self != Self::NONE
     }
 }
 
@@ -74,8 +102,23 @@ mod tests {
     }
 
     #[test]
+    fn fault_names_round_trip() {
+        for name in ["none", "skip-flush", "skip-reconcile"] {
+            assert_eq!(FaultInjection::from_name(name).unwrap().name(), name);
+        }
+        assert_eq!(FaultInjection::from_name("skip-flush"), Ok(FaultInjection::SKIP_FLUSH));
+        let both = FaultInjection { skip_flush: true, skip_reconcile: true };
+        assert_eq!(both.name(), "skip-flush+skip-reconcile");
+        let err = FaultInjection::from_name(both.name()).unwrap_err();
+        assert_eq!(
+            err,
+            "unknown fault `skip-flush+skip-reconcile` (none | skip-flush | skip-reconcile)"
+        );
+    }
+
+    #[test]
     fn builder_chains() {
-        let f = FaultInjection { skip_flush: true, skip_reconcile: false };
+        let f = FaultInjection::SKIP_FLUSH;
         let c = BackerConfig::with_processors(2).cache_capacity(8).faults(f);
         assert_eq!(c.processors, 2);
         assert_eq!(c.cache_capacity, 8);

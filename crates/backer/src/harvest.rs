@@ -136,8 +136,7 @@ mod tests {
         // simulator: with reconcile skipped, writes die in caches and
         // some harvested observer leaves LC.
         let c = racy_computation();
-        let faulty = BackerConfig::default()
-            .faults(crate::config::FaultInjection { skip_flush: false, skip_reconcile: true });
+        let faulty = BackerConfig::default().faults(crate::config::FaultInjection::SKIP_RECONCILE);
         let observers = harvest_observers_cfg(&c, 5, 2, 1, 11, &faulty);
         assert!(
             observers.iter().any(|phi| !phi.is_valid_for(&c) || !Lc.contains(&c, phi)),

@@ -8,14 +8,20 @@
 //!
 //! This crate makes that claim executable:
 //!
-//! * [`sim`]: a deterministic discrete-event simulator replaying any
-//!   [`schedule::Schedule`] with per-processor caches, fetch/reconcile/
-//!   flush protocol, LRU eviction, and full counters;
-//! * [`threads`]: a real multithreaded executor (crossbeam work-stealing
-//!   deques, parking_lot-guarded main memory) running the conservative
-//!   variant of the protocol;
+//! * [`protocol`]: the one protocol step (flush before a node with a
+//!   cross-processor predecessor, run its op, reconcile after) over any
+//!   [`cache::CacheOps`] cache — the word-granular [`cache::Cache`]
+//!   (LRU eviction, O(occupancy) flushes) or [`paged::PagedCache`];
+//! * four runners that only schedule and call that step:
+//!   [`sim`], a deterministic discrete-event simulator replaying any
+//!   [`schedule::Schedule`] with full counters; [`threads`], a real
+//!   multithreaded executor (crossbeam work-stealing deques,
+//!   parking_lot-guarded main memory) running the conservative variant;
+//!   [`stream`], a resumable block-cyclic runner for million-node traces;
+//!   and [`timing`], a greedy event-driven model of the makespan;
 //! * [`config::FaultInjection`]: switchable protocol violations (skip
-//!   flush / skip reconcile) whose executions detectably leave LC;
+//!   flush / skip reconcile), applied only inside the protocol step, whose
+//!   executions detectably leave LC;
 //! * [`verify`](crate::verify()): post-mortem membership profiles of executions against
 //!   SC / LC / NN / WW;
 //! * [`harvest`]: distinct observer functions collected across a spread
@@ -53,6 +59,7 @@ pub mod harvest;
 pub mod memory;
 pub mod paged;
 pub mod perturb;
+pub mod protocol;
 pub mod schedule;
 pub mod sim;
 pub mod stats;
@@ -66,5 +73,5 @@ pub use perturb::PerturbPlan;
 pub use schedule::Schedule;
 pub use sim::{run, SimResult};
 pub use stats::Stats;
-pub use stream::{block_cyclic_proc, run_stream, LeanCache, StreamRunner};
+pub use stream::{block_cyclic_proc, StreamRunner};
 pub use verify::{verify, ModelProfile, VerifyReport};

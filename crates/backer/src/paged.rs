@@ -320,7 +320,7 @@ mod tests {
         let mut mem1 = MainMemory::new(4);
         let mut mem2 = MainMemory::new(4);
         let mut paged = PagedCache::new(4, 1, 2);
-        let mut word = Cache::new(4, 2);
+        let mut word = Cache::new(2);
         let mut s1 = Stats::default();
         let mut s2 = Stats::default();
         let script: Vec<(bool, usize, Token)> =

@@ -1,30 +1,29 @@
 //! The deterministic discrete-event BACKER simulator.
 //!
 //! Given a computation and a [`Schedule`], the simulator executes the
-//! nodes in order, each on its assigned processor, running the BACKER
-//! protocol at dependency edges that cross processors (\[BFJ+96a\]):
-//!
-//! * **flush-before**: before executing a node with a cross-processor
-//!   predecessor, the processor reconciles and empties its cache (it may
-//!   hold stale copies from before the dependency);
-//! * **reconcile-after**: after executing a node with a cross-processor
-//!   successor, the processor writes back its dirty lines (the dependent
-//!   node must be able to see them through main memory).
+//! nodes in order, each on its assigned processor, through the shared
+//! protocol step ([`crate::protocol`]): a flush before a node with a
+//! cross-processor predecessor, a reconcile after a node with a
+//! cross-processor successor (\[BFJ+96a\]).
 //!
 //! Writes carry unique tokens, so the execution yields a total
-//! [`ObserverFunction`]: after each node executes, every location is
-//! *probed* (cache line if resident, else main memory — without
-//! perturbing the cache), defining what that node "observes" everywhere,
-//! exactly the paper's device of giving memory semantics to all nodes.
-//! Luchangco \[Luc97\] proves BACKER maintains LC; experiment E9 verifies
-//! every simulated execution against the LC checker.
+//! [`ObserverFunction`]: after each step, every location is *probed*
+//! (cache line if resident, else main memory — without perturbing the
+//! cache), defining what that node "observes" everywhere, exactly the
+//! paper's device of giving memory semantics to all nodes. A reconcile
+//! changes neither a resident line's value nor a non-resident cell, so
+//! probing after the step sees what the node's own op left behind.
+//! Luchangco \[Luc97\] proves BACKER maintains LC; experiment E9
+//! verifies every simulated execution against the LC checker.
 
-use crate::cache::Cache;
+use crate::cache::{Cache, CacheOps};
 use crate::config::BackerConfig;
-use crate::memory::{node_of, token_of, MainMemory};
+use crate::memory::{node_of, MainMemory};
+use crate::protocol;
 use crate::schedule::Schedule;
 use crate::stats::Stats;
-use ccmm_core::{Computation, ObserverFunction, Op};
+use ccmm_core::{Computation, ObserverFunction};
+use ccmm_dag::NodeId;
 
 /// The result of a simulated execution.
 #[derive(Debug)]
@@ -41,7 +40,7 @@ pub struct SimResult {
 ///
 /// Panics if the schedule fails validation.
 pub fn run(c: &Computation, schedule: &Schedule, config: &BackerConfig) -> SimResult {
-    run_with_caches(c, schedule, config, |nl| Cache::new(nl, config.cache_capacity.max(1)))
+    run_with_caches(c, schedule, config, |_| Cache::new(config.cache_capacity.max(1)))
 }
 
 /// Runs BACKER with page-granular caches of `page_size` words and
@@ -57,17 +56,14 @@ pub fn run_paged(
     })
 }
 
-/// The generic simulator core, parameterized over the cache organisation.
-pub fn run_with_caches<C, F>(
+/// The simulator core; `make_cache(num_locations)` builds each
+/// processor's cache.
+fn run_with_caches<C: CacheOps>(
     c: &Computation,
     schedule: &Schedule,
     config: &BackerConfig,
-    make_cache: F,
-) -> SimResult
-where
-    C: crate::cache::CacheOps,
-    F: Fn(usize) -> C,
-{
+    make_cache: impl Fn(usize) -> C,
+) -> SimResult {
     schedule.validate(c).expect("invalid schedule");
     assert!(
         schedule.processors <= config.processors,
@@ -83,27 +79,13 @@ where
 
     for &u in &schedule.order {
         let p = schedule.proc[u.index()];
-        let cross_pred = c.dag().predecessors(u).iter().any(|&q| schedule.proc[q.index()] != p);
-        if cross_pred && !config.faults.skip_flush {
-            caches[p].flush_all(&mut mem, &mut per_proc[p]);
-        }
-        match c.op(u) {
-            Op::Read(l) => {
-                caches[p].read(l, &mut mem, &mut per_proc[p]);
-            }
-            Op::Write(l) => {
-                caches[p].write(l, token_of(u), &mut mem, &mut per_proc[p]);
-            }
-            Op::Nop => {}
-        }
+        let elsewhere = |vs: &[NodeId]| vs.iter().any(|&v| schedule.proc[v.index()] != p);
+        let flags = (elsewhere(c.dag().predecessors(u)), elsewhere(c.dag().successors(u)));
+        let (cache, stats) = (&mut caches[p], &mut per_proc[p]);
+        protocol::step(cache, &mut mem, stats, config.faults, u, c.op(u), flags);
         // Non-perturbing probe: what does this node observe everywhere?
         for l in c.locations() {
-            let tok = caches[p].peek(l).unwrap_or_else(|| mem.load(l));
-            observer.set(l, u, node_of(tok));
-        }
-        let cross_succ = c.dag().successors(u).iter().any(|&v| schedule.proc[v.index()] != p);
-        if cross_succ && !config.faults.skip_reconcile {
-            caches[p].reconcile_all(&mut mem, &mut per_proc[p]);
+            observer.set(l, u, node_of(cache.peek(l).unwrap_or_else(|| mem.load(l))));
         }
     }
 
@@ -118,8 +100,7 @@ where
 mod tests {
     use super::*;
     use crate::config::FaultInjection;
-    use ccmm_core::{Lc, Location, MemoryModel, Sc};
-    use ccmm_dag::NodeId;
+    use ccmm_core::{Lc, Location, MemoryModel, Op, Sc};
 
     fn n(i: usize) -> NodeId {
         NodeId::new(i)
@@ -163,8 +144,7 @@ mod tests {
     fn skip_reconcile_loses_the_write() {
         let c = Computation::from_edges(2, &[(0, 1)], vec![Op::Write(l(0)), Op::Read(l(0))]);
         let s = Schedule { order: vec![n(0), n(1)], proc: vec![0, 1], processors: 2 };
-        let cfg = BackerConfig::with_processors(2)
-            .faults(FaultInjection { skip_reconcile: true, skip_flush: false });
+        let cfg = BackerConfig::with_processors(2).faults(FaultInjection::SKIP_RECONCILE);
         let r = run(&c, &s, &cfg);
         assert_eq!(r.observer.get(l(0), n(1)), None, "write never reached memory");
     }
@@ -188,8 +168,7 @@ mod tests {
         assert_eq!(good.observer.get(l(0), n(2)), Some(n(1)));
         assert!(Lc.contains(&c, &good.observer));
 
-        let cfg = BackerConfig::with_processors(2)
-            .faults(FaultInjection { skip_flush: true, skip_reconcile: false });
+        let cfg = BackerConfig::with_processors(2).faults(FaultInjection::SKIP_FLUSH);
         let bad = run(&c, &s, &cfg);
         assert_eq!(bad.observer.get(l(0), n(2)), None, "stale cached ⊥");
         assert!(!Lc.contains(&c, &bad.observer), "fault must violate LC");

@@ -1,31 +1,29 @@
-//! A lean streaming BACKER runner for million-node traces.
+//! A streaming BACKER runner for million-node traces.
 //!
-//! [`crate::sim`] is exact but dense: it probes **every** location after
-//! every node (O(n·L) work) and keeps per-processor caches as
-//! location-indexed vectors (O(p·L) memory), both of which are
-//! prohibitive at the 10⁵–10⁷-node scale that `ccmm watch` targets. This
-//! module runs the same flush-before / reconcile-after protocol with:
+//! [`crate::sim`] probes **every** location after every node (O(n·L)
+//! work), which is prohibitive at the 10⁵–10⁷-node scale that `ccmm
+//! watch` targets. This runner drives the same protocol step
+//! ([`crate::protocol::step`]) over the same occupancy-bounded
+//! [`Cache`], and differs only in what it schedules and observes:
 //!
-//! * occupancy-bounded caches (a hash map of resident lines, so a flush
-//!   costs O(occupancy), not O(L));
-//! * per-node probing of the executed node's **own** location only —
-//!   exactly the observation the streaming membership checker needs
-//!   (everything else is completed by the last-writer function, Def. 13);
-//! * a deterministic block-cyclic schedule over creation order, so a
-//!   resumed run re-derives the identical execution without storing a
-//!   schedule of n entries.
+//! * it probes the executed node's **own** location only — exactly the
+//!   observation the streaming membership checker needs (everything else
+//!   is completed by the last-writer function, Def. 13);
+//! * it assigns processors by a deterministic block-cyclic schedule over
+//!   creation order, so a resumed run re-derives the identical execution
+//!   without storing a schedule of n entries.
 //!
 //! The nodes are executed in creation order, which is a topological order
 //! for builder-produced traces (every edge points forward). Faults from
-//! [`crate::config::FaultInjection`] apply as in the dense simulator, so
+//! [`crate::config::FaultInjection`] apply as in the simulator, so
 //! `watch --fault` can stream genuine LC violations.
 
-use std::collections::HashMap;
-
+use crate::cache::Cache;
 use crate::config::BackerConfig;
-use crate::memory::{node_of, token_of, MainMemory, Token};
+use crate::memory::MainMemory;
+use crate::protocol;
 use crate::stats::Stats;
-use ccmm_core::{Location, Op};
+use ccmm_core::Op;
 use ccmm_dag::{Dag, NodeId};
 
 /// The processor that executes node `index` under a block-cyclic
@@ -35,110 +33,6 @@ use ccmm_dag::{Dag, NodeId};
 #[inline]
 pub fn block_cyclic_proc(index: usize, block: usize, processors: usize) -> usize {
     (index / block.max(1)) % processors.max(1)
-}
-
-#[derive(Clone, Copy, Debug)]
-struct Line {
-    value: Token,
-    dirty: bool,
-    /// LRU clock stamp of the most recent touch.
-    stamp: u64,
-}
-
-/// A processor cache storing only its resident lines, so whole-cache
-/// operations cost O(occupancy) instead of O(num_locations). Protocol
-/// semantics (fetch / reconcile / flush / LRU eviction) match
-/// [`crate::cache::Cache`] line for line.
-#[derive(Debug, Default)]
-pub struct LeanCache {
-    lines: HashMap<usize, Line>,
-    capacity: usize,
-    clock: u64,
-}
-
-impl LeanCache {
-    /// An empty cache holding at most `capacity` lines.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "cache capacity must be positive");
-        LeanCache { lines: HashMap::new(), capacity, clock: 0 }
-    }
-
-    /// Number of resident lines.
-    pub fn occupancy(&self) -> usize {
-        self.lines.len()
-    }
-
-    /// Non-perturbing lookup (no LRU update, no fetch).
-    pub fn peek(&self, l: Location) -> Option<Token> {
-        self.lines.get(&l.index()).map(|line| line.value)
-    }
-
-    fn evict_lru(&mut self, mem: &mut MainMemory, stats: &mut Stats) {
-        let victim = self
-            .lines
-            .iter()
-            .min_by_key(|&(_, line)| line.stamp)
-            .map(|(&i, _)| i)
-            .expect("evict called on empty cache");
-        let line = self.lines.remove(&victim).expect("victim resident");
-        stats.evictions += 1;
-        if line.dirty {
-            mem.store(Location::new(victim), line.value);
-            stats.reconciles += 1;
-        }
-    }
-
-    fn make_room(&mut self, mem: &mut MainMemory, stats: &mut Stats) {
-        while self.lines.len() >= self.capacity {
-            self.evict_lru(mem, stats);
-        }
-    }
-
-    /// A processor read: cache hit, or fetch from main memory.
-    pub fn read(&mut self, l: Location, mem: &mut MainMemory, stats: &mut Stats) -> Token {
-        self.clock += 1;
-        let clock = self.clock;
-        if let Some(line) = self.lines.get_mut(&l.index()) {
-            stats.hits += 1;
-            line.stamp = clock;
-            return line.value;
-        }
-        stats.misses += 1;
-        stats.fetches += 1;
-        self.make_room(mem, stats);
-        let value = mem.load(l);
-        self.lines.insert(l.index(), Line { value, dirty: false, stamp: clock });
-        value
-    }
-
-    /// A processor write: install the token dirty (write-allocate).
-    pub fn write(&mut self, l: Location, t: Token, mem: &mut MainMemory, stats: &mut Stats) {
-        if !self.lines.contains_key(&l.index()) {
-            self.make_room(mem, stats);
-        }
-        self.clock += 1;
-        self.lines.insert(l.index(), Line { value: t, dirty: true, stamp: self.clock });
-        stats.writes += 1;
-    }
-
-    /// Reconciles every dirty line (write back, mark clean).
-    pub fn reconcile_all(&mut self, mem: &mut MainMemory, stats: &mut Stats) {
-        for (&i, line) in self.lines.iter_mut() {
-            if line.dirty {
-                mem.store(Location::new(i), line.value);
-                line.dirty = false;
-                stats.reconciles += 1;
-            }
-        }
-    }
-
-    /// Flushes the whole cache: reconcile dirty lines, then drop
-    /// everything.
-    pub fn flush_all(&mut self, mem: &mut MainMemory, stats: &mut Stats) {
-        self.reconcile_all(mem, stats);
-        self.lines.clear();
-        stats.flushes += 1;
-    }
 }
 
 /// A resumable streaming BACKER execution: one [`step`](StreamRunner::step)
@@ -153,7 +47,7 @@ pub struct StreamRunner {
     block: usize,
     procs: usize,
     mem: MainMemory,
-    caches: Vec<LeanCache>,
+    caches: Vec<Cache>,
     per_proc: Vec<Stats>,
     next: usize,
 }
@@ -167,7 +61,7 @@ impl StreamRunner {
             block,
             procs,
             mem: MainMemory::new(num_locations),
-            caches: (0..procs).map(|_| LeanCache::new(config.cache_capacity.max(1))).collect(),
+            caches: (0..procs).map(|_| Cache::new(config.cache_capacity.max(1))).collect(),
             per_proc: vec![Stats::default(); procs],
             next: 0,
         }
@@ -203,53 +97,20 @@ impl StreamRunner {
         self.next += 1;
         let u = NodeId::new(i);
         let op = ops[i];
-        let p = block_cyclic_proc(i, self.block, self.procs);
+        let (block, procs) = (self.block, self.procs);
+        let p = block_cyclic_proc(i, block, procs);
         let cross_pred = dag.predecessors(u).iter().any(|&q| {
             assert!(q.index() < i, "edge {q}→{u} points backwards");
-            block_cyclic_proc(q.index(), self.block, self.procs) != p
+            block_cyclic_proc(q.index(), block, procs) != p
         });
-        if cross_pred && !self.config.faults.skip_flush {
-            self.caches[p].flush_all(&mut self.mem, &mut self.per_proc[p]);
-        }
-        let observed = match op {
-            Op::Read(l) => node_of(self.caches[p].read(l, &mut self.mem, &mut self.per_proc[p])),
-            Op::Write(l) => {
-                self.caches[p].write(l, token_of(u), &mut self.mem, &mut self.per_proc[p]);
-                Some(u)
-            }
-            Op::Nop => None,
-        };
-        let cross_succ = dag
-            .successors(u)
-            .iter()
-            .any(|&v| block_cyclic_proc(v.index(), self.block, self.procs) != p);
-        if cross_succ && !self.config.faults.skip_reconcile {
-            self.caches[p].reconcile_all(&mut self.mem, &mut self.per_proc[p]);
-        }
+        let cross_succ =
+            dag.successors(u).iter().any(|&v| block_cyclic_proc(v.index(), block, procs) != p);
+        let (cache, stats) = (&mut self.caches[p], &mut self.per_proc[p]);
+        let flags = (cross_pred, cross_succ);
+        let observed =
+            protocol::step(cache, &mut self.mem, stats, self.config.faults, u, op, flags);
         Some((u, op, observed))
     }
-}
-
-/// Runs BACKER over the whole trace in creation order under the
-/// deterministic block-cyclic schedule, calling `sink(u, op, observed)`
-/// after each node (see [`StreamRunner::step`]). Returns the merged
-/// protocol counters.
-pub fn run_stream<F>(
-    dag: &Dag,
-    ops: &[Op],
-    num_locations: usize,
-    config: &BackerConfig,
-    block: usize,
-    mut sink: F,
-) -> Stats
-where
-    F: FnMut(NodeId, Op, Option<NodeId>),
-{
-    let mut runner = StreamRunner::new(num_locations, config, block);
-    while let Some((u, op, observed)) = runner.step(dag, ops) {
-        sink(u, op, observed);
-    }
-    runner.stats()
 }
 
 #[cfg(test)]
@@ -259,8 +120,9 @@ mod tests {
     use crate::sim;
     use ccmm_cilk::{fib_trace, stencil_trace};
 
-    /// The dense simulator run under the same block-cyclic schedule must
-    /// report the same own-location observation for every node.
+    /// The full-row simulator run under the same block-cyclic schedule
+    /// must report the same own-location observation for every node, and
+    /// the same counters.
     fn assert_stream_matches_sim(trace: &ccmm_cilk::RawTrace, config: &BackerConfig, block: usize) {
         let c = trace.to_computation();
         let n = c.node_count();
@@ -271,18 +133,18 @@ mod tests {
             processors: procs,
         };
         let dense = sim::run(&c, &schedule, config);
+        let mut runner = StreamRunner::new(trace.num_locations, config, block);
         let mut streamed: Vec<Option<NodeId>> = Vec::with_capacity(n);
-        let stream_stats =
-            run_stream(&trace.dag, &trace.ops, trace.num_locations, config, block, |_, _, obs| {
-                streamed.push(obs)
-            });
+        while let Some((_, _, obs)) = runner.step(&trace.dag, &trace.ops) {
+            streamed.push(obs);
+        }
+        let stream_stats = runner.stats();
         for (i, &got) in streamed.iter().enumerate() {
             let u = NodeId::new(i);
             let want = c.op(u).location().and_then(|l| dense.observer.get(l, u));
             assert_eq!(got, want, "node {u} (block={block}, p={procs})");
         }
-        assert_eq!(stream_stats.writes, dense.stats.writes);
-        assert_eq!(stream_stats.reconciles, dense.stats.reconciles);
+        assert_eq!(stream_stats, dense.stats, "same protocol step, same caches");
     }
 
     #[test]
@@ -315,18 +177,22 @@ mod tests {
     fn stream_matches_dense_sim_with_faults() {
         let trace = fib_trace(6);
         for faults in [
-            crate::config::FaultInjection { skip_flush: true, skip_reconcile: false },
-            crate::config::FaultInjection { skip_flush: false, skip_reconcile: true },
+            crate::config::FaultInjection::SKIP_FLUSH,
+            crate::config::FaultInjection::SKIP_RECONCILE,
         ] {
             let cfg = BackerConfig::with_processors(2).faults(faults);
             assert_stream_matches_sim(&trace, &cfg, 3);
         }
     }
 
+    /// The runner's per-processor cache is occupancy-bounded: a write
+    /// past capacity evicts the LRU line and writes its dirty value back.
     #[test]
     fn lean_cache_lru_evicts_and_reconciles() {
+        use crate::cache::CacheOps;
+        use ccmm_core::Location;
         let mut mem = MainMemory::new(3);
-        let mut cache = LeanCache::new(2);
+        let mut cache = Cache::new(2);
         let mut stats = Stats::default();
         cache.write(Location::new(0), 1, &mut mem, &mut stats);
         cache.write(Location::new(1), 2, &mut mem, &mut stats);

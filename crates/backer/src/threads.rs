@@ -3,11 +3,12 @@
 //! Where [`crate::sim`] replays a precomputed schedule deterministically,
 //! this module runs the computation on actual OS threads with
 //! crossbeam work-stealing deques, per-worker caches, and a shared main
-//! memory — scheduling nondeterminism and all. The protocol here is
-//! *conservative BACKER*: a worker reconciles its dirty lines after
-//! **every** node (a superset of the required reconcile-after-cross-edge
-//! writes-backs, since a node's successors may be stolen by anyone), and
-//! flushes before executing a node with a predecessor executed elsewhere.
+//! memory — scheduling nondeterminism and all. Each node runs through the
+//! shared [`crate::protocol::step`] as *conservative BACKER*: a worker
+//! reconciles its dirty lines after **every** node (a superset of the
+//! required reconcile-after-cross-edge writes-backs, since a node's
+//! successors may be stolen by anyone), and flushes before executing a
+//! node with a predecessor executed elsewhere.
 //! More protocol traffic than necessary, the same correctness guarantee:
 //! every execution's observer function is location consistent.
 //!
@@ -17,13 +18,14 @@
 //! memory lock is the transport for both tokens and happens-before: a
 //! reconcile (release of the lock) precedes the dependent fetch (acquire).
 
-use crate::cache::Cache;
+use crate::cache::{Cache, CacheOps};
 use crate::config::BackerConfig;
-use crate::memory::{node_of, token_of, MainMemory};
+use crate::memory::{node_of, MainMemory};
 use crate::perturb::{self, PerturbPlan};
+use crate::protocol;
 use crate::stats::Stats;
 use ccmm_core::telemetry::{self, Counter};
-use ccmm_core::{Computation, ObserverFunction, Op};
+use ccmm_core::{Computation, ObserverFunction};
 use ccmm_dag::NodeId;
 use crossbeam::deque::{Injector, Stealer, Worker};
 use parking_lot::Mutex;
@@ -82,40 +84,19 @@ pub fn run(c: &Computation, config: &BackerConfig) -> ThreadedResult {
 /// each node, seeded steal-victim rotation. The protocol (and therefore
 /// the LC guarantee) is untouched — only the schedule is jostled.
 pub fn run_perturbed(c: &Computation, config: &BackerConfig, plan: &PerturbPlan) -> ThreadedResult {
-    run_with_caches_perturbed(c, config, plan, |nl| Cache::new(nl, config.cache_capacity.max(1)))
+    run_with_caches(c, config, plan, |_| Cache::new(config.cache_capacity.max(1)))
 }
 
-/// Executes `c` on worker threads with page-granular caches (capacity in
-/// pages; see [`crate::paged`]).
-pub fn run_paged(c: &Computation, config: &BackerConfig, page_size: usize) -> ThreadedResult {
-    run_with_caches(c, config, |nl| {
-        crate::paged::PagedCache::new(nl, page_size, config.cache_capacity.max(1))
-    })
-}
-
-/// The generic threaded executor, parameterized over the cache
-/// organisation. `make_cache` runs once per worker.
-pub fn run_with_caches<C, F>(
-    c: &Computation,
-    config: &BackerConfig,
-    make_cache: F,
-) -> ThreadedResult
-where
-    C: crate::cache::CacheOps,
-    F: Fn(usize) -> C + Sync,
-{
-    run_with_caches_perturbed(c, config, &PerturbPlan::none(), make_cache)
-}
-
-/// [`run_with_caches`] under a schedule-perturbation plan.
-pub fn run_with_caches_perturbed<C, F>(
+/// The threaded executor core; `make_cache(num_locations)` runs once per
+/// worker.
+fn run_with_caches<C, F>(
     c: &Computation,
     config: &BackerConfig,
     plan: &PerturbPlan,
     make_cache: F,
 ) -> ThreadedResult
 where
-    C: crate::cache::CacheOps,
+    C: CacheOps,
     F: Fn(usize) -> C + Sync,
 {
     let n = c.node_count();
@@ -210,18 +191,10 @@ where
                         .any(|&q| proc_of[q.index()].load(Ordering::Acquire) != me);
                     {
                         let mut m = mem.lock();
-                        if cross_pred && !config.faults.skip_flush {
-                            cache.flush_all(&mut m, &mut stats);
-                        }
-                        match c.op(u) {
-                            Op::Read(l) => {
-                                cache.read(l, &mut m, &mut stats);
-                            }
-                            Op::Write(l) => {
-                                cache.write(l, token_of(u), &mut m, &mut stats);
-                            }
-                            Op::Nop => {}
-                        }
+                        // Conservative BACKER: reconcile eagerly after
+                        // every node, before successors can start.
+                        let (op, flags) = (c.op(u), (cross_pred, true));
+                        protocol::step(&mut cache, &mut m, &mut stats, config.faults, u, op, flags);
                         // Probe the node's full view while holding the lock
                         // so the row is a consistent snapshot.
                         let row: Vec<Option<NodeId>> = c
@@ -229,11 +202,6 @@ where
                             .map(|l| node_of(cache.peek(l).unwrap_or_else(|| m.load(l))))
                             .collect();
                         rows.push((u, me, row));
-                        // Conservative BACKER: eager reconcile after every
-                        // node, before successors can start.
-                        if !config.faults.skip_reconcile {
-                            cache.reconcile_all(&mut m, &mut stats);
-                        }
                     }
                     perturb::jostle(plan, perturb::PHASE_PRE_NOTIFY, u.index());
                     for &v in c.dag().successors(u) {
@@ -282,7 +250,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccmm_core::{Lc, Location, MemoryModel};
+    use ccmm_core::{Lc, Location, MemoryModel, Op};
 
     fn l(i: usize) -> Location {
         Location::new(i)
@@ -542,7 +510,7 @@ mod interleaving {
 #[cfg(test)]
 mod perturbed_tests {
     use super::*;
-    use ccmm_core::{Lc, Location, MemoryModel};
+    use ccmm_core::{Lc, Location, MemoryModel, Op};
 
     #[test]
     fn perturbed_executions_maintain_lc() {
@@ -592,7 +560,7 @@ mod perturbed_tests {
 #[cfg(test)]
 mod paged_tests {
     use super::*;
-    use ccmm_core::{Lc, Location, MemoryModel};
+    use ccmm_core::{Lc, Location, MemoryModel, Op};
 
     #[test]
     fn paged_threads_maintain_lc() {
@@ -608,7 +576,10 @@ mod paged_tests {
         let c = Computation::new(dag, ops).unwrap();
         for page in [1usize, 4] {
             for _ in 0..5 {
-                let r = run_paged(&c, &BackerConfig::with_processors(4).cache_capacity(2), page);
+                let cfg = BackerConfig::with_processors(4).cache_capacity(2);
+                let r = run_with_caches(&c, &cfg, &PerturbPlan::none(), |nl| {
+                    crate::paged::PagedCache::new(nl, page, 2)
+                });
                 assert!(r.observer.is_valid_for(&c));
                 assert!(Lc.contains(&c, &r.observer), "page={page}");
             }

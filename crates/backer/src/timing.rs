@@ -16,9 +16,10 @@
 
 use crate::cache::Cache;
 use crate::config::BackerConfig;
-use crate::memory::{token_of, MainMemory};
+use crate::memory::MainMemory;
+use crate::protocol;
 use crate::stats::Stats;
-use ccmm_core::{Computation, Op};
+use ccmm_core::Computation;
 use ccmm_dag::NodeId;
 use rand::Rng;
 
@@ -83,9 +84,10 @@ pub fn span(c: &Computation, cost: &CostModel) -> u64 {
 ///
 /// Scheduling: when a processor becomes free it executes a ready node,
 /// preferring a successor of the node it just finished (continuation
-/// locality) and otherwise stealing a uniformly random ready node. Memory
-/// behaviour and protocol placement match [`crate::sim`] (flush before
-/// cross-processor dependencies, reconcile after).
+/// locality) and otherwise stealing a uniformly random ready node. Each
+/// node runs through [`crate::protocol::step`]: a flush before a node
+/// with a cross-processor predecessor and, as a node's successors are
+/// not placed yet, a reconcile after every node.
 pub fn run<R: Rng + ?Sized>(
     c: &Computation,
     p: usize,
@@ -95,10 +97,8 @@ pub fn run<R: Rng + ?Sized>(
 ) -> TimedResult {
     assert!(p > 0);
     let n = c.node_count();
-    let num_locations = c.num_locations();
-    let mut mem = MainMemory::new(num_locations);
-    let mut caches: Vec<Cache> =
-        (0..p).map(|_| Cache::new(num_locations, config.cache_capacity.max(1))).collect();
+    let mut mem = MainMemory::new(c.num_locations());
+    let mut caches: Vec<Cache> = (0..p).map(|_| Cache::new(config.cache_capacity.max(1))).collect();
     let mut stats_per: Vec<Stats> = vec![Stats::default(); p];
 
     let mut indeg: Vec<usize> = (0..n).map(|u| c.dag().in_degree(NodeId::new(u))).collect();
@@ -145,23 +145,9 @@ pub fn run<R: Rng + ?Sized>(
         let stats_before = stats_per[me];
 
         let cross_pred = c.dag().predecessors(u).iter().any(|&q| proc_of[q.index()] != me);
-        if cross_pred && !config.faults.skip_flush {
-            caches[me].flush_all(&mut mem, &mut stats_per[me]);
-        }
-        match c.op(u) {
-            Op::Read(l) => {
-                caches[me].read(l, &mut mem, &mut stats_per[me]);
-            }
-            Op::Write(l) => {
-                caches[me].write(l, token_of(u), &mut mem, &mut stats_per[me]);
-            }
-            Op::Nop => {}
-        }
-        let cross_succ = c.dag().successors(u).iter().any(|&v| proc_of[v.index()] != me);
-        let _ = cross_succ; // successors not yet placed; reconcile eagerly:
-        if !config.faults.skip_reconcile {
-            caches[me].reconcile_all(&mut mem, &mut stats_per[me]);
-        }
+        // Successors are not placed yet, so reconcile after every node.
+        let (cache, stats) = (&mut caches[me], &mut stats_per[me]);
+        protocol::step(cache, &mut mem, stats, config.faults, u, c.op(u), (cross_pred, true));
 
         // Bill the node: op + protocol deltas.
         let d = delta(&stats_before, &stats_per[me]);
@@ -213,6 +199,7 @@ fn delta(before: &Stats, after: &Stats) -> Stats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccmm_core::Op;
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {

@@ -114,8 +114,8 @@ fn main() {
     println!("== fault injection: broken protocols violate LC ==\n");
     let mut t = Table::new(["fault", "workload", "runs", "LC violations"]);
     let faults = [
-        ("skip flush", FaultInjection { skip_flush: true, skip_reconcile: false }),
-        ("skip reconcile", FaultInjection { skip_flush: false, skip_reconcile: true }),
+        ("skip flush", FaultInjection::SKIP_FLUSH),
+        ("skip reconcile", FaultInjection::SKIP_RECONCILE),
         ("skip both", FaultInjection { skip_flush: true, skip_reconcile: true }),
     ];
     for (fname, f) in faults {

@@ -119,15 +119,7 @@ impl FaultPlan {
     /// (pinned by `tests/proptest_fault.rs`).
     pub fn from_spec(spec: &str) -> Result<Self, String> {
         let mut plan = FaultPlan::none();
-        for (pos, entry) in spec
-            .split(',')
-            .map(str::trim)
-            .filter(|e| !e.is_empty())
-            .enumerate()
-            .map(|(i, e)| (i + 1, e))
-        {
-            let at = |msg: String| format!("fault spec entry {pos} (`{entry}`): {msg}");
-            let (key, value) = entry.split_once('=').ok_or_else(|| at("needs key=value".into()))?;
+        parse_entries(spec, "fault spec", |key, value, at| {
             let parse = |v: &str| -> Result<usize, String> {
                 v.parse().map_err(|_| at(format!("`{v}` is not a number")))
             };
@@ -157,7 +149,8 @@ impl FaultPlan {
                 }
                 other => return Err(at(format!("unknown fault key `{other}`"))),
             }
-        }
+            Ok(())
+        })?;
         Ok(plan)
     }
 
@@ -246,40 +239,21 @@ impl std::fmt::Display for FaultPlan {
     /// order they were parsed in; an empty plan renders as the empty
     /// string, which `from_spec` accepts.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut sep = "";
-        let mut entry = |f: &mut std::fmt::Formatter<'_>, s: String| -> std::fmt::Result {
-            write!(f, "{sep}{s}")?;
-            sep = ",";
-            Ok(())
-        };
         let task_key = if self.panic_task_once { "panic-once-at-task" } else { "panic-at-task" };
-        if let Some(t) = self.panic_at_task {
-            entry(f, format!("{task_key}={t}"))?;
-        }
-        if self.panic_task_seeded {
-            entry(f, format!("{task_key}=seeded"))?;
-        }
-        if let Some((idx, ms)) = self.delay_at_task {
-            entry(f, format!("delay-at-task={idx}:{ms}"))?;
-        }
-        if let Some(k) = self.kill_after_records {
-            entry(f, format!("kill-after-ckpt={k}"))?;
-        }
-        if let Some(k) = self.io_error_at_record {
-            entry(f, format!("io-error-at-record={k}"))?;
-        }
-        if let Some(i) = self.panic_at_fixpoint {
-            let key = if self.panic_fixpoint_once {
-                "panic-once-at-fixpoint"
-            } else {
-                "panic-at-fixpoint"
-            };
-            entry(f, format!("{key}={i}"))?;
-        }
-        if self.seed != 0 {
-            entry(f, format!("seed={}", self.seed))?;
-        }
-        Ok(())
+        let fixpoint_key =
+            if self.panic_fixpoint_once { "panic-once-at-fixpoint" } else { "panic-at-fixpoint" };
+        render(
+            f,
+            [
+                self.panic_at_task.map(|t| format!("{task_key}={t}")),
+                self.panic_task_seeded.then(|| format!("{task_key}=seeded")),
+                self.delay_at_task.map(|(idx, ms)| format!("delay-at-task={idx}:{ms}")),
+                self.kill_after_records.map(|k| format!("kill-after-ckpt={k}")),
+                self.io_error_at_record.map(|k| format!("io-error-at-record={k}")),
+                self.panic_at_fixpoint.map(|i| format!("{fixpoint_key}={i}")),
+                (self.seed != 0).then(|| format!("seed={}", self.seed)),
+            ],
+        )
     }
 }
 
@@ -346,25 +320,11 @@ impl PerturbPlan {
     /// and `from_spec ∘ to_string` is the identity.
     pub fn from_spec(spec: &str) -> Result<Self, String> {
         let mut plan = PerturbPlan::none();
-        for (pos, entry) in spec
-            .split(',')
-            .map(str::trim)
-            .filter(|e| !e.is_empty())
-            .enumerate()
-            .map(|(i, e)| (i + 1, e))
-        {
-            let at = |msg: String| format!("perturb spec entry {pos} (`{entry}`): {msg}");
-            let (key, value) = entry.split_once('=').ok_or_else(|| at("needs key=value".into()))?;
-            let ratio = |v: &str| -> Result<u32, String> {
-                let den = v
-                    .strip_prefix("1/")
-                    .ok_or_else(|| at(format!("`{v}` is not a 1/K ratio")))?
-                    .parse::<u32>()
-                    .map_err(|_| at(format!("`{v}` is not a 1/K ratio")))?;
-                if den == 0 {
-                    return Err(at("ratio denominator must be at least 1".into()));
-                }
-                Ok(den)
+        parse_entries(spec, "perturb spec", |key, value, at| {
+            let ratio = |v: &str| {
+                ratio(v, at, |k| {
+                    k.parse::<u32>().map_err(|_| at(format!("`{v}` is not a 1/K ratio")))
+                })
             };
             match key {
                 "yield" => plan.yield_den = ratio(value)?,
@@ -385,7 +345,8 @@ impl PerturbPlan {
                 }
                 other => return Err(at(format!("unknown perturb key `{other}`"))),
             }
-        }
+            Ok(())
+        })?;
         Ok(plan)
     }
 
@@ -431,25 +392,16 @@ impl std::fmt::Display for PerturbPlan {
     /// Canonical spec rendering; same identity contract as
     /// [`FaultPlan`]'s `Display`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut sep = "";
-        let mut entry = |f: &mut std::fmt::Formatter<'_>, s: String| -> std::fmt::Result {
-            write!(f, "{sep}{s}")?;
-            sep = ",";
-            Ok(())
-        };
-        if self.yield_den != 0 {
-            entry(f, format!("yield=1/{}", self.yield_den))?;
-        }
-        if self.spin_den != 0 {
-            entry(f, format!("spin=1/{}:{}", self.spin_den, self.spin_iters))?;
-        }
-        if self.steal_rotate {
-            entry(f, "steal=rotate".to_string())?;
-        }
-        if self.seed != 0 {
-            entry(f, format!("seed={}", self.seed))?;
-        }
-        Ok(())
+        render(
+            f,
+            [
+                (self.yield_den != 0).then(|| format!("yield=1/{}", self.yield_den)),
+                (self.spin_den != 0)
+                    .then(|| format!("spin=1/{}:{}", self.spin_den, self.spin_iters)),
+                self.steal_rotate.then(|| "steal=rotate".to_string()),
+                (self.seed != 0).then(|| format!("seed={}", self.seed)),
+            ],
+        )
     }
 }
 
@@ -524,27 +476,11 @@ impl ServeFaultPlan {
     /// Parses the spec grammar (see the type docs).
     pub fn from_spec(spec: &str) -> Result<Self, String> {
         let mut plan = ServeFaultPlan::none();
-        for (pos, entry) in spec
-            .split(',')
-            .map(str::trim)
-            .filter(|e| !e.is_empty())
-            .enumerate()
-            .map(|(i, e)| (i + 1, e))
-        {
-            let at = |msg: String| format!("serve fault spec entry {pos} (`{entry}`): {msg}");
-            let (key, value) = entry.split_once('=').ok_or_else(|| at("needs key=value".into()))?;
+        parse_entries(spec, "serve fault spec", |key, value, at| {
             let num = |v: &str| -> Result<u64, String> {
                 v.parse().map_err(|_| at(format!("`{v}` is not a number")))
             };
-            let ratio = |v: &str| -> Result<u64, String> {
-                let den = num(v
-                    .strip_prefix("1/")
-                    .ok_or_else(|| at(format!("`{v}` is not a 1/K ratio")))?)?;
-                if den == 0 {
-                    return Err(at("ratio denominator must be at least 1".into()));
-                }
-                Ok(den)
-            };
+            let ratio = |v: &str| ratio(v, at, num);
             match key {
                 "panic-at-request" => plan.panic_at = Some(num(value)?),
                 "drop-at-request" => plan.drop_at = Some(num(value)?),
@@ -566,7 +502,8 @@ impl ServeFaultPlan {
                 "seed" => plan.seed = num(value)?,
                 other => return Err(at(format!("unknown serve fault key `{other}`"))),
             }
-        }
+            Ok(())
+        })?;
         Ok(plan)
     }
 
@@ -600,41 +537,60 @@ impl std::fmt::Display for ServeFaultPlan {
     /// Canonical spec rendering; same identity contract as
     /// [`FaultPlan`]'s `Display`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut sep = "";
-        let mut entry = |f: &mut std::fmt::Formatter<'_>, s: String| -> std::fmt::Result {
-            write!(f, "{sep}{s}")?;
-            sep = ",";
-            Ok(())
-        };
-        if let Some(i) = self.panic_at {
-            entry(f, format!("panic-at-request={i}"))?;
-        }
-        if let Some(i) = self.drop_at {
-            entry(f, format!("drop-at-request={i}"))?;
-        }
-        if let Some(i) = self.truncate_at {
-            entry(f, format!("truncate-at-request={i}"))?;
-        }
-        if let Some((i, ms)) = self.delay_at {
-            entry(f, format!("delay-at-request={i}:{ms}"))?;
-        }
-        if self.panic_den != 0 {
-            entry(f, format!("panic=1/{}", self.panic_den))?;
-        }
-        if self.drop_den != 0 {
-            entry(f, format!("drop=1/{}", self.drop_den))?;
-        }
-        if self.truncate_den != 0 {
-            entry(f, format!("truncate=1/{}", self.truncate_den))?;
-        }
-        if self.delay_den != 0 {
-            entry(f, format!("delay=1/{}:{}", self.delay_den, self.delay_ms))?;
-        }
-        if self.seed != 0 {
-            entry(f, format!("seed={}", self.seed))?;
-        }
-        Ok(())
+        let rate = |den: u64, key: &str| (den != 0).then(|| format!("{key}=1/{den}"));
+        render(
+            f,
+            [
+                self.panic_at.map(|i| format!("panic-at-request={i}")),
+                self.drop_at.map(|i| format!("drop-at-request={i}")),
+                self.truncate_at.map(|i| format!("truncate-at-request={i}")),
+                self.delay_at.map(|(i, ms)| format!("delay-at-request={i}:{ms}")),
+                rate(self.panic_den, "panic"),
+                rate(self.drop_den, "drop"),
+                rate(self.truncate_den, "truncate"),
+                rate(self.delay_den, "delay").map(|r| format!("{r}:{}", self.delay_ms)),
+                (self.seed != 0).then(|| format!("seed={}", self.seed)),
+            ],
+        )
     }
+}
+
+/// Walks a comma-separated spec: calls `entry(key, value, at)` for each
+/// non-empty entry, where `at` prefixes an error message with the
+/// grammar's `what`, the entry's 1-based number and the entry itself.
+fn parse_entries(
+    spec: &str,
+    what: &str,
+    mut entry: impl FnMut(&str, &str, &dyn Fn(String) -> String) -> Result<(), String>,
+) -> Result<(), String> {
+    for (i, e) in spec.split(',').map(str::trim).filter(|e| !e.is_empty()).enumerate() {
+        let at = |msg: String| format!("{what} entry {} (`{e}`): {msg}", i + 1);
+        let (key, value) = e.split_once('=').ok_or_else(|| at("needs key=value".into()))?;
+        entry(key, value, &at)?;
+    }
+    Ok(())
+}
+
+/// Parses a `1/K` ratio with K ≥ 1; `den` parses K and words its own
+/// error.
+fn ratio<T: Default + PartialEq>(
+    v: &str,
+    at: &dyn Fn(String) -> String,
+    den: impl FnOnce(&str) -> Result<T, String>,
+) -> Result<T, String> {
+    let k = den(v.strip_prefix("1/").ok_or_else(|| at(format!("`{v}` is not a 1/K ratio")))?)?;
+    if k == T::default() {
+        return Err(at("ratio denominator must be at least 1".into()));
+    }
+    Ok(k)
+}
+
+/// Writes the present entries comma-joined: the canonical spec string.
+fn render(
+    f: &mut std::fmt::Formatter<'_>,
+    entries: impl IntoIterator<Item = Option<String>>,
+) -> std::fmt::Result {
+    f.write_str(&entries.into_iter().flatten().collect::<Vec<_>>().join(","))
 }
 
 /// splitmix64: the standard 64-bit mix, used to derive seeded fault

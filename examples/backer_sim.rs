@@ -52,8 +52,7 @@ fn main() {
     // cell each ping-pong round and breaks immediately.
     let program = ccmm::cilk::stencil(6, 4);
     let c = &program.computation;
-    let broken = BackerConfig::with_processors(4)
-        .faults(FaultInjection { skip_flush: true, skip_reconcile: false });
+    let broken = BackerConfig::with_processors(4).faults(FaultInjection::SKIP_FLUSH);
     let mut violations = 0;
     let runs = 50;
     for _ in 0..runs {

@@ -40,8 +40,7 @@ fn main() {
     assert!(lc_ok && sc_ok);
 
     // Now a faulty memory: skip the flush leg of the protocol.
-    let broken = BackerConfig::with_processors(4)
-        .faults(FaultInjection { skip_flush: true, skip_reconcile: false });
+    let broken = BackerConfig::with_processors(4).faults(FaultInjection::SKIP_FLUSH);
     let mut caught = 0;
     let runs = 20;
     for _ in 0..runs {

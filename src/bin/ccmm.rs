@@ -1128,14 +1128,15 @@ fn cmd_conformance(args: &[String]) -> Result<bool, String> {
 }
 
 fn cmd_stress(args: &[String]) -> Result<u8, String> {
+    use ccmm::backer::FaultInjection;
     use ccmm::core::fault::PerturbPlan;
     use ccmm::core::parse::{render_computation, render_observer};
-    use ccmm::stress::{self, Mutation, StressConfig};
+    use ccmm::stress::{self, StressConfig};
     use std::time::Instant;
 
     let (mut seed, mut iters, mut threads) = (0u64, 1000usize, 4usize);
     let mut perturb_spec: Option<String> = None;
-    let mut mutation = Mutation::None;
+    let mut mutation = FaultInjection::NONE;
     let mut do_self_test = false;
     let run = RunFlags::parse(args, 32, false, |flag, args| {
         match flag {
@@ -1143,7 +1144,7 @@ fn cmd_stress(args: &[String]) -> Result<u8, String> {
             "--iters" => iters = args.parse(flag)?,
             "--threads" => threads = args.parse(flag)?,
             "--perturb" => perturb_spec = Some(args.value(flag)?),
-            "--mutate" => mutation = Mutation::from_name(&args.value(flag)?)?,
+            "--mutate" => mutation = FaultInjection::from_name(&args.value(flag)?)?,
             "--self-test" => do_self_test = true,
             _ => return Ok(false),
         }
@@ -1154,10 +1155,12 @@ fn cmd_stress(args: &[String]) -> Result<u8, String> {
     }
 
     if do_self_test {
-        // Prove the oracle has teeth before trusting a green run: a
-        // seeded skip-reconcile mutation must be caught and the same
-        // seeds must pass unmutated.
-        print!("stress self-test (mutation: skip-reconcile, {threads} thread(s)) ... ");
+        // Prove the oracle has teeth before trusting a green run: each
+        // seeded mutation must be caught and the same seeds must pass
+        // unmutated.
+        print!(
+            "stress self-test (mutations: skip-flush, skip-reconcile, {threads} thread(s)) ... "
+        );
         match stress::self_test(threads) {
             Ok(()) => println!("caught, and clean executor passes"),
             Err(e) => {
@@ -1230,7 +1233,7 @@ fn cmd_stress(args: &[String]) -> Result<u8, String> {
             f.iteration, f.leg, f.workload, f.kind
         );
         let mutate_flag = match cfg.mutation {
-            Mutation::None => String::new(),
+            FaultInjection::NONE => String::new(),
             m => format!(" --mutate {}", m.name()),
         };
         println!(
@@ -1269,14 +1272,7 @@ fn cmd_watch(args: &[String]) -> Result<u8, String> {
     })?;
     // Watch's `--fault` weakens the BACKER protocol; its journal runs
     // under the empty fault plan.
-    cfg.faults = match run.fault.as_deref() {
-        None | Some("none") => FaultInjection::NONE,
-        Some("skip-flush") => FaultInjection { skip_flush: true, skip_reconcile: false },
-        Some("skip-reconcile") => FaultInjection { skip_flush: false, skip_reconcile: true },
-        Some(other) => {
-            return Err(format!("unknown fault `{other}` (none | skip-flush | skip-reconcile)"))
-        }
-    };
+    cfg.faults = FaultInjection::from_name(run.fault.as_deref().unwrap_or("none"))?;
     if cfg.procs == 0 {
         return Err("--procs must be at least 1".into());
     }
@@ -1750,7 +1746,7 @@ USAGE:
                                            steal=rotate); --mutate weakens the
                                            protocol (skip-flush |
                                            skip-reconcile) to exercise the
-                                           oracle; --self-test proves a seeded
+                                           oracle; --self-test proves each
                                            mutation is caught before the run.
                                            Supervision matches sweep:
                                            quarantine or a failed journal

@@ -7,9 +7,9 @@
 //! computation) and *location consistent* — the theorem the executor
 //! implements. Every `harvest_every`-th iteration additionally runs the
 //! deterministic simulator leg ([`ccmm_backer::harvest`]) over seeded
-//! schedules, which is what makes a seeded protocol mutation
-//! ([`Mutation`]) reproducibly catchable even on a single-core machine,
-//! where real data races may never materialize.
+//! schedules, which is what makes a seeded protocol mutation (a
+//! [`FaultInjection`] switch) reproducibly catchable even on a
+//! single-core machine, where real data races may never materialize.
 //!
 //! The loop is supervised with the same machinery as `ccmm sweep`:
 //! a panicking iteration goes through [`retry_once`] and is then
@@ -38,54 +38,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
 
-/// A deliberately weakened executor, used by the self-test to prove the
-/// harness catches real protocol bugs. Each mutation maps to a
-/// [`FaultInjection`] switch: the executions it produces are exactly
-/// what a lost happens-before edge would admit.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Mutation {
-    /// The correct protocol.
-    #[default]
-    None,
-    /// Skip the flush before a node with a cross-processor predecessor —
-    /// models trusting a stale `proc_of` read (a weakened Acquire).
-    SkipFlush,
-    /// Skip the reconcile after every node — models a lost release edge:
-    /// writes never become visible across dependency edges.
-    SkipReconcile,
-}
-
-impl Mutation {
-    /// Parses a `--mutate` value.
-    pub fn from_name(name: &str) -> Result<Self, String> {
-        match name {
-            "none" => Ok(Mutation::None),
-            "skip-flush" => Ok(Mutation::SkipFlush),
-            "skip-reconcile" => Ok(Mutation::SkipReconcile),
-            other => {
-                Err(format!("unknown mutation `{other}` (none | skip-flush | skip-reconcile)"))
-            }
-        }
-    }
-
-    /// The canonical name (inverse of [`Mutation::from_name`]).
-    pub fn name(self) -> &'static str {
-        match self {
-            Mutation::None => "none",
-            Mutation::SkipFlush => "skip-flush",
-            Mutation::SkipReconcile => "skip-reconcile",
-        }
-    }
-
-    fn faults(self) -> FaultInjection {
-        match self {
-            Mutation::None => FaultInjection::NONE,
-            Mutation::SkipFlush => FaultInjection { skip_flush: true, skip_reconcile: false },
-            Mutation::SkipReconcile => FaultInjection { skip_flush: false, skip_reconcile: true },
-        }
-    }
-}
-
 /// Configuration for one stress run.
 #[derive(Clone, Debug)]
 pub struct StressConfig {
@@ -97,8 +49,11 @@ pub struct StressConfig {
     pub threads: usize,
     /// Perturbation shape (its seed is replaced per iteration).
     pub perturb: PerturbPlan,
-    /// Executor mutation under test (`None` for a conformance run).
-    pub mutation: Mutation,
+    /// Executor mutation under test ([`FaultInjection::NONE`] for a
+    /// conformance run): skipping the flush models trusting a stale
+    /// `proc_of` read (a weakened Acquire), skipping the reconcile a lost
+    /// release edge.
+    pub mutation: FaultInjection,
     /// Wall-clock budget; exceeded ⇒ Partial with a resume frontier.
     pub deadline: Option<Duration>,
     /// Small-cache capacity exercised alongside unbounded caches.
@@ -117,7 +72,7 @@ impl StressConfig {
             iters,
             threads,
             perturb: PerturbPlan::aggressive(seed),
-            mutation: Mutation::None,
+            mutation: FaultInjection::NONE,
             deadline: None,
             cache_lines: 1,
             harvest_every: 4,
@@ -310,7 +265,7 @@ fn run_iteration(cfg: &StressConfig, iteration: usize) -> IterDelta {
     let plan = cfg.perturb.clone().with_seed(seed);
     let backer = BackerConfig::with_processors(cfg.threads)
         .cache_capacity(cfg.cache_lines.max(1))
-        .faults(cfg.mutation.faults());
+        .faults(cfg.mutation);
     let mut delta = IterDelta {
         checks: 0,
         sc_member: 0,
@@ -461,33 +416,39 @@ pub fn run(cfg: &StressConfig) -> StressReport {
 }
 
 /// The self-test: proves the harness catches a deliberately weakened
-/// executor. Runs a seeded mutation (`skip-reconcile`, modelling a lost
-/// release edge) and requires a conformance failure with a reproducible
-/// seed and a shrunk trace; then re-runs the identical seeds unmutated
-/// and requires a clean pass.
+/// executor. Runs each seeded mutation (`skip-flush`, modelling a
+/// weakened Acquire, and `skip-reconcile`, a lost release edge) and
+/// requires a conformance failure with a reproducible seed and a shrunk
+/// trace; then re-runs the identical seeds unmutated and requires a
+/// clean pass.
 pub fn self_test(threads: usize) -> Result<(), String> {
     let mut cfg = StressConfig::new(0x00C0_FFEE, 24, threads);
     cfg.harvest_every = 1; // the deterministic leg every iteration
-    cfg.mutation = Mutation::SkipReconcile;
-    let mutated = run(&cfg);
-    let Some(f) = mutated.failures.first() else {
-        return Err("self-test: the skip-reconcile mutation was NOT caught".into());
-    };
-    if f.c.node_count() == 0 {
-        return Err("self-test: shrunk trace is empty".into());
+    for mutation in [FaultInjection::SKIP_FLUSH, FaultInjection::SKIP_RECONCILE] {
+        cfg.mutation = mutation;
+        let mutated = run(&cfg);
+        let Some(f) = mutated.failures.first() else {
+            return Err(format!("self-test: the {} mutation was NOT caught", mutation.name()));
+        };
+        if f.c.node_count() == 0 {
+            return Err("self-test: shrunk trace is empty".into());
+        }
+        // The failure must reproduce from its reported seed alone.
+        let (_, c) = workload_for(f.seed);
+        let backer = BackerConfig::with_processors(threads)
+            .cache_capacity(cfg.cache_lines.max(1))
+            .faults(mutation);
+        let reproduced = harvest_observers_cfg(&c, 3, threads, cfg.cache_lines, f.seed, &backer)
+            .iter()
+            .any(|phi| !phi.is_valid_for(&c) || !Lc.contains(&c, phi));
+        if f.leg == "sim" && !reproduced {
+            return Err(format!(
+                "self-test: seed {} did not reproduce the sim-leg failure",
+                f.seed
+            ));
+        }
     }
-    // The failure must reproduce from its reported seed alone.
-    let (_, c) = workload_for(f.seed);
-    let backer = BackerConfig::with_processors(threads)
-        .cache_capacity(cfg.cache_lines.max(1))
-        .faults(Mutation::SkipReconcile.faults());
-    let reproduced = harvest_observers_cfg(&c, 3, threads, cfg.cache_lines, f.seed, &backer)
-        .iter()
-        .any(|phi| !phi.is_valid_for(&c) || !Lc.contains(&c, phi));
-    if f.leg == "sim" && !reproduced {
-        return Err(format!("self-test: seed {} did not reproduce the sim-leg failure", f.seed));
-    }
-    cfg.mutation = Mutation::None;
+    cfg.mutation = FaultInjection::NONE;
     let clean = run(&cfg);
     if !clean.passed() {
         return Err(format!(
@@ -559,7 +520,7 @@ mod tests {
     fn mutation_is_caught_with_seed_and_shrunk_trace() {
         let mut cfg = StressConfig::new(0x00C0_FFEE, 24, 2);
         cfg.harvest_every = 1;
-        cfg.mutation = Mutation::SkipReconcile;
+        cfg.mutation = FaultInjection::SKIP_RECONCILE;
         let r = run(&cfg);
         let f = r.failures.first().expect("skip-reconcile must be caught");
         // Stopping at the first failure is the point of the run, not a
@@ -569,6 +530,18 @@ mod tests {
         assert!(f.c.node_count() >= 1);
         assert!(f.shrink_steps > 0 || f.c.node_count() <= 3, "trace should have shrunk");
         assert_eq!(f.seed, iter_seed(cfg.seed, f.iteration));
+    }
+
+    #[test]
+    fn fingerprint_names_the_mutation() {
+        let mut cfg = StressConfig::new(7, 10, 2);
+        cfg.mutation = FaultInjection::SKIP_FLUSH;
+        assert_eq!(
+            cfg.fingerprint(),
+            "ccmm-stress-v1 seed=7 iters=10 threads=2 \
+             perturb=yield=1/2,spin=1/8:64,steal=rotate,seed=7 mutation=skip-flush \
+             cache_lines=1 harvest_every=4"
+        );
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub struct WatchConfig {
     pub workload: String,
     /// Simulated BACKER processors.
     pub procs: usize,
-    /// Cache lines per processor (occupancy bound of each `LeanCache`).
+    /// Cache lines per processor (occupancy bound of each BACKER cache).
     pub cache_lines: usize,
     /// Block size of the block-cyclic node→processor assignment.
     pub block: usize,
@@ -465,7 +465,7 @@ mod tests {
     fn faulted_run_violates_lc_and_batch_agrees() {
         let trace = parse_trace_workload("fib:8").expect("spec");
         let mut cfg = WatchConfig::new("fib:8");
-        cfg.faults = FaultInjection { skip_flush: false, skip_reconcile: true };
+        cfg.faults = FaultInjection::SKIP_RECONCILE;
         cfg.sample_every = 2; // sample densely so a violating prefix is cross-checked
         let r = run(&cfg, &trace).expect("run");
         assert!(!r.verdicts.lc, "skip-reconcile must leave LC");
@@ -523,6 +523,17 @@ mod tests {
         let journal = ckpt::Checkpoint::load(&path).expect("journal still loads");
         assert!(journal.snapshots.is_empty(), "nothing is appended after the failed record");
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn fingerprint_names_both_switches() {
+        let mut cfg = WatchConfig::new("matmul:8");
+        cfg.faults = FaultInjection::from_name("skip-reconcile").unwrap();
+        assert_eq!(
+            cfg.fingerprint(),
+            "ccmm-watch-v1 workload=matmul:8 procs=4 cache_lines=16 block=16 \
+             skip_flush=false skip_reconcile=true sample_every=8 sample_cap=24"
+        );
     }
 
     #[test]

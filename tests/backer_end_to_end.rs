@@ -87,8 +87,7 @@ fn faulty_protocol_breaks_determinacy_detectably() {
     let c = ccmm::cilk::stencil(8, 4).computation;
     let serial = sim::run(&c, &Schedule::serial(&c), &BackerConfig::default());
     let expected = read_results(&c, &serial.observer);
-    let broken = BackerConfig::with_processors(4)
-        .faults(FaultInjection { skip_flush: true, skip_reconcile: false });
+    let broken = BackerConfig::with_processors(4).faults(FaultInjection::SKIP_FLUSH);
     let mut wrong_reads = 0;
     let mut lc_violations = 0;
     for _ in 0..20 {

@@ -2,9 +2,24 @@
 
 use std::io::Write;
 use std::process::{Command, Stdio};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_ccmm"))
+}
+
+/// A `--gate` run compares wall-clock rates with a baseline recorded a
+/// moment earlier, so it must not share the CPU with a sibling test's
+/// child processes: every test holds this lock, shared for ordinary
+/// runs and exclusive while a gate timing is compared.
+static CPU: RwLock<()> = RwLock::new(());
+
+fn cpu_shared() -> RwLockReadGuard<'static, ()> {
+    CPU.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn cpu_exclusive() -> RwLockWriteGuard<'static, ()> {
+    CPU.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn write_temp(name: &str, content: &str) -> std::path::PathBuf {
@@ -15,6 +30,7 @@ fn write_temp(name: &str, content: &str) -> std::path::PathBuf {
 
 #[test]
 fn help_prints_usage() {
+    let _cpu = cpu_shared();
     let out = bin().arg("--help").output().unwrap();
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
@@ -24,6 +40,7 @@ fn help_prints_usage() {
 
 #[test]
 fn unknown_command_fails_with_usage() {
+    let _cpu = cpu_shared();
     let out = bin().arg("frobnicate").output().unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8(out.stderr).unwrap().contains("unknown command"));
@@ -31,6 +48,7 @@ fn unknown_command_fails_with_usage() {
 
 #[test]
 fn check_exit_codes_reflect_membership() {
+    let _cpu = cpu_shared();
     let c = write_temp("c", "n0: W(0)\nn1: R(0) <- n0\n");
     let member = write_temp("m", "l0: n0 n0\n");
     let stale = write_temp("s", "l0: n0 _\n");
@@ -48,6 +66,7 @@ fn check_exit_codes_reflect_membership() {
 
 #[test]
 fn check_prints_the_qdag_violation_certificate() {
+    let _cpu = cpu_shared();
     // W -> R(sees W) -> R(sees ⊥): the initial value resurfaces, so the
     // triple (⊥, n0, n2) fails under every predicate.
     let c = write_temp("chain", "n0: W(0)\nn1: R(0) <- n0\nn2: R(0) <- n1\n");
@@ -77,6 +96,7 @@ fn check_prints_the_qdag_violation_certificate() {
 
 #[test]
 fn models_reads_stdin() {
+    let _cpu = cpu_shared();
     let obs = write_temp("o", "l0: n0 n0\n");
     let mut child = bin()
         .args(["models", "-"])
@@ -95,6 +115,7 @@ fn models_reads_stdin() {
 
 #[test]
 fn witness_fig4_not_in_lc() {
+    let _cpu = cpu_shared();
     let out = bin().args(["witness", "fig4"]).output().unwrap();
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
@@ -104,6 +125,7 @@ fn witness_fig4_not_in_lc() {
 
 #[test]
 fn backer_reports_lc() {
+    let _cpu = cpu_shared();
     let out = bin()
         .args(["backer", "--workload", "fib:6", "--procs", "2", "--runs", "3"])
         .output()
@@ -115,6 +137,7 @@ fn backer_reports_lc() {
 
 #[test]
 fn dot_renders_graphviz() {
+    let _cpu = cpu_shared();
     let c = write_temp("dot", "n0: W(0)\nn1: R(0) <- n0\n");
     let out = bin().arg("dot").arg(&c).output().unwrap();
     assert!(out.status.success());
@@ -125,6 +148,7 @@ fn dot_renders_graphviz() {
 
 #[test]
 fn parse_errors_surface_with_line_numbers() {
+    let _cpu = cpu_shared();
     let c = write_temp("bad", "n0: W(0)\nn7: R(0)\n");
     let obs = write_temp("bad-o", "l0: n0 n0\n");
     let out = bin().args(["models"]).arg(&c).arg(&obs).output().unwrap();
@@ -134,6 +158,7 @@ fn parse_errors_surface_with_line_numbers() {
 
 #[test]
 fn multibyte_garbage_in_a_corpus_file_exits_2_with_a_line_number() {
+    let _cpu = cpu_shared();
     // `Ω` begins with a non-ASCII byte; the parser must reject it as an
     // unknown op (with the offending line number), never split the token
     // mid-character and panic.
@@ -148,6 +173,7 @@ fn multibyte_garbage_in_a_corpus_file_exits_2_with_a_line_number() {
 
 #[test]
 fn conformance_smoke_passes_and_exits_zero() {
+    let _cpu = cpu_shared();
     let out = bin()
         .args(["conformance", "--nodes", "3", "--random", "30", "--no-harvest", "--threads", "2"])
         .output()
@@ -163,6 +189,7 @@ fn conformance_smoke_passes_and_exits_zero() {
 
 #[test]
 fn conformance_self_test_reports_the_pipeline_is_live() {
+    let _cpu = cpu_shared();
     let dir = std::env::temp_dir().join(format!("ccmm-conf-out-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let out = bin()
@@ -180,6 +207,7 @@ fn conformance_self_test_reports_the_pipeline_is_live() {
 
 #[test]
 fn conformance_rejects_oversized_bounds() {
+    let _cpu = cpu_shared();
     let out = bin().args(["conformance", "--nodes", "9"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8(out.stderr).unwrap().contains("too slow"));
@@ -210,6 +238,7 @@ fn membership_counts(stdout: &str) -> Vec<String> {
 
 #[test]
 fn sweep_gate_without_baseline_exits_5() {
+    let _cpu = cpu_shared();
     let (mut cmd, json) = sweep_cmd("gate-nobase");
     let out = cmd.args(["--bound", "3", "--gate"]).output().unwrap();
     assert_eq!(out.status.code(), Some(5), "dedicated exit code for a gate with no baseline");
@@ -223,6 +252,7 @@ fn sweep_gate_without_baseline_exits_5() {
 
 #[test]
 fn sweep_injected_panic_degrades_but_completes() {
+    let _cpu = cpu_shared();
     let (mut cmd, json) = sweep_cmd("degraded");
     let out = cmd
         .args(["--bound", "3", "--canonical", "--threads", "2", "--fault", "panic-at-task=1"])
@@ -246,6 +276,7 @@ fn sweep_injected_panic_degrades_but_completes() {
 
 #[test]
 fn sweep_kill_and_resume_round_trip_is_bit_identical() {
+    let _cpu = cpu_shared();
     let ckpt = std::env::temp_dir().join(format!("ccmm-cli-ckpt-{}", std::process::id()));
     let _ = std::fs::remove_file(&ckpt);
     let shape = ["--bound", "4", "--canonical", "--threads", "2"];
@@ -293,6 +324,7 @@ fn sweep_kill_and_resume_round_trip_is_bit_identical() {
 
 #[test]
 fn sweep_lane64_counts_match_scalar() {
+    let _cpu = cpu_shared();
     let shape = ["--bound", "4", "--canonical", "--threads", "2"];
     let (mut cmd, json1) = sweep_cmd("lane-scalar");
     let scalar = cmd.args(shape).output().unwrap();
@@ -319,6 +351,7 @@ fn sweep_lane64_counts_match_scalar() {
 
 #[test]
 fn sweep_lane64_flag_validation() {
+    let _cpu = cpu_shared();
     // lane64 rides the canonical task list.
     let (mut cmd, _) = sweep_cmd("lane-nocanon");
     let out = cmd.args(["--bound", "3", "--engine", "lane64"]).output().unwrap();
@@ -351,6 +384,7 @@ fn sweep_lane64_flag_validation() {
 
 #[test]
 fn sweep_lane64_fixpoint_matches_scalar_worklist() {
+    let _cpu = cpu_shared();
     // The bound-4 Δ* fixpoint and constructibility verdicts must be
     // bit-identical across engines — same survivors, deletions, passes.
     let fixpoint_line = |text: &str| {
@@ -387,9 +421,13 @@ fn sweep_lane64_fixpoint_matches_scalar_worklist() {
 
 #[test]
 fn sweep_lane64_gate_compares_same_engine_baselines_only() {
+    let _cpu = cpu_exclusive();
+    // Bound 4, not 3: the gate compares wall-clock rates, and a bound-3
+    // phase lasts about a millisecond, short enough for one scheduler
+    // stall to halve its rate.
     // Record a scalar canonical baseline…
     let (mut cmd, json) = sweep_cmd("lane-gate");
-    let out = cmd.args(["--bound", "3", "--canonical"]).output().unwrap();
+    let out = cmd.args(["--bound", "4", "--canonical"]).output().unwrap();
     assert_eq!(out.status.code(), Some(0));
     assert!(json.exists());
     // …which a gated lane64 run must NOT see: same bound, same universe,
@@ -397,23 +435,24 @@ fn sweep_lane64_gate_compares_same_engine_baselines_only() {
     let mut cmd = bin();
     cmd.arg("sweep").env("CCMM_BENCH_JSON", &json);
     let out =
-        cmd.args(["--bound", "3", "--canonical", "--engine", "lane64", "--gate"]).output().unwrap();
+        cmd.args(["--bound", "4", "--canonical", "--engine", "lane64", "--gate"]).output().unwrap();
     assert_eq!(out.status.code(), Some(5), "scalar baseline must not satisfy a lane64 gate");
     // Once a lane64 baseline exists, the lane64 gate is live.
     let mut cmd = bin();
     cmd.arg("sweep").env("CCMM_BENCH_JSON", &json);
-    let out = cmd.args(["--bound", "3", "--canonical", "--engine", "lane64"]).output().unwrap();
+    let out = cmd.args(["--bound", "4", "--canonical", "--engine", "lane64"]).output().unwrap();
     assert_eq!(out.status.code(), Some(0));
     let mut cmd = bin();
     cmd.arg("sweep").env("CCMM_BENCH_JSON", &json);
     let out =
-        cmd.args(["--bound", "3", "--canonical", "--engine", "lane64", "--gate"]).output().unwrap();
+        cmd.args(["--bound", "4", "--canonical", "--engine", "lane64", "--gate"]).output().unwrap();
     assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let _ = std::fs::remove_file(&json);
 }
 
 #[test]
 fn sweep_lane64_kill_and_resume_round_trip_is_bit_identical() {
+    let _cpu = cpu_shared();
     let ckpt = std::env::temp_dir().join(format!("ccmm-cli-lane-ckpt-{}", std::process::id()));
     let _ = std::fs::remove_file(&ckpt);
     let shape = ["--bound", "4", "--canonical", "--engine", "lane64", "--threads", "2"];
@@ -456,6 +495,7 @@ fn sweep_lane64_kill_and_resume_round_trip_is_bit_identical() {
 
 #[test]
 fn sweep_lane64_refuses_a_v1_fixpoint_journal() {
+    let _cpu = cpu_shared();
     // A v1 `<ckpt>.fixpoint` holds mask groups for every labelled task;
     // the v2 layout masks only the involved ones, so resuming from it
     // must fail cleanly on the fingerprint, never reach the decoder.
@@ -485,6 +525,7 @@ fn sweep_lane64_refuses_a_v1_fixpoint_journal() {
 
 #[test]
 fn sweep_zero_deadline_exits_partial_with_resume_frontier() {
+    let _cpu = cpu_shared();
     let (mut cmd, json) = sweep_cmd("deadline");
     let out = cmd.args(["--bound", "4", "--canonical", "--deadline-secs", "0"]).output().unwrap();
     assert_eq!(out.status.code(), Some(4), "partial (deadline) exit code");
@@ -497,6 +538,7 @@ fn sweep_zero_deadline_exits_partial_with_resume_frontier() {
 
 #[test]
 fn sweep_metrics_and_trace_files_report_the_work_done() {
+    let _cpu = cpu_shared();
     let tmp = std::env::temp_dir();
     let metrics = tmp.join(format!("ccmm-cli-metrics-{}.json", std::process::id()));
     let trace = tmp.join(format!("ccmm-cli-trace-{}.jsonl", std::process::id()));
@@ -529,6 +571,7 @@ fn sweep_metrics_and_trace_files_report_the_work_done() {
 
 #[test]
 fn sweep_resume_rejects_a_mismatched_fingerprint() {
+    let _cpu = cpu_shared();
     let ckpt = std::env::temp_dir().join(format!("ccmm-cli-fpmm-{}", std::process::id()));
     let _ = std::fs::remove_file(&ckpt);
     let (mut cmd, json1) = sweep_cmd("fpmm-kill");
@@ -571,6 +614,7 @@ fn stress_deterministic_lines(stdout: &str) -> Vec<String> {
 
 #[test]
 fn stress_is_deterministic_per_seed_iters_threads() {
+    let _cpu = cpu_shared();
     let shape = ["stress", "--seed", "11", "--iters", "20", "--threads", "2"];
     let a = bin().args(shape).output().unwrap();
     let b = bin().args(shape).output().unwrap();
@@ -584,6 +628,7 @@ fn stress_is_deterministic_per_seed_iters_threads() {
 
 #[test]
 fn stress_kill_and_resume_respects_the_seed_frontier() {
+    let _cpu = cpu_shared();
     let ckpt = std::env::temp_dir().join(format!("ccmm-cli-stress-ckpt-{}", std::process::id()));
     let _ = std::fs::remove_file(&ckpt);
     let shape = ["--seed", "5", "--iters", "12", "--threads", "2"];
@@ -637,6 +682,7 @@ fn stress_kill_and_resume_respects_the_seed_frontier() {
 
 #[test]
 fn stress_self_test_catches_a_seeded_mutation() {
+    let _cpu = cpu_shared();
     let out =
         bin().args(["stress", "--self-test", "--iters", "2", "--threads", "2"]).output().unwrap();
     assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
@@ -646,6 +692,7 @@ fn stress_self_test_catches_a_seeded_mutation() {
 
 #[test]
 fn stress_mutated_run_reports_a_reproducible_failing_seed() {
+    let _cpu = cpu_shared();
     let mutated = bin()
         .args(["stress", "--seed", "3", "--iters", "30", "--threads", "2"])
         .args(["--mutate", "skip-reconcile"])
@@ -706,6 +753,7 @@ fn spawn_serve(
 #[cfg(unix)]
 #[test]
 fn serve_round_trips_queries_then_drains_cleanly_on_sigterm() {
+    let _cpu = cpu_shared();
     use std::io::Read as _;
     let (mut child, mut reader, addr) = spawn_serve(&[]);
     let c = write_temp("srv-c", "n0: W(0)\nn1: R(0) <- n0\n");
@@ -772,6 +820,7 @@ fn serve_round_trips_queries_then_drains_cleanly_on_sigterm() {
 #[cfg(unix)]
 #[test]
 fn serve_metrics_extend_the_v1_schema() {
+    let _cpu = cpu_shared();
     let metrics =
         std::env::temp_dir().join(format!("ccmm-cli-serve-metrics-{}.json", std::process::id()));
     let _ = std::fs::remove_file(&metrics);
@@ -796,6 +845,7 @@ fn serve_metrics_extend_the_v1_schema() {
 
 #[test]
 fn serve_self_test_proves_request_granular_quarantine() {
+    let _cpu = cpu_shared();
     let out = bin().args(["serve", "--self-test"]).output().unwrap();
     assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8(out.stdout).unwrap();
@@ -806,6 +856,7 @@ fn serve_self_test_proves_request_granular_quarantine() {
 
 #[test]
 fn query_against_nothing_exits_with_the_transport_code() {
+    let _cpu = cpu_shared();
     let out = bin()
         .args(["query", "--addr", "127.0.0.1:1", "--ping", "--retries", "1", "--timeout-ms", "100"])
         .output()
@@ -816,6 +867,7 @@ fn query_against_nothing_exits_with_the_transport_code() {
 
 #[test]
 fn sweep_ckpt_io_error_degrades_but_keeps_every_verdict() {
+    let _cpu = cpu_shared();
     let ckpt = std::env::temp_dir().join(format!("ccmm-cli-ioerr-{}", std::process::id()));
     let _ = std::fs::remove_file(&ckpt);
     let (mut cmd, json) = sweep_cmd("ioerr");
@@ -840,6 +892,7 @@ fn sweep_ckpt_io_error_degrades_but_keeps_every_verdict() {
 
 #[test]
 fn stress_ckpt_io_error_degrades_but_keeps_every_verdict() {
+    let _cpu = cpu_shared();
     // The same journal fault `ccmm sweep` reports as degraded: every
     // iteration still runs and conforms, but resumability is gone, so
     // the run must warn and exit 3 rather than claim a clean pass.
@@ -889,6 +942,7 @@ fn watch_verdict_lines(stdout: &str) -> Vec<String> {
 
 #[test]
 fn watch_streams_a_fib_trace_and_reports_lc() {
+    let _cpu = cpu_shared();
     let (mut cmd, json) = watch_cmd("smoke");
     let out = cmd.args(["--workload", "fib:10"]).output().unwrap();
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
@@ -901,6 +955,7 @@ fn watch_streams_a_fib_trace_and_reports_lc() {
 
 #[test]
 fn watch_faulted_run_detects_the_lc_violation_with_batch_agreement() {
+    let _cpu = cpu_shared();
     let (mut cmd, json) = watch_cmd("fault");
     let out = cmd
         .args(["--workload", "fib:10", "--fault", "skip-reconcile", "--sample-every", "2"])
@@ -915,6 +970,7 @@ fn watch_faulted_run_detects_the_lc_violation_with_batch_agreement() {
 
 #[test]
 fn watch_deadline_exits_partial_and_resume_lands_on_identical_verdicts() {
+    let _cpu = cpu_shared();
     let ckpt = std::env::temp_dir().join(format!("ccmm-cli-watch-ckpt-{}", std::process::id()));
     let _ = std::fs::remove_file(&ckpt);
 
@@ -955,6 +1011,7 @@ fn watch_deadline_exits_partial_and_resume_lands_on_identical_verdicts() {
 
 #[test]
 fn watch_resume_rejects_a_mismatched_fingerprint() {
+    let _cpu = cpu_shared();
     let ckpt = std::env::temp_dir().join(format!("ccmm-cli-watch-ckpt-fp-{}", std::process::id()));
     let _ = std::fs::remove_file(&ckpt);
     let (mut part, json_a) = watch_cmd("fp-a");

@@ -132,11 +132,7 @@ fn completed_pair(
 /// pressure (small caches, multiple procs) and under injected faults.
 #[test]
 fn streaming_verdicts_match_batch_on_race_free_traces() {
-    let faults = [
-        FaultInjection::NONE,
-        FaultInjection { skip_flush: true, skip_reconcile: false },
-        FaultInjection { skip_flush: false, skip_reconcile: true },
-    ];
+    let faults = [FaultInjection::NONE, FaultInjection::SKIP_FLUSH, FaultInjection::SKIP_RECONCILE];
     for make in [|| fib_trace(6), || stencil_trace(3, 2), || matmul_trace(2)] {
         for fault in faults {
             let trace = make();
