@@ -356,4 +356,13 @@ if [[ "$fast" != "fast" ]]; then
         model::dagcons::tests::first_triple_matches_oracle_on_bound5_universe
 fi
 
+echo "== canonical posets: pruned automorphism search vs extension enumeration =="
+# The sweep's canonical poset list (pruned search, down-set DP for e(P))
+# must equal canon_info's linear-extension enumeration on every labelled
+# poset of 7 nodes. Release only: debug tier-1 covers up to 6 nodes.
+if [[ "$fast" != "fast" ]]; then
+    cargo test -q --release -p ccmm-dag --lib -- --ignored --exact \
+        canon::tests::pruned_search_matches_enumeration_at_7_nodes
+fi
+
 echo "CI OK"

@@ -9,6 +9,12 @@
 //! per call) on a fixed pair set. Both run single-threaded so the ratios
 //! are engine ratios, not scheduling artifacts.
 //!
+//! `canonical_posets` times the sweep's canonical poset list at 5, 6 and
+//! 7 nodes both ways: `for_each_canonical_poset` (pruned automorphism
+//! search, down-set DP for `e(P)`) against filtering every labelled
+//! poset through `canon_info` (every linear extension enumerated). Both
+//! sum the orbits, which must equal the labelled poset count.
+//!
 //! `serve_key` times one `ccmm serve` cache key (`verdict_key`) on the
 //! shapes that bound its cost: litmus shapes, four 2-chains, the 8-node
 //! antichain, whose 40,320 linear extensions all tie on the ancestor-mask
@@ -20,6 +26,8 @@ use ccmm_core::serve::verdict_key;
 use ccmm_core::sweep::{sweep_computations, SweepConfig};
 use ccmm_core::universe::Universe;
 use ccmm_core::{litmus, Computation, Location, MemoryModel, Model, ObserverFunction, Op};
+use ccmm_dag::canon::{canon_info, for_each_canonical_poset};
+use ccmm_dag::poset::{count_posets_fast, for_each_poset_indexed};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::ops::ControlFlow;
@@ -96,6 +104,35 @@ fn bench_scratch(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_canonical_posets(c: &mut Criterion) {
+    let mut group = c.benchmark_group("canonical_posets");
+    group.sample_size(10);
+    let pruned = |n: usize| {
+        let mut orbits = 0u64;
+        for_each_canonical_poset(n, |_, _, info| orbits += info.orbit);
+        orbits
+    };
+    let enumerated = |n: usize| {
+        let mut orbits = 0u64;
+        for_each_poset_indexed(n, |_, dag| {
+            let info = canon_info(dag);
+            if info.is_canonical {
+                orbits += info.orbit;
+            }
+        });
+        orbits
+    };
+    for n in [5usize, 6, 7] {
+        assert_eq!(pruned(n), count_posets_fast(n), "pruned orbits at n={n}");
+        assert_eq!(enumerated(n), count_posets_fast(n), "enumerated orbits at n={n}");
+        group.bench_function(BenchmarkId::new("pruned", n), |b| b.iter(|| black_box(pruned(n))));
+        group.bench_function(BenchmarkId::new("canon_info", n), |b| {
+            b.iter(|| black_box(enumerated(n)))
+        });
+    }
+    group.finish();
+}
+
 fn bench_serve_key(c: &mut Criterion) {
     let mut group = c.benchmark_group("serve_key");
     let (x, y) = (Location::new(0), Location::new(1));
@@ -126,5 +163,11 @@ fn bench_serve_key(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_enumeration, bench_scratch, bench_serve_key);
+criterion_group!(
+    benches,
+    bench_enumeration,
+    bench_scratch,
+    bench_canonical_posets,
+    bench_serve_key
+);
 criterion_main!(benches);

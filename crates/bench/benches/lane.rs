@@ -6,6 +6,10 @@
 //! over the canonical enumeration so the ratio is a kernel ratio, not a
 //! scheduling artifact — this is the reproducible form of the ≥4×
 //! speedup claim behind `ccmm sweep --engine lane64`.
+//!
+//! `lane_lc` runs the same workload for LC alone, isolating the LC lane
+//! kernel (one Warshall closure over lane masks per location) from the
+//! other five models.
 
 use ccmm_core::constructible::lanes::LaneConstructible;
 use ccmm_core::constructible::BoundedConstructible;
@@ -20,15 +24,16 @@ use std::ops::ControlFlow;
 
 const MODELS: [Model; 6] = [Model::Sc, Model::Lc, Model::Nn, Model::Nw, Model::Wn, Model::Ww];
 
-/// The `ccmm sweep` phase-1 workload on the scalar-scratch path.
-fn memberships_scalar(u: &Universe, cfg: &SweepConfig) -> u64 {
+/// The `ccmm sweep` phase-1 workload for `models` on the scalar-scratch
+/// path.
+fn memberships_scalar(models: &[Model], u: &Universe, cfg: &SweepConfig) -> u64 {
     sweep_computations(
         u,
         cfg,
         || (0u64, CheckScratch::new()),
         |acc, _, c, w| {
             let _ = for_each_observer(c, |phi| {
-                for m in &MODELS {
+                for m in models {
                     acc.0 += w * m.contains_with(c, phi, &mut acc.1) as u64;
                 }
                 ControlFlow::Continue(())
@@ -43,7 +48,7 @@ fn memberships_scalar(u: &Universe, cfg: &SweepConfig) -> u64 {
 
 /// The same workload through the lane engine: observers packed 64 per
 /// word in enumeration order, verdict masks popcounted against weights.
-fn memberships_lanes(u: &Universe, cfg: &SweepConfig) -> u64 {
+fn memberships_lanes(models: &[Model], u: &Universe, cfg: &SweepConfig) -> u64 {
     sweep_computations(
         u,
         cfg,
@@ -53,7 +58,7 @@ fn memberships_lanes(u: &Universe, cfg: &SweepConfig) -> u64 {
             index.prepare(c, SlotOrder::LocationMajor, pack);
             index.for_each_pack(pack, |pack| {
                 let used = pack.used();
-                for m in &MODELS {
+                for m in models {
                     let verdict = m.contains_lanes(c, pack, lanes) & used;
                     *total += w * u64::from(verdict.count_ones());
                 }
@@ -66,24 +71,33 @@ fn memberships_lanes(u: &Universe, cfg: &SweepConfig) -> u64 {
     .sum()
 }
 
-fn bench_lane_engine(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lane_engine");
+/// Scalar-scratch vs lane64 rows of `models` in group `name`.
+fn bench_engines(c: &mut Criterion, name: &str, models: &[Model], shapes: &[(usize, usize)]) {
+    let mut group = c.benchmark_group(name);
     group.sample_size(10);
-    for (nodes, locs) in [(4usize, 1usize), (4, 2), (5, 1)] {
+    for &(nodes, locs) in shapes {
         let u = Universe::new(nodes, locs);
         let cfg = SweepConfig::serial().canonical(true);
         let id = format!("{nodes}n{locs}l");
-        let scalar = memberships_scalar(&u, &cfg);
-        let lane = memberships_lanes(&u, &cfg);
+        let scalar = memberships_scalar(models, &u, &cfg);
+        let lane = memberships_lanes(models, &u, &cfg);
         assert_eq!(scalar, lane, "engines disagree at {id}; the ratio would be meaningless");
         group.bench_function(BenchmarkId::new("scalar-scratch", &id), |b| {
-            b.iter(|| black_box(memberships_scalar(&u, &cfg)))
+            b.iter(|| black_box(memberships_scalar(models, &u, &cfg)))
         });
         group.bench_function(BenchmarkId::new("lane64", &id), |b| {
-            b.iter(|| black_box(memberships_lanes(&u, &cfg)))
+            b.iter(|| black_box(memberships_lanes(models, &u, &cfg)))
         });
     }
     group.finish();
+}
+
+fn bench_lane_engine(c: &mut Criterion) {
+    bench_engines(c, "lane_engine", &MODELS, &[(4, 1), (4, 2), (5, 1)]);
+}
+
+fn bench_lane_lc(c: &mut Criterion) {
+    bench_engines(c, "lane_lc", &[Model::Lc], &[(5, 1), (4, 2)]);
 }
 
 /// The `ccmm sweep` phase-3 workload both ways: the scalar Δ* worklist
@@ -118,5 +132,5 @@ fn bench_lane_fixpoint(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_lane_engine, bench_lane_fixpoint);
+criterion_group!(benches, bench_lane_engine, bench_lane_lc, bench_lane_fixpoint);
 criterion_main!(benches);

@@ -399,10 +399,13 @@ fn block_empty(words: &[u64], start: u64, len: u64) -> bool {
 // ---------------------------------------------------------------------
 
 /// Stage A: every involved task's mask group and the weighted member
-/// count of every counted task, as one supervised sweep.
+/// count of every counted task of `tasks` (a [`stage_a_tasks`] list), as
+/// one supervised sweep.
+#[allow(clippy::too_many_arguments)]
 fn materialize_masks<M: MemoryModel + Sync>(
     model: &M,
     u: &Universe,
+    tasks: Vec<Task>,
     cfg: &SweepConfig,
     sup: &Supervisor,
     resume: Option<(Frontier, MaskState)>,
@@ -416,7 +419,7 @@ fn materialize_masks<M: MemoryModel + Sync>(
     let sink = ckpt.map(|(writer, every)| CkptSink { writer, every, encode: &encode });
     let (frontier, initial) = resume.unwrap_or_default();
     run_supervised(
-        stage_a_tasks(u),
+        tasks,
         cfg.threads,
         cfg.deadline,
         &sup.fault,
@@ -669,26 +672,33 @@ impl<M: MemoryModel + Sync + Clone> LaneConstructible<M> {
         ckpt: Option<(&mut CkptWriter, usize)>,
         lanes: bool,
     ) -> Supervised<Self> {
-        let stage_a = materialize_masks(model, u, cfg, sup, resume, ckpt, lanes);
+        let tasks = stage_a_tasks(u);
+        let layout = build_layout(u, &tasks);
+        let stage_a = materialize_masks(model, u, tasks, cfg, sup, resume, ckpt, lanes);
         if matches!(stage_a.status, SweepStatus::Partial | SweepStatus::Killed) {
             return stage_a.map(|_| Self::empty(model, u));
         }
         let Supervised { value, mut status, mut quarantined, frontier, total_tasks, ckpt_error } =
             stage_a;
-        let tasks = stage_a_tasks(u);
-        let layout = build_layout(u, &tasks);
         // A quarantined counted task keeps every pair, as an all-ones
-        // mask keeps an involved one.
+        // mask keeps an involved one. Its dag left with the task list,
+        // so this rare path lists the tasks again.
         let mut counted = value.counted;
-        let maps = location_digit_maps(&layout.alphabet, u.num_locations);
-        let lost = |t: &&Task| quarantined.iter().any(|q| q.task_idx == t.idx);
-        let mut index = ObserverIndex::new();
-        for t in tasks.iter().filter(|t| !is_involved(t, u.max_nodes)).filter(lost) {
-            let mut ls = LabelScratch::new();
-            let _ = for_each_labelling(&layout.alphabet, &maps, t, &mut ls, &mut |c, w| {
-                counted += w * index.index(c, SlotOrder::NodeMajor).0;
-                ControlFlow::Continue(())
-            });
+        let lost: Vec<usize> = quarantined
+            .iter()
+            .map(|q| q.task_idx)
+            .filter(|&idx| layout.task(idx).is_none())
+            .collect();
+        if !lost.is_empty() {
+            let maps = location_digit_maps(&layout.alphabet, u.num_locations);
+            let mut index = ObserverIndex::new();
+            for t in stage_a_tasks(u).iter().filter(|t| lost.contains(&t.idx)) {
+                let mut ls = LabelScratch::new();
+                let _ = for_each_labelling(&layout.alphabet, &maps, t, &mut ls, &mut |c, w| {
+                    counted += w * index.index(c, SlotOrder::NodeMajor).0;
+                    ControlFlow::Continue(())
+                });
+            }
         }
         let mut words = fill_arena(&layout, value);
         let out = run_fixpoint(&layout, &mut words, &sup.fault);

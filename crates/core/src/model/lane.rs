@@ -533,7 +533,7 @@ pub(crate) fn count_pack(pack: &LanePack) {
 }
 
 /// Reusable working memory for the lane kernels: the Q-dag between-set,
-/// the per-lane LC block-contraction buffers, the lane-parallel SC
+/// the LC block masks and block-reachability masks, the lane-parallel SC
 /// search memo, and a [`CheckScratch`] for the rare per-lane SC
 /// fallback (and the default per-lane trait path).
 ///
@@ -547,10 +547,8 @@ pub(crate) fn count_pack(pack: &LanePack) {
 #[derive(Default)]
 pub struct LaneScratch {
     pub(crate) mid: BitSet,
-    adj: Vec<bool>,
-    indeg: Vec<usize>,
-    ready: Vec<usize>,
-    placed: usize,
+    blk: Vec<u64>,
+    reach: Vec<u64>,
     lc_cache: Option<(u64, u64)>,
     q_cache: Option<(u64, [u64; 4])>,
     sc_table: Vec<(u32, u64)>,
@@ -664,10 +662,11 @@ fn qdag_all_lanes(c: &Computation, p: &LanePack, s: &mut LaneScratch) -> [u64; 4
 }
 
 /// Location consistency (Definition 18) on all lanes at once. Per
-/// location: a lane-parallel ⊥-block edge prefilter over the dag edges
-/// (an edge into the ⊥-block is infeasible under any sort), then a
-/// per-surviving-lane Kahn over the block contraction — blocks are read
-/// straight from the column bytes, which *are* the LC block indices.
+/// location: a ⊥-block edge prefilter over the dag edges (an edge into
+/// the ⊥-block is infeasible under any sort), then an acyclicity test of
+/// the block contraction for every lane together ([`lc_block_cycles`]).
+/// Blocks are read straight from the column bytes, which *are* the LC
+/// block indices.
 pub(crate) fn lc_lanes(c: &Computation, p: &LanePack, s: &mut LaneScratch) -> u64 {
     if let Some((generation, live)) = s.lc_cache {
         if generation == p.generation() {
@@ -695,18 +694,11 @@ fn lc_lanes_uncached(c: &Computation, p: &LanePack, s: &mut LaneScratch) -> u64 
             telemetry::count(Counter::LaneEarlyExits, 1);
             return 0;
         }
-        let nblocks = c.writes_to(l).len() + 1;
-        if nblocks == 1 {
+        let writes = c.writes_to(l).len();
+        if writes == 0 {
             continue; // only the ⊥-block: nothing to order
         }
-        let mut rem = live;
-        while rem != 0 {
-            let lane = rem.trailing_zeros() as usize;
-            rem &= rem - 1;
-            if !lane_block_order(c, p, l, lane, nblocks, s) {
-                live &= !(1u64 << lane);
-            }
-        }
+        live &= !lc_block_cycles(c, p, l, writes, live, s);
         if live == 0 {
             telemetry::count(Counter::LaneEarlyExits, 1);
             return 0;
@@ -715,50 +707,59 @@ fn lc_lanes_uncached(c: &Computation, p: &LanePack, s: &mut LaneScratch) -> u64 
     live
 }
 
-/// One lane's block-contraction acyclicity test for location `l` (the
-/// Kahn half of `lc::lc_block_order_into`; the ⊥-edge case was already
-/// filtered lane-parallel by the caller).
-fn lane_block_order(
+/// The lanes of `live` whose block contraction at location `l` has a
+/// cycle: what the Kahn pass of `lc::lc_block_order_into` decides for
+/// one Φ, here for every lane at once. The caller has already removed
+/// lanes with an edge into the ⊥-block, so ⊥, having no incoming edge,
+/// lies on no cycle and only the `w` write blocks take part.
+///
+/// `blk[u·w + a]` is the mask of lanes in which node `u` sits in write
+/// block `a + 1`; a dag edge `u → v` contributes `blk[u][a] & blk[v][b]`
+/// to the block edge `a → b` (`a ≠ b`). A Warshall closure over the
+/// `w × w` lane masks then sets `reach[a][a]` exactly in the lanes where
+/// block `a` lies on a cycle: bitwise operations keep the lanes apart.
+fn lc_block_cycles(
     c: &Computation,
     p: &LanePack,
     l: Location,
-    lane: usize,
-    nblocks: usize,
+    w: usize,
+    live: u64,
     s: &mut LaneScratch,
-) -> bool {
-    s.adj.clear();
-    s.adj.resize(nblocks * nblocks, false);
+) -> u64 {
+    s.blk.clear();
+    for u in c.nodes() {
+        let col = p.col(l, u);
+        s.blk.extend((1..=w).map(|a| eq_const_lanes(col, a as u8) & live));
+    }
+    s.reach.clear();
+    s.reach.resize(w * w, 0);
     for (eu, ev) in c.dag().edges() {
-        let (a, b) = (p.byte(l, eu, lane) as usize, p.byte(l, ev, lane) as usize);
-        if a != b {
-            debug_assert_ne!(b, 0, "⊥-edges were filtered lane-parallel");
-            s.adj[a * nblocks + b] = true;
-        }
-    }
-    s.indeg.clear();
-    s.indeg.resize(nblocks, 0);
-    for a in 0..nblocks {
-        for b in 0..nblocks {
-            if s.adj[a * nblocks + b] {
-                s.indeg[b] += 1;
+        let (from, to) = (&s.blk[eu.index() * w..][..w], &s.blk[ev.index() * w..][..w]);
+        for (a, &x) in from.iter().enumerate() {
+            if x == 0 {
+                continue;
             }
-        }
-    }
-    s.ready.clear();
-    s.ready.extend((0..nblocks).filter(|&b| s.indeg[b] == 0));
-    s.placed = 0;
-    while let Some(b) = s.ready.pop() {
-        s.placed += 1;
-        for t in 0..nblocks {
-            if s.adj[b * nblocks + t] {
-                s.indeg[t] -= 1;
-                if s.indeg[t] == 0 {
-                    s.ready.push(t);
+            let row = &mut s.reach[a * w..][..w];
+            for (b, (r, &y)) in row.iter_mut().zip(to).enumerate() {
+                if a != b {
+                    *r |= x & y;
                 }
             }
         }
     }
-    s.placed == nblocks
+    for k in 0..w {
+        for i in 0..w {
+            let via = s.reach[i * w + k];
+            if via == 0 {
+                continue;
+            }
+            for j in 0..w {
+                let hop = via & s.reach[k * w + j];
+                s.reach[i * w + j] |= hop;
+            }
+        }
+    }
+    (0..w).fold(0, |cyc, a| cyc | s.reach[a * w + a])
 }
 
 /// Sequential consistency (Definition 17) on all lanes: the LC lane
@@ -931,6 +932,7 @@ mod tests {
     use crate::enumerate::{
         count_observers, for_each_observer, for_each_observer_node_major, node_major_shape,
     };
+    use crate::model::lc::Lc;
     use crate::model::{MemoryModel, Model};
     use crate::op::Op;
     use crate::universe::Universe;
@@ -1211,5 +1213,95 @@ mod tests {
     #[test]
     fn lanes_match_scalar_exhaustively_two_locations() {
         differential(2, 2);
+    }
+
+    /// A random observer function of `c`: per location, the last-writer
+    /// function of a random topological sort, then a few cells pointed
+    /// at a random write or at ⊥. Redirected cells break the block
+    /// order (a cycle or an edge into the ⊥-block) or validity (a write
+    /// not observing itself, a node observing its own successor).
+    fn sorted_then_redirected(c: &Computation, rng: &mut impl rand::Rng) -> ObserverFunction {
+        let mut phi = ObserverFunction::bottom(c.num_locations(), c.node_count());
+        for l in c.locations() {
+            let mut last = None;
+            for u in ccmm_dag::topo::random_topo_sort(c.dag(), rng) {
+                if c.op(u).is_write_to(l) {
+                    last = Some(u);
+                }
+                phi.set(l, u, last);
+            }
+            let writes = c.writes_to(l);
+            for _ in 0..rng.gen_range(0..3) {
+                let u = NodeId::new(rng.gen_range(0..c.node_count()));
+                if c.op(u).is_write_to(l) && rng.gen_bool(0.9) {
+                    continue; // keep most lanes valid
+                }
+                let pick = rng.gen_range(0..=writes.len());
+                phi.set(l, u, writes.get(pick).copied());
+            }
+        }
+        phi
+    }
+
+    /// Seeded lane-vs-scalar LC differential on blocks wider than the
+    /// bounded universes reach: 9–11 writes to one location among 12–14
+    /// nodes, 2–3 locations, a partial pack refilled over a cleared one
+    /// (stale bytes), and invalid lanes.
+    #[test]
+    fn lc_lanes_match_scalar_on_wide_blocks() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(20_261_019);
+        let mut pack = LanePack::new();
+        let mut ls = LaneScratch::new();
+        // Lanes seen: LC members, valid lanes rejected by a block cycle
+        // alone, valid lanes with an edge into the ⊥-block, invalid lanes.
+        let mut seen = [0usize; 4];
+        for _ in 0..300 {
+            let n = rng.gen_range(12..=14);
+            let locs = rng.gen_range(2..=3);
+            let mut edges = Vec::new();
+            for v in 1..n {
+                for u in 0..v {
+                    if rng.gen_bool(0.12) {
+                        edges.push((u, v));
+                    }
+                }
+            }
+            let wide = rng.gen_range(9..=11);
+            let ops: Vec<Op> = (0..n)
+                .map(|u| match (u < wide, rng.gen_range(0..3)) {
+                    (true, _) => Op::Write(l(0)),
+                    (false, 0) => Op::Write(l(rng.gen_range(1..locs))),
+                    (false, 1) => Op::Read(l(rng.gen_range(0..locs))),
+                    _ => Op::Nop,
+                })
+                .collect();
+            let c = Computation::from_edges(n, &edges, ops);
+            pack.prepare(&c);
+            for lanes in [LANES, rng.gen_range(1..LANES)] {
+                pack.clear_lanes();
+                let mut want = 0u64;
+                for lane in 0..lanes {
+                    let phi = sorted_then_redirected(&c, &mut rng);
+                    assert_eq!(pack.push(&c, &phi), lane);
+                    let member = Lc.contains(&c, &phi);
+                    want |= u64::from(member) << lane;
+                    let into_bottom = c.locations().any(|l| {
+                        c.dag()
+                            .edges()
+                            .any(|(u, v)| phi.get(l, v).is_none() && phi.get(l, u).is_some())
+                    });
+                    seen[match (member, phi.is_valid_for(&c), into_bottom) {
+                        (true, ..) => 0,
+                        (false, true, false) => 1,
+                        (false, true, true) => 2,
+                        (false, false, _) => 3,
+                    }] += 1;
+                }
+                assert_eq!(lc_lanes(&c, &pack, &mut ls), want, "{c:?}, {lanes} lanes");
+            }
+        }
+        assert!(seen.iter().all(|&k| k > 500), "lane mix too thin: {seen:?}");
     }
 }

@@ -12,9 +12,12 @@
 //! pair inside its model. For a **constructible** model any
 //! membership-preserving choice works — the session can never jam. For a
 //! nonconstructible model (NN, NW, WN) greedy play walks into traps:
-//! revealing Figure 4 jams a greedy NN session, and no finite lookahead
-//! fully saves it (a lookahead-∞ NN player *is* an LC player, by
-//! Theorem 23).
+//! revealing Figure 4 jams a greedy NN session. Little lookahead saves
+//! it: in EXPERIMENTS E13 an NN player with lookahead 1 never jams.
+//! ROADMAP item 1 explains why: NN* measures as the NN pairs with a
+//! fresh value at every location, one augmentation deep. It also shows
+//! that LC ⊊ NN* from five nodes on, so a player that never jams is not
+//! thereby an LC player, whatever Theorem 23 says.
 
 use crate::computation::Computation;
 use crate::model::MemoryModel;

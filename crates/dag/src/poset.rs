@@ -17,27 +17,24 @@ use crate::graph::Dag;
 
 /// Calls `f` with the transitive-closure dag of every naturally labelled
 /// poset on `n` elements, exactly once each.
+pub fn for_each_poset<F: FnMut(&Dag)>(n: usize, mut f: F) {
+    for_each_poset_masks(n, |anc| f(&dag_from_masks(anc)));
+}
+
+/// Calls `f` with the ancestor-mask vector of every naturally labelled
+/// poset on `n` elements, in [`for_each_poset`] order: entry `k` is the
+/// bitmask of node `k`'s ancestors, all of them below `k`. No [`Dag`] is
+/// built, so callers that keep only a few posets pay for those alone.
 ///
 /// Node `k`'s ancestor set is chosen as a *downward-closed* subset of
 /// `{0, …, k−1}`; downward closure makes the chosen set exactly the full
-/// ancestor set, so the emitted edge set is transitively closed by
+/// ancestor set, so the emitted relation is transitively closed by
 /// construction.
-pub fn for_each_poset<F: FnMut(&Dag)>(n: usize, mut f: F) {
+pub(crate) fn for_each_poset_masks<F: FnMut(&[u32])>(n: usize, mut f: F) {
     assert!(n <= 16, "poset enumeration is exponential; n={n} is too large");
-    // anc[k] as a bitmask over nodes 0..k.
-    let mut anc: Vec<u32> = vec![0; n];
-    fn recurse<F: FnMut(&Dag)>(k: usize, n: usize, anc: &mut Vec<u32>, f: &mut F) {
+    fn recurse<F: FnMut(&[u32])>(k: usize, n: usize, anc: &mut Vec<u32>, f: &mut F) {
         if k == n {
-            let mut edges = Vec::new();
-            for (v, &mask) in anc.iter().enumerate() {
-                for u in 0..v {
-                    if mask & (1 << u) != 0 {
-                        edges.push((u, v));
-                    }
-                }
-            }
-            let dag = Dag::from_edges(n, &edges).expect("forward edges cannot cycle");
-            f(&dag);
+            f(anc);
             return;
         }
         // Enumerate all downward-closed subsets of {0..k}.
@@ -55,7 +52,23 @@ pub fn for_each_poset<F: FnMut(&Dag)>(n: usize, mut f: F) {
             }
         }
     }
+    let mut anc: Vec<u32> = vec![0; n];
     recurse(0, n, &mut anc, &mut f);
+}
+
+/// The dag on `anc.len()` nodes with an edge `u → v` for every bit `u`
+/// of `anc[v]` (each bit below `v`). Given the ancestor-mask vector of a
+/// naturally labelled poset it is the poset's transitive-closure dag.
+pub(crate) fn dag_from_masks(anc: &[u32]) -> Dag {
+    let mut edges = Vec::new();
+    for (v, &mask) in anc.iter().enumerate() {
+        for u in 0..v {
+            if mask & (1 << u) != 0 {
+                edges.push((u, v));
+            }
+        }
+    }
+    Dag::from_edges(anc.len(), &edges).expect("forward edges cannot cycle")
 }
 
 /// Like [`for_each_poset`], but also passes the poset's *global index* in
