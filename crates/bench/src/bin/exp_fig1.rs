@@ -8,11 +8,10 @@
 //!
 //! The matrix is computed by the parallel sweep engine (`CCMM_THREADS`
 //! overrides the thread count); counts and witnesses are bit-identical to
-//! the serial scan, and timings land in `BENCH_sweep.json`.
+//! the serial scan.
 //!
 //! Run: `cargo run --release -p ccmm-bench --bin exp_fig1`
 
-use ccmm_bench::report::{self, SweepRecord};
 use ccmm_bench::Table;
 use ccmm_core::relation::Relation;
 use ccmm_core::sweep::{compare_par, SweepConfig};
@@ -137,20 +136,6 @@ fn main() {
     println!("{}", t.render());
     println!("sampling cannot prove inclusions, but any A\\B hit would be a");
     println!("disproof — none appears, while strictness witnesses do.");
-
-    let record = SweepRecord::new(
-        "exp_fig1/lattice",
-        if cfg.threads > 1 { "parallel" } else { "serial" },
-        &u,
-        cfg.threads,
-        matrix_wall,
-        pairs_checked,
-        0,
-    );
-    match report::emit(report::DEFAULT_BENCH_JSON, std::slice::from_ref(&record)) {
-        Ok(()) => println!("\nsweep timing appended to {}", report::DEFAULT_BENCH_JSON),
-        Err(e) => eprintln!("\ncould not write sweep timing: {e}"),
-    }
 
     println!("\nAll Figure-1 relations machine-verified.");
 }

@@ -7,11 +7,10 @@
 //! size by size — exhaustive evidence below the bound.
 //!
 //! Both fixpoints run on the worklist engine with a parallel base sweep
-//! (`CCMM_THREADS` threads); timings land in `BENCH_sweep.json`.
+//! (`CCMM_THREADS` threads).
 //!
 //! Run: `cargo run --release -p ccmm-bench --bin exp_open_problem [bound]`
 
-use ccmm_bench::report::{self, SweepRecord};
 use ccmm_bench::Table;
 use ccmm_core::constructible::BoundedConstructible;
 use ccmm_core::enumerate::for_each_observer;
@@ -48,32 +47,6 @@ fn main() {
         wn_star.deleted,
         wn_star.total_pairs()
     );
-
-    let pairs = report::universe_pairs(&u);
-    let records = [
-        SweepRecord::new(
-            "exp_open_problem/nw_star",
-            "worklist",
-            &u,
-            cfg.threads,
-            nw_wall,
-            pairs,
-            nw_star.passes,
-        ),
-        SweepRecord::new(
-            "exp_open_problem/wn_star",
-            "worklist",
-            &u,
-            cfg.threads,
-            wn_wall,
-            pairs,
-            wn_star.passes,
-        ),
-    ];
-    match report::emit(report::DEFAULT_BENCH_JSON, &records) {
-        Ok(()) => println!("sweep timings appended to {}\n", report::DEFAULT_BENCH_JSON),
-        Err(e) => eprintln!("could not write sweep timings: {e}\n"),
-    }
 
     let mut t = Table::new(["size", "LC", "NW*", "WN*", "LC⊆NW*", "NW*\\LC", "LC⊆WN*", "WN*\\LC"]);
     let mut nw_witness: Option<(Computation, ObserverFunction)> = None;

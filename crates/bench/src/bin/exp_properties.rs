@@ -5,12 +5,10 @@
 //! while NN, NW, WN are not — Theorem 19 plus Figure 1's annotations.
 //!
 //! All three property checkers run on the parallel sweep engine
-//! (`CCMM_THREADS` threads); witnesses are the serial scan's witnesses,
-//! and the timing lands in `BENCH_sweep.json`.
+//! (`CCMM_THREADS` threads); witnesses are the serial scan's witnesses.
 //!
 //! Run: `cargo run --release -p ccmm-bench --bin exp_properties`
 
-use ccmm_bench::report::{self, SweepRecord};
 use ccmm_bench::{mark, Table};
 use ccmm_core::sweep::{
     check_complete_par, check_constructible_aug_par, check_monotonic_par, SweepConfig,
@@ -68,19 +66,6 @@ fn main() {
     }
     println!("{}", t2.render());
 
-    let record = SweepRecord::new(
-        "exp_properties/theorem19",
-        if cfg.threads > 1 { "parallel" } else { "serial" },
-        &u5,
-        cfg.threads,
-        wall,
-        report::universe_pairs(&u4) + report::universe_pairs(&u5),
-        0,
-    );
-    match report::emit(report::DEFAULT_BENCH_JSON, std::slice::from_ref(&record)) {
-        Ok(()) => println!("sweep timing appended to {}", report::DEFAULT_BENCH_JSON),
-        Err(e) => eprintln!("could not write sweep timing: {e}"),
-    }
     println!("(NN's smallest nonconstructibility witnesses need 4-node");
     println!("prefixes, so the 3-node scan correctly reports no failure.)");
 

@@ -1,4 +1,4 @@
-//! E8 — Theorem 23: LC = NN*.
+//! E8 — Theorem 23: LC = NN*, checked for computations of ≤ 4 nodes.
 //!
 //! Computes the bounded constructible version of NN-dag consistency by
 //! greatest-fixpoint deletion over exhaustive universes and compares the
@@ -6,17 +6,19 @@
 //! invariants that hold unconditionally (LC ⊆ fixpoint ⊆ NN) and reports
 //! Theorem 22 (LC ⊊ NN) counts.
 //!
+//! The two sets are equal for computations of ≤ 4 nodes only. At 5 nodes
+//! NN* has 486,527 pairs against 484,519 for LC (ROADMAP item 1), so the
+//! per-size equality assertion holds at bounds ≤ 5, not beyond.
+//!
 //! The fixpoint runs on the worklist engine: the base set is materialised
 //! by the parallel sweep (`CCMM_THREADS` threads) and, after one full
 //! pass, deletions propagate only to the unique augmentation parent of
 //! each deleted pair instead of re-scanning the universe. Survivors are
-//! identical to the naïve re-scan fixpoint; the timing lands in
-//! `BENCH_sweep.json`.
+//! identical to the naïve re-scan fixpoint.
 //!
 //! Run: `cargo run --release -p ccmm-bench --bin exp_thm23 [max_nodes]`
 //! (default bound 5; 4 is fast, 5 takes a few seconds in release)
 
-use ccmm_bench::report::{self, SweepRecord};
 use ccmm_bench::Table;
 use ccmm_core::constructible::BoundedConstructible;
 use ccmm_core::enumerate::for_each_observer;
@@ -94,25 +96,14 @@ fn main() {
     });
     println!("{checked} pairs checked ✓");
 
-    let record = SweepRecord::new(
-        "exp_thm23/nn_star",
-        "worklist",
-        &u,
-        cfg.threads,
-        wall,
-        report::universe_pairs(&u),
-        fix.passes,
-    );
-    match report::emit(report::DEFAULT_BENCH_JSON, std::slice::from_ref(&record)) {
-        Ok(()) => println!("sweep timing appended to {}", report::DEFAULT_BENCH_JSON),
-        Err(e) => eprintln!("could not write sweep timing: {e}"),
-    }
-
     assert!(all_agree);
-    println!("\nTheorem 23 (LC = NN*) reproduced — and in fact *proven* at every");
-    println!("size below the bound: the bounded fixpoint over-approximates the");
-    println!("true NN* (boundary pairs are never deleted), so");
-    println!("  LC ⊆ NN* ⊆ bounded-fixpoint = LC  ⟹  NN* = LC exactly.");
+    println!("\nLC = NN* reproduced — and in fact *proven* — at every size below");
+    println!("the bound: the bounded fixpoint over-approximates the true NN*");
+    println!("(boundary pairs are never deleted), so");
+    println!("  LC ⊆ NN* ⊆ bounded-fixpoint = LC  ⟹  NN* = LC at those sizes.");
+    println!("Theorem 23 claims this at every size; LC and NN* are equal for");
+    println!("computations of ≤ 4 nodes only: at 5 nodes NN* has 486,527 pairs");
+    println!("against 484,519 for LC (ROADMAP item 1).");
     println!("The 'LC⊊NN gap' column is Theorem 22's strictness, closed");
     println!("exactly by the constructibility fixpoint.");
 }

@@ -9,7 +9,7 @@
 //! | `exp_fig4`        | Figure 4 — NN nonconstructibility (E4)           |
 //! | `exp_properties`  | Theorem 19 — completeness/monotonicity/          |
 //! |                   | constructibility of every model (E5)             |
-//! | `exp_thm23`       | Theorem 23 — LC = NN* via bounded fixpoint (E8)  |
+//! | `exp_thm23`       | Theorem 23 — LC = NN* up to 4 nodes (E8)         |
 //! | `exp_backer`      | BACKER maintains LC; faults violate it (E9)      |
 //! | `exp_scaling`     | checker and protocol scaling (E10)               |
 //!
@@ -17,8 +17,6 @@
 //! This library crate holds the shared table-formatting helpers.
 
 #![warn(missing_docs)]
-
-pub mod report;
 
 /// A plain-text table that renders aligned for the terminal and as
 /// GitHub markdown for EXPERIMENTS.md.

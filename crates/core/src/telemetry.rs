@@ -215,7 +215,7 @@ impl Counter {
     ];
 
     /// The counter's stable snake_case name, used as its key in metrics
-    /// files and `SweepRecord.counters`.
+    /// files.
     pub fn name(self) -> &'static str {
         match self {
             Counter::PosetsScanned => "posets_scanned",

@@ -8,7 +8,7 @@
 //! ccmm litmus [name]                               outcome tables per model
 //! ccmm backer --workload fib:8 [--procs P] [--cache N] [--page B] [--runs K]
 //! ccmm lattice [--nodes N]                         Figure 1 relation matrix
-//! ccmm sweep [--bound N] [--canonical] [--gate]    exhaustive verification
+//! ccmm sweep [--bound N] [--canonical]             exhaustive verification
 //! ccmm conformance [--nodes N] [--self-test]       fast checkers vs oracles
 //! ccmm serve [--addr A] [--fault SPEC]             membership query daemon
 //! ccmm query --addr A --models <comp> <obs>        one query with retries
@@ -239,15 +239,14 @@ fn cmd_lattice(args: &[String]) -> Result<(), String> {
 }
 
 /// Exit codes distinguishing run outcomes (see `ccmm --help`): 0
-/// complete, 1 gate/check failure, 2 usage or I/O error, 3 degraded
+/// complete, 1 check failure, 2 usage or I/O error, 3 degraded
 /// (quarantined panics or a failed journal append), 4 partial (deadline
-/// hit), 5 `--gate` without a baseline, 70 killed by the fault plan.
+/// hit), 70 killed by the fault plan.
 mod exit {
     pub const COMPLETE: u8 = 0;
     pub const FAIL: u8 = 1;
     pub const DEGRADED: u8 = 3;
     pub const PARTIAL: u8 = 4;
-    pub const NO_BASELINE: u8 = 5;
     /// `ccmm query`: retries exhausted against an overloaded or
     /// draining server.
     pub const OVERLOADED: u8 = 6;
@@ -274,13 +273,6 @@ fn exit_code(s: SweepStatus) -> u8 {
         SweepStatus::Partial => exit::PARTIAL,
         SweepStatus::Killed => exit::KILLED,
     }
-}
-
-/// The bench file every subcommand appends to and gates against:
-/// `CCMM_BENCH_JSON`, else `BENCH_sweep.json` in the working directory.
-fn bench_json_path() -> String {
-    std::env::var("CCMM_BENCH_JSON")
-        .unwrap_or_else(|_| ccmm_bench::report::DEFAULT_BENCH_JSON.into())
 }
 
 fn report_quarantine(phase: &str, quarantined: &[Quarantined]) {
@@ -330,19 +322,6 @@ impl TelemetrySink {
     /// so successive phases report disjoint counts.
     fn end_phase(&mut self, name: &'static str, wall: std::time::Duration) {
         self.phases.push((name, wall.as_millis(), ccmm::core::telemetry::snapshot_and_reset()));
-    }
-
-    /// Non-zero counters of the most recently closed phase, in snapshot
-    /// order — the `SweepRecord.counters` payload. Empty (so the field is
-    /// omitted from bench JSON) when telemetry is off.
-    fn last_counters(&self) -> Vec<(String, u64)> {
-        use ccmm::core::telemetry::Counter;
-        let Some((_, _, snap)) = self.phases.last() else { return Vec::new() };
-        Counter::ALL
-            .iter()
-            .filter(|c| snap[**c as usize] != 0)
-            .map(|c| (c.name().to_string(), snap[*c as usize]))
-            .collect()
     }
 
     /// Writes the metrics JSON and trace JSONL files, if requested.
@@ -419,7 +398,7 @@ impl<'a> Args<'a> {
 }
 
 /// The run frame `sweep`, `stress` and `watch` share: supervision,
-/// journal, telemetry and gate flags.
+/// journal and telemetry flags.
 struct RunFlags {
     deadline: Option<Duration>,
     /// `--fault`, uninterpreted: a `FaultPlan` spec for sweep and stress,
@@ -431,17 +410,14 @@ struct RunFlags {
     trace: Option<String>,
     metrics: Option<String>,
     progress: bool,
-    gate: bool,
 }
 
 impl RunFlags {
     /// Parses `args`, handing every flag the frame does not own to
-    /// `own` (which returns whether it knew the flag). `gated` says the
-    /// command takes `--gate`.
+    /// `own` (which returns whether it knew the flag).
     fn parse(
         args: &[String],
         ckpt_every: usize,
-        gated: bool,
         mut own: impl FnMut(&str, &mut Args) -> Result<bool, String>,
     ) -> Result<Self, String> {
         let mut run = RunFlags {
@@ -453,7 +429,6 @@ impl RunFlags {
             trace: None,
             metrics: None,
             progress: false,
-            gate: false,
         };
         let mut args = Args::new(args);
         while let Some(flag) = args.next_flag() {
@@ -475,7 +450,6 @@ impl RunFlags {
                 "--trace" => run.trace = Some(args.value(flag)?),
                 "--metrics" => run.metrics = Some(args.value(flag)?),
                 "--progress" => run.progress = true,
-                "--gate" if gated => run.gate = true,
                 _ if own(flag, &mut args)? => {}
                 other => return Err(format!("unknown flag `{other}`")),
             }
@@ -608,61 +582,6 @@ fn report_stop(
     }
 }
 
-/// A gated run needs a baseline: one without must not silently record
-/// itself as the baseline.
-fn require_baseline(gate: bool, have_baseline: bool) -> Option<u8> {
-    (gate && !have_baseline).then(|| {
-        eprintln!("error: no baseline for this config — run without --gate to record one");
-        exit::NO_BASELINE
-    })
-}
-
-/// The perf gate: only a complete run is gated, and each `(label, rate,
-/// baseline rate)` must stay within 2x of its baseline. Returns the
-/// failing exit code, if any.
-fn gate_check(status: SweepStatus, unit: &str, gates: &[(String, f64, f64)]) -> Option<u8> {
-    if status != SweepStatus::Complete {
-        println!("gate: skipped — run was {} (only complete runs are gated)", status_name(status));
-        return None;
-    }
-    for (label, rate, base) in gates {
-        println!("{label}: {rate:.0} {unit} vs baseline {base:.0} (threshold {:.0})", base / 2.0);
-        if *rate < base / 2.0 {
-            eprintln!(
-                "perf gate FAILED ({label}): {rate:.0} {unit} is more than 2x below the \
-                 committed baseline {base:.0}"
-            );
-            return Some(exit::FAIL);
-        }
-    }
-    None
-}
-
-fn emit_records(
-    bench_json: &str,
-    records: &[ccmm_bench::report::SweepRecord],
-) -> Result<(), String> {
-    ccmm_bench::report::emit(bench_json, records)
-        .map_err(|e| format!("writing bench json: {e}"))?;
-    println!("recorded {} sweep record(s) to {bench_json}", records.len());
-    Ok(())
-}
-
-/// Ends a sweep that stopped early; a partial one still records its
-/// timings.
-fn stop_sweep(
-    code: u8,
-    bench_json: &str,
-    records: &[ccmm_bench::report::SweepRecord],
-    tel: &TelemetrySink,
-) -> Result<u8, String> {
-    if code == exit::PARTIAL {
-        emit_records(bench_json, records)?;
-    }
-    tel.write()?;
-    Ok(code)
-}
-
 fn cmd_sweep(args: &[String]) -> Result<u8, String> {
     use ccmm::core::constructible::lanes::{decode_masks_journal, LaneConstructible};
     use ccmm::core::constructible::BoundedConstructible;
@@ -674,13 +593,12 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
     use ccmm::core::sweep::SweepConfig;
     use ccmm::core::universe::Universe;
     use ccmm::core::{MemoryModel, Nn};
-    use ccmm_bench::report::{latest_matching, SweepRecord};
     use std::time::Instant;
 
     let (mut bound, mut locs, mut canonical) = (4usize, 1usize, false);
     let mut engine_flag: Option<String> = None;
     let mut threads: Option<usize> = None;
-    let run = RunFlags::parse(args, 16, true, |flag, args| {
+    let run = RunFlags::parse(args, 16, |flag, args| {
         match flag {
             "--bound" => bound = args.parse(flag)?,
             "--locs" => locs = args.parse(flag)?,
@@ -727,14 +645,6 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
     };
     let u = Universe::new(bound, locs);
 
-    // Matching is same-engine AND same-thread-count: gating a 4-thread
-    // run against a 1-thread baseline would pass on scaling alone.
-    let bench_json = bench_json_path();
-    let baseline = latest_matching(&bench_json, "cli_sweep/memberships", engine, &u, cfg.threads);
-    if let Some(code) = require_baseline(run.gate, baseline.is_some()) {
-        return Ok(code);
-    }
-
     // The fingerprint pins the exact sweep configuration so a journal
     // can never be resumed into a different universe.
     let fingerprint =
@@ -753,13 +663,11 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
         cfg.threads
     );
     let models = [Model::Sc, Model::Lc, Model::Nn, Model::Nw, Model::Wn, Model::Ww];
-    let mut records = Vec::new();
     let mut worst = SweepStatus::Complete;
 
     // Phase 1: weighted membership counts for every model. The weighted
     // pair total is the labelled universe's pair count regardless of
-    // enumeration mode, so pairs/sec is comparable across engines — the
-    // number the perf gate watches. This is the checkpointable phase.
+    // enumeration mode. This is the checkpointable phase.
     let t0 = Instant::now();
     let phase_span = ccmm::core::telemetry::span("sweep/memberships");
     let ckpt = writer.as_mut().map(|w| (w, run.ckpt_every));
@@ -783,27 +691,14 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
     for (m, n) in models.iter().zip(&out.value.per_model) {
         println!("  {:<4} {n}", m.name());
     }
-    let membership = SweepRecord::new(
-        "cli_sweep/memberships",
-        engine,
-        &u,
-        cfg.threads,
-        wall,
-        out.value.pairs,
-        0,
-    )
-    .with_status(status_name(out.status))
-    .with_counters(tel.last_counters());
-    let throughput = membership.pairs_per_sec;
-    records.push(membership);
     // A stop ends the sweep: the later phases would blow the budget the
     // caller just set, or outrun the journal the kill left behind.
     let done = (out.frontier.len(), out.total_tasks, "task(s) complete", POSET_INDICES);
     if let Some(code) = report_stop(out.status, None, writer.as_ref(), done, &out.frontier, &run) {
-        return stop_sweep(code, &bench_json, &records, &tel);
+        tel.write()?;
+        return Ok(code);
     }
 
-    let fix_engine = if lane { "lane64" } else { "worklist" };
     if memberships_only {
         println!(
             "bound {bound} runs the memberships phase only; the lattice, fixpoint, and \
@@ -841,10 +736,6 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
             }
             println!();
         }
-        records.push(
-            SweepRecord::new("cli_sweep/lattice", engine, &u, cfg.threads, wall, 0, 0)
-                .with_status(status_name(lat.status)),
-        );
 
         // Phase 3: constructibility. The NN Δ* fixpoint (labelled by
         // necessity — survivor sets are keyed by concrete computations),
@@ -893,7 +784,8 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
             if let Some(code) =
                 report_stop(out.status, phase, fix_writer, done, &out.frontier, &run)
             {
-                return stop_sweep(code, &bench_json, &records, &tel);
+                tel.write()?;
+                return Ok(code);
             }
             (out.value.total_pairs(), out.value.deleted, out.value.passes, out.status)
         } else {
@@ -914,28 +806,15 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
         worst = worst.max(fix_status);
         println!(
             "NN* {} fixpoint: {} surviving pairs, {} deleted, {} pass(es) [{:.2?}] ({})",
-            fix_engine,
+            if lane { "lane64" } else { "worklist" },
             fix_pairs,
             fix_deleted,
             fix_passes,
             wall,
             status_name(fix_status)
         );
-        records.push(
-            SweepRecord::new(
-                "cli_sweep/nnstar_worklist",
-                fix_engine,
-                &u,
-                cfg.threads,
-                wall,
-                fix_pairs as u64,
-                fix_passes,
-            )
-            .with_status(status_name(fix_status)),
-        );
         let t0 = Instant::now();
         let phase_span = ccmm::core::telemetry::span("sweep/constructibility");
-        let mut cons_status = SweepStatus::Complete;
         for m in &models {
             let check = if lane {
                 check_constructible_aug_lanes_supervised(m, &u, &cfg, &sup)
@@ -943,7 +822,6 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
                 check_constructible_aug_supervised(m, &u, &cfg, &sup)
             };
             report_quarantine("constructibility", &check.quarantined);
-            cons_status = cons_status.max(check.status);
             worst = worst.max(check.status);
             match check.value {
                 None => println!("  {:<4} constructible up to bound {bound}", m.name()),
@@ -959,51 +837,8 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
         let wall = t0.elapsed();
         tel.end_phase("constructibility", wall);
         println!("constructibility checks [{wall:.2?}]");
-        // The constructibility record's work unit is the fixed
-        // bounded-prefix scan size (computations at bound − 1 times
-        // models checked), so its pairs/sec is comparable across engines
-        // at the same config.
-        let cons_work = Universe::new(bound.saturating_sub(1), locs).count_computations_closed()
-            as u64
-            * models.len() as u64;
-        records.push(
-            SweepRecord::new(
-                "cli_sweep/constructibility",
-                engine,
-                &u,
-                cfg.threads,
-                wall,
-                cons_work,
-                0,
-            )
-            .with_status(status_name(cons_status)),
-        );
     }
     tel.write()?;
-
-    // Gate baselines are read before this run's records are emitted —
-    // emitting first would make every gated run its own baseline. The
-    // fixpoint and constructibility phases gate against their own
-    // same-engine, same-thread-count baselines when one exists (only the
-    // memberships baseline is a gate precondition, so the new phases
-    // phase in without invalidating older baselines).
-    let mut gates = Vec::new();
-    if let Some(b) = baseline.filter(|_| run.gate) {
-        gates.push(("gate".to_string(), throughput, b.pairs_per_sec));
-        for (experiment, phase_engine) in
-            [("cli_sweep/nnstar_worklist", fix_engine), ("cli_sweep/constructibility", engine)]
-        {
-            let rec = records.iter().find(|r| r.experiment == experiment);
-            let b = latest_matching(&bench_json, experiment, phase_engine, &u, cfg.threads);
-            if let (Some(rec), Some(b)) = (rec, b) {
-                gates.push((format!("gate[{experiment}]"), rec.pairs_per_sec, b.pairs_per_sec));
-            }
-        }
-    }
-    emit_records(&bench_json, &records)?;
-    if let Some(code) = run.gate.then(|| gate_check(worst, "pairs/sec", &gates)).flatten() {
-        return Ok(code);
-    }
     println!("sweep status: {}", status_name(worst));
     Ok(exit_code(worst))
 }
@@ -1138,7 +973,7 @@ fn cmd_stress(args: &[String]) -> Result<u8, String> {
     let mut perturb_spec: Option<String> = None;
     let mut mutation = FaultInjection::NONE;
     let mut do_self_test = false;
-    let run = RunFlags::parse(args, 32, false, |flag, args| {
+    let run = RunFlags::parse(args, 32, |flag, args| {
         match flag {
             "--seed" => seed = args.parse(flag)?,
             "--iters" => iters = args.parse(flag)?,
@@ -1254,11 +1089,10 @@ fn cmd_watch(args: &[String]) -> Result<u8, String> {
     use ccmm::backer::FaultInjection;
     use ccmm::core::fault::FaultPlan;
     use ccmm::watch::{self, WatchConfig};
-    use ccmm_bench::report::{latest_matching_shape, SweepRecord};
     use std::time::Instant;
 
     let mut cfg = WatchConfig::new("fib:14");
-    let run = RunFlags::parse(args, 65_536, true, |flag, args| {
+    let run = RunFlags::parse(args, 65_536, |flag, args| {
         match flag {
             "--workload" => cfg.workload = args.value(flag)?,
             "--procs" => cfg.procs = args.parse(flag)?,
@@ -1281,18 +1115,6 @@ fn cmd_watch(args: &[String]) -> Result<u8, String> {
     let trace = watch::parse_trace_workload(&workload)?;
 
     let total = trace.node_count();
-    let bench_json = bench_json_path();
-    let baseline = latest_matching_shape(
-        &bench_json,
-        &format!("watch/{workload}"),
-        "stream",
-        total as u64,
-        trace.num_locations as u64,
-        procs as u64,
-    );
-    if let Some(code) = require_baseline(run.gate, baseline.is_some()) {
-        return Ok(code);
-    }
 
     // The fingerprint pins everything that makes the replay-based
     // resume deterministic.
@@ -1358,26 +1180,6 @@ fn cmd_watch(args: &[String]) -> Result<u8, String> {
         report.stats.fetches, report.stats.reconciles, report.stats.flushes, report.stats.evictions
     );
 
-    // Every run leaves a record (tagged with its status) so complete
-    // runs become baselines; only complete runs are gated.
-    let record = SweepRecord {
-        experiment: format!("watch/{workload}"),
-        engine: "stream".to_string(),
-        max_nodes: total as u64,
-        num_locations: trace.num_locations as u64,
-        universe_computations: 0,
-        threads: procs as u64,
-        wall_ms: report.wall.as_secs_f64() * 1e3,
-        pairs_checked: report.fresh_reveals,
-        pairs_per_sec: report.reveals_per_sec,
-        fixpoint_passes: report.samples,
-        status: status_name(report.status).to_string(),
-        counters: tel.last_counters(),
-    };
-    ccmm_bench::report::emit(&bench_json, &[record])
-        .map_err(|e| format!("writing bench json: {e}"))?;
-    println!("bench: appended watch/{workload} [stream] to {bench_json}");
-
     let done = (report.frontier.len(), total, "node(s) committed", "node indices");
     if let Some(code) =
         report_stop(report.status, None, writer.as_ref(), done, &report.frontier, &run)
@@ -1390,12 +1192,6 @@ fn cmd_watch(args: &[String]) -> Result<u8, String> {
             v.valid, v.lc, report.divergences
         );
         return Ok(exit::FAIL);
-    }
-    if let Some(b) = baseline.filter(|_| run.gate) {
-        let gate = [("gate".to_string(), report.reveals_per_sec, b.pairs_per_sec)];
-        if let Some(code) = gate_check(report.status, "reveals/sec", &gate) {
-            return Ok(code);
-        }
     }
     Ok(exit_code(report.status))
 }
@@ -1688,16 +1484,12 @@ USAGE:
   ccmm backer [--workload W] [--procs P] [--cache N] [--page B] [--runs K]
   ccmm lattice [--nodes N]                 pairwise model relations (N ≤ 4)
   ccmm sweep [--bound N] [--locs L] [--canonical] [--engine E] [--threads T]
-             [--gate] [--deadline-secs S] [--fault SPEC] [--ckpt PATH]
+             [--deadline-secs S] [--fault SPEC] [--ckpt PATH]
              [--ckpt-every K] [--resume PATH]
              [--trace FILE] [--metrics FILE] [--progress]
                                            exhaustive verification at bound N
                                            (N ≤ 5): memberships, lattice, NN*
-                                           fixpoint, constructibility; appends
-                                           timings to BENCH_sweep.json; --gate
-                                           fails on >2x throughput regression
-                                           vs the same-engine baseline (exit 5
-                                           when no baseline exists).
+                                           fixpoint, constructibility.
                                            --engine lane64 (with --canonical)
                                            batches 64 observers per u64 word
                                            and runs the Δ* fixpoint on lane
@@ -1755,7 +1547,7 @@ USAGE:
                                            journals, --fault (exit 70 killed)
   ccmm watch [--workload W] [--procs P] [--cache N] [--block B]
              [--fault F] [--deadline-secs S] [--ckpt PATH] [--ckpt-every K]
-             [--resume PATH] [--sample-every K] [--sample-cap N] [--gate]
+             [--resume PATH] [--sample-every K] [--sample-cap N]
              [--trace FILE] [--metrics FILE] [--progress]
                                            stream a harvested Cilk trace
                                            (fib:N | matmul:N | stencil:W,T;
@@ -1779,11 +1571,7 @@ USAGE:
                                            --ckpt/--resume journals with
                                            replay-verified resume, sample
                                            panics quarantined or a failed
-                                           journal append (exit 3).
-                                           Appends reveals/sec + counters to
-                                           BENCH_sweep.json; --gate fails on
-                                           >2x regression vs the same-shape
-                                           baseline (exit 5 when none)
+                                           journal append (exit 3)
   ccmm serve [--addr A] [--max-inflight N] [--retry-after-ms MS]
              [--deadline-ms MS] [--cache-capacity N] [--fault SPEC]
              [--metrics FILE] [--self-test]
@@ -1830,11 +1618,10 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    // Exit codes: 0 success/complete, 1 failed check/gate/conformance,
-    // 2 usage or I/O error, and for `sweep`, `stress` and `watch`
-    // additionally 3 degraded (quarantine or a failed journal append),
-    // 4 partial (deadline), 5 gate-without-baseline, 70 killed by the
-    // fault plan.
+    // Exit codes: 0 success/complete, 1 failed check/conformance, 2 usage
+    // or I/O error, and for `sweep`, `stress` and `watch` additionally 3
+    // degraded (quarantine or a failed journal append), 4 partial
+    // (deadline), 70 killed by the fault plan.
     let result: Result<u8, String> = match cmd.as_str() {
         "models" => cmd_models(rest).map(|()| 0),
         "check" => cmd_check(rest).map(|ok| if ok { 0 } else { 1 }),

@@ -2,24 +2,9 @@
 
 use std::io::Write;
 use std::process::{Command, Stdio};
-use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_ccmm"))
-}
-
-/// A `--gate` run compares wall-clock rates with a baseline recorded a
-/// moment earlier, so it must not share the CPU with a sibling test's
-/// child processes: every test holds this lock, shared for ordinary
-/// runs and exclusive while a gate timing is compared.
-static CPU: RwLock<()> = RwLock::new(());
-
-fn cpu_shared() -> RwLockReadGuard<'static, ()> {
-    CPU.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn cpu_exclusive() -> RwLockWriteGuard<'static, ()> {
-    CPU.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn write_temp(name: &str, content: &str) -> std::path::PathBuf {
@@ -30,7 +15,6 @@ fn write_temp(name: &str, content: &str) -> std::path::PathBuf {
 
 #[test]
 fn help_prints_usage() {
-    let _cpu = cpu_shared();
     let out = bin().arg("--help").output().unwrap();
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
@@ -40,7 +24,6 @@ fn help_prints_usage() {
 
 #[test]
 fn unknown_command_fails_with_usage() {
-    let _cpu = cpu_shared();
     let out = bin().arg("frobnicate").output().unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8(out.stderr).unwrap().contains("unknown command"));
@@ -48,7 +31,6 @@ fn unknown_command_fails_with_usage() {
 
 #[test]
 fn check_exit_codes_reflect_membership() {
-    let _cpu = cpu_shared();
     let c = write_temp("c", "n0: W(0)\nn1: R(0) <- n0\n");
     let member = write_temp("m", "l0: n0 n0\n");
     let stale = write_temp("s", "l0: n0 _\n");
@@ -66,7 +48,6 @@ fn check_exit_codes_reflect_membership() {
 
 #[test]
 fn check_prints_the_qdag_violation_certificate() {
-    let _cpu = cpu_shared();
     // W -> R(sees W) -> R(sees ⊥): the initial value resurfaces, so the
     // triple (⊥, n0, n2) fails under every predicate.
     let c = write_temp("chain", "n0: W(0)\nn1: R(0) <- n0\nn2: R(0) <- n1\n");
@@ -96,7 +77,6 @@ fn check_prints_the_qdag_violation_certificate() {
 
 #[test]
 fn models_reads_stdin() {
-    let _cpu = cpu_shared();
     let obs = write_temp("o", "l0: n0 n0\n");
     let mut child = bin()
         .args(["models", "-"])
@@ -115,7 +95,6 @@ fn models_reads_stdin() {
 
 #[test]
 fn witness_fig4_not_in_lc() {
-    let _cpu = cpu_shared();
     let out = bin().args(["witness", "fig4"]).output().unwrap();
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
@@ -125,7 +104,6 @@ fn witness_fig4_not_in_lc() {
 
 #[test]
 fn backer_reports_lc() {
-    let _cpu = cpu_shared();
     let out = bin()
         .args(["backer", "--workload", "fib:6", "--procs", "2", "--runs", "3"])
         .output()
@@ -137,7 +115,6 @@ fn backer_reports_lc() {
 
 #[test]
 fn dot_renders_graphviz() {
-    let _cpu = cpu_shared();
     let c = write_temp("dot", "n0: W(0)\nn1: R(0) <- n0\n");
     let out = bin().arg("dot").arg(&c).output().unwrap();
     assert!(out.status.success());
@@ -148,7 +125,6 @@ fn dot_renders_graphviz() {
 
 #[test]
 fn parse_errors_surface_with_line_numbers() {
-    let _cpu = cpu_shared();
     let c = write_temp("bad", "n0: W(0)\nn7: R(0)\n");
     let obs = write_temp("bad-o", "l0: n0 n0\n");
     let out = bin().args(["models"]).arg(&c).arg(&obs).output().unwrap();
@@ -158,7 +134,6 @@ fn parse_errors_surface_with_line_numbers() {
 
 #[test]
 fn multibyte_garbage_in_a_corpus_file_exits_2_with_a_line_number() {
-    let _cpu = cpu_shared();
     // `Ω` begins with a non-ASCII byte; the parser must reject it as an
     // unknown op (with the offending line number), never split the token
     // mid-character and panic.
@@ -173,7 +148,6 @@ fn multibyte_garbage_in_a_corpus_file_exits_2_with_a_line_number() {
 
 #[test]
 fn conformance_smoke_passes_and_exits_zero() {
-    let _cpu = cpu_shared();
     let out = bin()
         .args(["conformance", "--nodes", "3", "--random", "30", "--no-harvest", "--threads", "2"])
         .output()
@@ -189,7 +163,6 @@ fn conformance_smoke_passes_and_exits_zero() {
 
 #[test]
 fn conformance_self_test_reports_the_pipeline_is_live() {
-    let _cpu = cpu_shared();
     let dir = std::env::temp_dir().join(format!("ccmm-conf-out-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let out = bin()
@@ -207,21 +180,15 @@ fn conformance_self_test_reports_the_pipeline_is_live() {
 
 #[test]
 fn conformance_rejects_oversized_bounds() {
-    let _cpu = cpu_shared();
     let out = bin().args(["conformance", "--nodes", "9"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8(out.stderr).unwrap().contains("too slow"));
 }
 
-/// A `ccmm sweep` invocation with `CCMM_BENCH_JSON` pointed at a
-/// test-scoped temp file, so these tests never touch the committed
-/// baseline.
-fn sweep_cmd(name: &str) -> (Command, std::path::PathBuf) {
-    let json = std::env::temp_dir().join(format!("ccmm-cli-bench-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_file(&json);
+fn sweep_cmd() -> Command {
     let mut cmd = bin();
-    cmd.arg("sweep").env("CCMM_BENCH_JSON", &json);
-    (cmd, json)
+    cmd.arg("sweep");
+    cmd
 }
 
 /// The `"  SC   361"`-style membership count lines — the bit-identity
@@ -237,23 +204,8 @@ fn membership_counts(stdout: &str) -> Vec<String> {
 }
 
 #[test]
-fn sweep_gate_without_baseline_exits_5() {
-    let _cpu = cpu_shared();
-    let (mut cmd, json) = sweep_cmd("gate-nobase");
-    let out = cmd.args(["--bound", "3", "--gate"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(5), "dedicated exit code for a gate with no baseline");
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(
-        err.contains("no baseline for this config — run without --gate to record one"),
-        "unexpected stderr: {err}"
-    );
-    assert!(!json.exists(), "a refused gate run must not record itself as the baseline");
-}
-
-#[test]
 fn sweep_injected_panic_degrades_but_completes() {
-    let _cpu = cpu_shared();
-    let (mut cmd, json) = sweep_cmd("degraded");
+    let mut cmd = sweep_cmd();
     let out = cmd
         .args(["--bound", "3", "--canonical", "--threads", "2", "--fault", "panic-at-task=1"])
         .output()
@@ -268,28 +220,25 @@ fn sweep_injected_panic_degrades_but_completes() {
     assert_eq!(lattice_quarantines, 1, "{text}");
     assert!(text.contains("(degraded)"), "{text}");
     assert!(text.contains("sweep status: degraded"), "{text}");
-    // The sweep still ran to the end: all phases reported, records written.
+    // The sweep still ran to the end: all phases reported.
     assert!(text.contains("NN* worklist fixpoint"), "{text}");
-    assert!(text.contains("recorded 4 sweep record(s)"), "{text}");
-    let _ = std::fs::remove_file(&json);
 }
 
 #[test]
 fn sweep_kill_and_resume_round_trip_is_bit_identical() {
-    let _cpu = cpu_shared();
     let ckpt = std::env::temp_dir().join(format!("ccmm-cli-ckpt-{}", std::process::id()));
     let _ = std::fs::remove_file(&ckpt);
     let shape = ["--bound", "4", "--canonical", "--threads", "2"];
 
     // Uninterrupted reference run.
-    let (mut cmd, json1) = sweep_cmd("kill-clean");
+    let mut cmd = sweep_cmd();
     let clean = cmd.args(shape).output().unwrap();
     assert_eq!(clean.status.code(), Some(0));
     let clean_counts = membership_counts(&String::from_utf8(clean.stdout).unwrap());
     assert_eq!(clean_counts.len(), 6);
 
     // Killed run: checkpoint every task, crash after two journal records.
-    let (mut cmd, json2) = sweep_cmd("kill-killed");
+    let mut cmd = sweep_cmd();
     let killed = cmd
         .args(shape)
         .args(["--ckpt-every", "1", "--fault", "kill-after-ckpt=2", "--ckpt"])
@@ -302,7 +251,7 @@ fn sweep_kill_and_resume_round_trip_is_bit_identical() {
     assert!(text.contains("--resume"), "{text}");
 
     // Resume: bit-identical membership counts, clean exit.
-    let (mut cmd, json3) = sweep_cmd("kill-resumed");
+    let mut cmd = sweep_cmd();
     let resumed = cmd.args(shape).arg("--resume").arg(&ckpt).output().unwrap();
     assert_eq!(
         resumed.status.code(),
@@ -317,22 +266,19 @@ fn sweep_kill_and_resume_round_trip_is_bit_identical() {
         clean_counts,
         "resumed counts must be bit-identical to the uninterrupted run"
     );
-    for p in [&ckpt, &json1, &json2, &json3] {
-        let _ = std::fs::remove_file(p);
-    }
+    let _ = std::fs::remove_file(&ckpt);
 }
 
 #[test]
 fn sweep_lane64_counts_match_scalar() {
-    let _cpu = cpu_shared();
     let shape = ["--bound", "4", "--canonical", "--threads", "2"];
-    let (mut cmd, json1) = sweep_cmd("lane-scalar");
+    let mut cmd = sweep_cmd();
     let scalar = cmd.args(shape).output().unwrap();
     assert_eq!(scalar.status.code(), Some(0));
     let scalar_counts = membership_counts(&String::from_utf8(scalar.stdout).unwrap());
     assert_eq!(scalar_counts.len(), 6);
 
-    let (mut cmd, json2) = sweep_cmd("lane-lane");
+    let mut cmd = sweep_cmd();
     let lane = cmd.args(shape).args(["--engine", "lane64"]).output().unwrap();
     assert_eq!(lane.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&lane.stderr));
     let text = String::from_utf8(lane.stdout).unwrap();
@@ -344,32 +290,28 @@ fn sweep_lane64_counts_match_scalar() {
     );
     // The lattice phase ran through the lane kernels and still agrees.
     assert!(text.contains("lattice"), "{text}");
-    for p in [&json1, &json2] {
-        let _ = std::fs::remove_file(p);
-    }
 }
 
 #[test]
 fn sweep_lane64_flag_validation() {
-    let _cpu = cpu_shared();
     // lane64 rides the canonical task list.
-    let (mut cmd, _) = sweep_cmd("lane-nocanon");
+    let mut cmd = sweep_cmd();
     let out = cmd.args(["--bound", "3", "--engine", "lane64"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8(out.stderr).unwrap().contains("requires --canonical"));
     // The allocating baseline engine is gone.
-    let (mut cmd, _) = sweep_cmd("no-alloc");
+    let mut cmd = sweep_cmd();
     let out = cmd.args(["--bound", "3", "--canonical", "--alloc"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8(out.stderr).unwrap().contains("unknown flag `--alloc`"));
     // Unknown engines are rejected with the valid set.
-    let (mut cmd, _) = sweep_cmd("lane-bogus");
+    let mut cmd = sweep_cmd();
     let out = cmd.args(["--bound", "3", "--canonical", "--engine", "warp"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8(out.stderr).unwrap().contains("scalar | lane64"));
     // Bound 6 stays out of reach for the scalar engine; the error names
     // the phases each engine supports and points at the lane fixpoint.
-    let (mut cmd, _) = sweep_cmd("lane-b6-scalar");
+    let mut cmd = sweep_cmd();
     let out = cmd.args(["--bound", "6", "--canonical"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8(out.stderr).unwrap();
@@ -384,7 +326,6 @@ fn sweep_lane64_flag_validation() {
 
 #[test]
 fn sweep_lane64_fixpoint_matches_scalar_worklist() {
-    let _cpu = cpu_shared();
     // The bound-4 Δ* fixpoint and constructibility verdicts must be
     // bit-identical across engines — same survivors, deletions, passes.
     let fixpoint_line = |text: &str| {
@@ -394,13 +335,13 @@ fn sweep_lane64_fixpoint_matches_scalar_worklist() {
             .expect("fixpoint line present")
     };
     let shape = ["--bound", "4", "--canonical", "--threads", "2"];
-    let (mut cmd, json1) = sweep_cmd("fix-scalar");
+    let mut cmd = sweep_cmd();
     let scalar = cmd.args(shape).output().unwrap();
     assert_eq!(scalar.status.code(), Some(0));
     let scalar_text = String::from_utf8(scalar.stdout).unwrap();
     assert!(scalar_text.contains("NN* worklist fixpoint:"), "{scalar_text}");
 
-    let (mut cmd, json2) = sweep_cmd("fix-lane");
+    let mut cmd = sweep_cmd();
     let lane = cmd.args(shape).args(["--engine", "lane64"]).output().unwrap();
     assert_eq!(lane.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&lane.stderr));
     let lane_text = String::from_utf8(lane.stdout).unwrap();
@@ -414,56 +355,21 @@ fn sweep_lane64_fixpoint_matches_scalar_worklist() {
         text.lines().filter(|l| l.contains("constructible")).map(str::to_string).collect()
     };
     assert_eq!(verdicts(&scalar_text), verdicts(&lane_text));
-    for p in [&json1, &json2] {
-        let _ = std::fs::remove_file(p);
-    }
-}
-
-#[test]
-fn sweep_lane64_gate_compares_same_engine_baselines_only() {
-    let _cpu = cpu_exclusive();
-    // Bound 4, not 3: the gate compares wall-clock rates, and a bound-3
-    // phase lasts about a millisecond, short enough for one scheduler
-    // stall to halve its rate.
-    // Record a scalar canonical baseline…
-    let (mut cmd, json) = sweep_cmd("lane-gate");
-    let out = cmd.args(["--bound", "4", "--canonical"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(0));
-    assert!(json.exists());
-    // …which a gated lane64 run must NOT see: same bound, same universe,
-    // different engine → exit 5, nothing recorded.
-    let mut cmd = bin();
-    cmd.arg("sweep").env("CCMM_BENCH_JSON", &json);
-    let out =
-        cmd.args(["--bound", "4", "--canonical", "--engine", "lane64", "--gate"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(5), "scalar baseline must not satisfy a lane64 gate");
-    // Once a lane64 baseline exists, the lane64 gate is live.
-    let mut cmd = bin();
-    cmd.arg("sweep").env("CCMM_BENCH_JSON", &json);
-    let out = cmd.args(["--bound", "4", "--canonical", "--engine", "lane64"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(0));
-    let mut cmd = bin();
-    cmd.arg("sweep").env("CCMM_BENCH_JSON", &json);
-    let out =
-        cmd.args(["--bound", "4", "--canonical", "--engine", "lane64", "--gate"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let _ = std::fs::remove_file(&json);
 }
 
 #[test]
 fn sweep_lane64_kill_and_resume_round_trip_is_bit_identical() {
-    let _cpu = cpu_shared();
     let ckpt = std::env::temp_dir().join(format!("ccmm-cli-lane-ckpt-{}", std::process::id()));
     let _ = std::fs::remove_file(&ckpt);
     let shape = ["--bound", "4", "--canonical", "--engine", "lane64", "--threads", "2"];
 
-    let (mut cmd, json1) = sweep_cmd("lane-kill-clean");
+    let mut cmd = sweep_cmd();
     let clean = cmd.args(shape).output().unwrap();
     assert_eq!(clean.status.code(), Some(0));
     let clean_counts = membership_counts(&String::from_utf8(clean.stdout).unwrap());
     assert_eq!(clean_counts.len(), 6);
 
-    let (mut cmd, json2) = sweep_cmd("lane-kill-killed");
+    let mut cmd = sweep_cmd();
     let killed = cmd
         .args(shape)
         .args(["--ckpt-every", "1", "--fault", "kill-after-ckpt=2", "--ckpt"])
@@ -472,7 +378,7 @@ fn sweep_lane64_kill_and_resume_round_trip_is_bit_identical() {
         .unwrap();
     assert_eq!(killed.status.code(), Some(70), "killed-by-fault-plan exit code");
 
-    let (mut cmd, json3) = sweep_cmd("lane-kill-resumed");
+    let mut cmd = sweep_cmd();
     let resumed = cmd.args(shape).arg("--resume").arg(&ckpt).output().unwrap();
     assert_eq!(
         resumed.status.code(),
@@ -488,21 +394,20 @@ fn sweep_lane64_kill_and_resume_round_trip_is_bit_identical() {
         "resumed lane64 counts must be bit-identical to the uninterrupted run"
     );
     let fix = ckpt.with_extension("fixpoint");
-    for p in [&ckpt, &fix, &json1, &json2, &json3] {
+    for p in [&ckpt, &fix] {
         let _ = std::fs::remove_file(p);
     }
 }
 
 #[test]
 fn sweep_lane64_refuses_a_v1_fixpoint_journal() {
-    let _cpu = cpu_shared();
     // A v1 `<ckpt>.fixpoint` holds mask groups for every labelled task;
     // the v2 layout masks only the involved ones, so resuming from it
     // must fail cleanly on the fingerprint, never reach the decoder.
     let ckpt = std::env::temp_dir().join(format!("ccmm-cli-fix-v1-{}", std::process::id()));
     let fix = ckpt.with_extension("fixpoint");
     let shape = ["--bound", "3", "--canonical", "--engine", "lane64", "--threads", "2"];
-    let (mut cmd, json) = sweep_cmd("fix-v1");
+    let mut cmd = sweep_cmd();
     let clean = cmd.args(shape).arg("--ckpt").arg(&ckpt).output().unwrap();
     assert_eq!(clean.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&clean.stderr));
     assert!(fix.exists(), "the lane run journals its fixpoint beside --ckpt");
@@ -511,38 +416,35 @@ fn sweep_lane64_refuses_a_v1_fixpoint_journal() {
     let mut writer = ccmm::core::ckpt::CkptWriter::create(&fix, v1).unwrap();
     writer.append(&[0; 16]).unwrap();
     drop(writer);
-    let (mut cmd, _) = sweep_cmd("fix-v1");
+    let mut cmd = sweep_cmd();
     let resumed = cmd.args(shape).arg("--resume").arg(&ckpt).output().unwrap();
     assert_eq!(resumed.status.code(), Some(2), "a refused journal is an I/O-class error");
     let err = String::from_utf8(resumed.stderr).unwrap();
     assert!(err.contains("fixpoint checkpoint fingerprint mismatch"), "{err}");
     assert!(err.contains(v1), "{err}");
     assert!(!err.contains("panicked"), "{err}");
-    for p in [&ckpt, &fix, &json] {
+    for p in [&ckpt, &fix] {
         let _ = std::fs::remove_file(p);
     }
 }
 
 #[test]
 fn sweep_zero_deadline_exits_partial_with_resume_frontier() {
-    let _cpu = cpu_shared();
-    let (mut cmd, json) = sweep_cmd("deadline");
+    let mut cmd = sweep_cmd();
     let out = cmd.args(["--bound", "4", "--canonical", "--deadline-secs", "0"]).output().unwrap();
     assert_eq!(out.status.code(), Some(4), "partial (deadline) exit code");
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("deadline hit"), "{text}");
     assert!(text.contains("resume frontier"), "{text}");
     assert!(text.contains("(partial)"), "{text}");
-    let _ = std::fs::remove_file(&json);
 }
 
 #[test]
 fn sweep_metrics_and_trace_files_report_the_work_done() {
-    let _cpu = cpu_shared();
     let tmp = std::env::temp_dir();
     let metrics = tmp.join(format!("ccmm-cli-metrics-{}.json", std::process::id()));
     let trace = tmp.join(format!("ccmm-cli-trace-{}.jsonl", std::process::id()));
-    let (mut cmd, json) = sweep_cmd("telemetry");
+    let mut cmd = sweep_cmd();
     let out = cmd
         .args(["--bound", "3", "--canonical", "--metrics"])
         .arg(&metrics)
@@ -564,17 +466,16 @@ fn sweep_metrics_and_trace_files_report_the_work_done() {
     for span in ["sweep/memberships", "sweep/lattice", "sweep/fixpoint", "sweep/constructibility"] {
         assert!(t.contains(&format!("\"span\":\"{span}\"")), "missing span {span}: {t}");
     }
-    for p in [&metrics, &trace, &json] {
+    for p in [&metrics, &trace] {
         let _ = std::fs::remove_file(p);
     }
 }
 
 #[test]
 fn sweep_resume_rejects_a_mismatched_fingerprint() {
-    let _cpu = cpu_shared();
     let ckpt = std::env::temp_dir().join(format!("ccmm-cli-fpmm-{}", std::process::id()));
     let _ = std::fs::remove_file(&ckpt);
-    let (mut cmd, json1) = sweep_cmd("fpmm-kill");
+    let mut cmd = sweep_cmd();
     let killed = cmd
         .args(["--bound", "4", "--canonical", "--ckpt-every", "1"])
         .args(["--fault", "kill-after-ckpt=1", "--ckpt"])
@@ -583,13 +484,11 @@ fn sweep_resume_rejects_a_mismatched_fingerprint() {
         .unwrap();
     assert_eq!(killed.status.code(), Some(70));
     // Same journal, different universe: refused before any work runs.
-    let (mut cmd, json2) = sweep_cmd("fpmm-resume");
+    let mut cmd = sweep_cmd();
     let out = cmd.args(["--bound", "3", "--canonical", "--resume"]).arg(&ckpt).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8(out.stderr).unwrap().contains("fingerprint mismatch"));
-    for p in [&ckpt, &json1, &json2] {
-        let _ = std::fs::remove_file(p);
-    }
+    let _ = std::fs::remove_file(&ckpt);
 }
 
 /// The deterministic half of a `ccmm stress` report: the completed/
@@ -614,7 +513,6 @@ fn stress_deterministic_lines(stdout: &str) -> Vec<String> {
 
 #[test]
 fn stress_is_deterministic_per_seed_iters_threads() {
-    let _cpu = cpu_shared();
     let shape = ["stress", "--seed", "11", "--iters", "20", "--threads", "2"];
     let a = bin().args(shape).output().unwrap();
     let b = bin().args(shape).output().unwrap();
@@ -628,7 +526,6 @@ fn stress_is_deterministic_per_seed_iters_threads() {
 
 #[test]
 fn stress_kill_and_resume_respects_the_seed_frontier() {
-    let _cpu = cpu_shared();
     let ckpt = std::env::temp_dir().join(format!("ccmm-cli-stress-ckpt-{}", std::process::id()));
     let _ = std::fs::remove_file(&ckpt);
     let shape = ["--seed", "5", "--iters", "12", "--threads", "2"];
@@ -682,7 +579,6 @@ fn stress_kill_and_resume_respects_the_seed_frontier() {
 
 #[test]
 fn stress_self_test_catches_a_seeded_mutation() {
-    let _cpu = cpu_shared();
     let out =
         bin().args(["stress", "--self-test", "--iters", "2", "--threads", "2"]).output().unwrap();
     assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
@@ -692,7 +588,6 @@ fn stress_self_test_catches_a_seeded_mutation() {
 
 #[test]
 fn stress_mutated_run_reports_a_reproducible_failing_seed() {
-    let _cpu = cpu_shared();
     let mutated = bin()
         .args(["stress", "--seed", "3", "--iters", "30", "--threads", "2"])
         .args(["--mutate", "skip-reconcile"])
@@ -753,7 +648,6 @@ fn spawn_serve(
 #[cfg(unix)]
 #[test]
 fn serve_round_trips_queries_then_drains_cleanly_on_sigterm() {
-    let _cpu = cpu_shared();
     use std::io::Read as _;
     let (mut child, mut reader, addr) = spawn_serve(&[]);
     let c = write_temp("srv-c", "n0: W(0)\nn1: R(0) <- n0\n");
@@ -820,7 +714,6 @@ fn serve_round_trips_queries_then_drains_cleanly_on_sigterm() {
 #[cfg(unix)]
 #[test]
 fn serve_metrics_extend_the_v1_schema() {
-    let _cpu = cpu_shared();
     let metrics =
         std::env::temp_dir().join(format!("ccmm-cli-serve-metrics-{}.json", std::process::id()));
     let _ = std::fs::remove_file(&metrics);
@@ -845,7 +738,6 @@ fn serve_metrics_extend_the_v1_schema() {
 
 #[test]
 fn serve_self_test_proves_request_granular_quarantine() {
-    let _cpu = cpu_shared();
     let out = bin().args(["serve", "--self-test"]).output().unwrap();
     assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8(out.stdout).unwrap();
@@ -856,7 +748,6 @@ fn serve_self_test_proves_request_granular_quarantine() {
 
 #[test]
 fn query_against_nothing_exits_with_the_transport_code() {
-    let _cpu = cpu_shared();
     let out = bin()
         .args(["query", "--addr", "127.0.0.1:1", "--ping", "--retries", "1", "--timeout-ms", "100"])
         .output()
@@ -867,10 +758,9 @@ fn query_against_nothing_exits_with_the_transport_code() {
 
 #[test]
 fn sweep_ckpt_io_error_degrades_but_keeps_every_verdict() {
-    let _cpu = cpu_shared();
     let ckpt = std::env::temp_dir().join(format!("ccmm-cli-ioerr-{}", std::process::id()));
     let _ = std::fs::remove_file(&ckpt);
-    let (mut cmd, json) = sweep_cmd("ioerr");
+    let mut cmd = sweep_cmd();
     let out = cmd
         .args(["--bound", "3", "--canonical", "--ckpt-every", "1"])
         .args(["--fault", "io-error-at-record=2", "--ckpt"])
@@ -885,14 +775,11 @@ fn sweep_ckpt_io_error_degrades_but_keeps_every_verdict() {
     // The sweep itself still ran to completion with full results.
     assert_eq!(membership_counts(&text).len(), 6, "{text}");
     assert!(text.contains("sweep status: degraded"), "{text}");
-    for p in [&ckpt, &json] {
-        let _ = std::fs::remove_file(p);
-    }
+    let _ = std::fs::remove_file(&ckpt);
 }
 
 #[test]
 fn stress_ckpt_io_error_degrades_but_keeps_every_verdict() {
-    let _cpu = cpu_shared();
     // The same journal fault `ccmm sweep` reports as degraded: every
     // iteration still runs and conforms, but resumability is gone, so
     // the run must warn and exit 3 rather than claim a clean pass.
@@ -921,13 +808,10 @@ fn stress_ckpt_io_error_degrades_but_keeps_every_verdict() {
     let _ = std::fs::remove_file(&ckpt);
 }
 
-fn watch_cmd(name: &str) -> (Command, std::path::PathBuf) {
-    let json =
-        std::env::temp_dir().join(format!("ccmm-cli-watch-bench-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_file(&json);
+fn watch_cmd() -> Command {
     let mut cmd = bin();
-    cmd.arg("watch").env("CCMM_BENCH_JSON", &json);
-    (cmd, json)
+    cmd.arg("watch");
+    cmd
 }
 
 /// The deterministic verdict + conformance lines a resume round trip
@@ -942,21 +826,17 @@ fn watch_verdict_lines(stdout: &str) -> Vec<String> {
 
 #[test]
 fn watch_streams_a_fib_trace_and_reports_lc() {
-    let _cpu = cpu_shared();
-    let (mut cmd, json) = watch_cmd("smoke");
+    let mut cmd = watch_cmd();
     let out = cmd.args(["--workload", "fib:10"]).output().unwrap();
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("streamed 441/441 node(s): valid true | SC true | LC true"), "{text}");
     assert!(text.contains("0 divergence(s)"), "{text}");
-    assert!(json.exists(), "a watch run must leave a bench record");
-    let _ = std::fs::remove_file(&json);
 }
 
 #[test]
 fn watch_faulted_run_detects_the_lc_violation_with_batch_agreement() {
-    let _cpu = cpu_shared();
-    let (mut cmd, json) = watch_cmd("fault");
+    let mut cmd = watch_cmd();
     let out = cmd
         .args(["--workload", "fib:10", "--fault", "skip-reconcile", "--sample-every", "2"])
         .output()
@@ -965,23 +845,21 @@ fn watch_faulted_run_detects_the_lc_violation_with_batch_agreement() {
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("LC false"), "{text}");
     assert!(text.contains("0 divergence(s)"), "batch checkers must agree on every prefix: {text}");
-    let _ = std::fs::remove_file(&json);
 }
 
 #[test]
 fn watch_deadline_exits_partial_and_resume_lands_on_identical_verdicts() {
-    let _cpu = cpu_shared();
     let ckpt = std::env::temp_dir().join(format!("ccmm-cli-watch-ckpt-{}", std::process::id()));
     let _ = std::fs::remove_file(&ckpt);
 
     // Uninterrupted reference run.
-    let (mut full, json_full) = watch_cmd("resume-ref");
+    let mut full = watch_cmd();
     let full_out = full.args(["--workload", "fib:16"]).output().unwrap();
     assert_eq!(full_out.status.code(), Some(0));
     let reference = watch_verdict_lines(&String::from_utf8(full_out.stdout).unwrap());
 
     // Deadline kill: exit 4 with a node frontier and a journal.
-    let (mut part, json_part) = watch_cmd("resume-part");
+    let mut part = watch_cmd();
     let out = part
         .args(["--workload", "fib:16", "--deadline-secs", "0", "--ckpt"])
         .arg(&ckpt)
@@ -994,7 +872,7 @@ fn watch_deadline_exits_partial_and_resume_lands_on_identical_verdicts() {
     assert!(text.contains("resume with --resume"), "{text}");
 
     // Resume: completes and reproduces the reference verdicts exactly.
-    let (mut res, json_res) = watch_cmd("resume-cont");
+    let mut res = watch_cmd();
     let out = res.args(["--workload", "fib:16", "--resume"]).arg(&ckpt).output().unwrap();
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8(out.stdout).unwrap();
@@ -1004,17 +882,14 @@ fn watch_deadline_exits_partial_and_resume_lands_on_identical_verdicts() {
         reference,
         "resumed verdicts must be identical to an uninterrupted run"
     );
-    for p in [&ckpt, &json_full, &json_part, &json_res] {
-        let _ = std::fs::remove_file(p);
-    }
+    let _ = std::fs::remove_file(&ckpt);
 }
 
 #[test]
 fn watch_resume_rejects_a_mismatched_fingerprint() {
-    let _cpu = cpu_shared();
     let ckpt = std::env::temp_dir().join(format!("ccmm-cli-watch-ckpt-fp-{}", std::process::id()));
     let _ = std::fs::remove_file(&ckpt);
-    let (mut part, json_a) = watch_cmd("fp-a");
+    let mut part = watch_cmd();
     let out = part
         .args(["--workload", "fib:16", "--deadline-secs", "0", "--ckpt"])
         .arg(&ckpt)
@@ -1023,7 +898,7 @@ fn watch_resume_rejects_a_mismatched_fingerprint() {
     assert_eq!(out.status.code(), Some(4));
     // Same journal, different protocol config ⇒ the replay would not be
     // deterministic, so the fingerprint must refuse it.
-    let (mut res, json_b) = watch_cmd("fp-b");
+    let mut res = watch_cmd();
     let out =
         res.args(["--workload", "fib:16", "--procs", "2", "--resume"]).arg(&ckpt).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
@@ -1031,7 +906,19 @@ fn watch_resume_rejects_a_mismatched_fingerprint() {
         String::from_utf8(out.stderr).unwrap().contains("fingerprint mismatch"),
         "mismatched config must be rejected"
     );
-    for p in [&ckpt, &json_a, &json_b] {
-        let _ = std::fs::remove_file(p);
-    }
+    let _ = std::fs::remove_file(&ckpt);
+}
+
+#[test]
+fn sweep_and_watch_runs_leave_no_file_behind() {
+    let dir = std::env::temp_dir().join(format!("ccmm-cli-clean-cwd-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir(&dir).unwrap();
+    let out = sweep_cmd().args(["--bound", "3", "--canonical"]).current_dir(&dir).output().unwrap();
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = watch_cmd().args(["--workload", "fib:10"]).current_dir(&dir).output().unwrap();
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let left: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+    assert!(left.is_empty(), "a plain run wrote into its working directory: {left:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
