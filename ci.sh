@@ -26,6 +26,12 @@ cargo fmt --check
 echo "== clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== perfbench: builds against this tree with its lock file unchanged =="
+# The benchmark is a workspace of its own over the repository's crates.
+# An API change that breaks its build fails here, in fast mode too, and
+# --locked refuses to rewrite perfbench/Cargo.lock.
+CARGO_TARGET_DIR=.bench_build cargo check --locked --offline --manifest-path perfbench/Cargo.toml
+
 echo "== conformance smoke: fast checkers vs oracles =="
 # Seeded-mutation self-test first (proves the harness can catch a bug),
 # then the bounded sweep + 200 random cases + harvested executions.

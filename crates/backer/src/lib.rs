@@ -3,8 +3,9 @@
 //! BACKER (\[BFJ+96a\], \[BFJ+96b\]) is the coherence algorithm behind Cilk's
 //! dag-consistent shared memory, and the system that motivated the SPAA'98
 //! paper's theory: Luchangco \[Luc97\] proved that BACKER in fact maintains
-//! **location consistency** (the constructible version of NN-dag
-//! consistency, Theorem 23).
+//! **location consistency** (by Theorem 23 the constructible version of
+//! NN-dag consistency: equal through 4 nodes, LC ⊊ NN* from 5 here,
+//! ROADMAP item 1).
 //!
 //! This crate makes that claim executable:
 //!

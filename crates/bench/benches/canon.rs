@@ -23,7 +23,8 @@
 use ccmm_core::enumerate::for_each_observer;
 use ccmm_core::model::CheckScratch;
 use ccmm_core::serve::verdict_key;
-use ccmm_core::sweep::{sweep_computations, SweepConfig};
+use ccmm_core::sweep::supervisor::{sweep_supervised, Supervisor};
+use ccmm_core::sweep::SweepConfig;
 use ccmm_core::universe::Universe;
 use ccmm_core::{litmus, Computation, Location, MemoryModel, Model, ObserverFunction, Op};
 use ccmm_dag::canon::{canon_info, for_each_canonical_poset};
@@ -37,23 +38,24 @@ const MODELS: [Model; 6] = [Model::Sc, Model::Lc, Model::Nn, Model::Nw, Model::W
 /// Weighted membership counts over the universe — the `ccmm sweep`
 /// phase-1 workload.
 fn memberships(u: &Universe, cfg: &SweepConfig) -> u64 {
-    sweep_computations(
+    sweep_supervised(
         u,
         cfg,
-        || (0u64, CheckScratch::new()),
-        |acc, _, c, w| {
+        &Supervisor::none(),
+        None,
+        None,
+        || 0u64,
+        CheckScratch::new,
+        |acc, check, _, c, w| {
             let _ = for_each_observer(c, |phi| {
                 for m in &MODELS {
-                    acc.0 += w * m.contains_with(c, phi, &mut acc.1) as u64;
+                    *acc += w * m.contains_with(c, phi, check) as u64;
                 }
                 ControlFlow::Continue(())
             });
         },
     )
     .expect_complete("bench memberships sweep")
-    .into_iter()
-    .map(|(n, _)| n)
-    .sum()
 }
 
 fn bench_enumeration(c: &mut Criterion) {
@@ -81,11 +83,15 @@ fn bench_scratch(c: &mut Criterion) {
     let cfg = SweepConfig::serial();
     group.bench_function("alloc_per_pair", |b| {
         b.iter(|| {
-            let n: u64 = sweep_computations(
+            let n = sweep_supervised(
                 &u,
                 &cfg,
+                &Supervisor::none(),
+                None,
+                None,
                 || 0u64,
-                |acc, _, c, _| {
+                || (),
+                |acc, (), _, c, _| {
                     let _ = for_each_observer(c, |phi| {
                         for m in &MODELS {
                             *acc += m.contains(c, phi) as u64;
@@ -93,11 +99,8 @@ fn bench_scratch(c: &mut Criterion) {
                         ControlFlow::Continue(())
                     });
                 },
-            )
-            .expect_complete("bench alloc sweep")
-            .into_iter()
-            .sum();
-            black_box(n)
+            );
+            black_box(n.expect_complete("bench alloc sweep"))
         })
     });
     group.bench_function("reused_scratch", |b| b.iter(|| black_box(memberships(&u, &cfg))));

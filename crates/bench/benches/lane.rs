@@ -15,7 +15,8 @@ use ccmm_core::constructible::lanes::LaneConstructible;
 use ccmm_core::constructible::BoundedConstructible;
 use ccmm_core::enumerate::for_each_observer;
 use ccmm_core::model::{CheckScratch, LanePack, LaneScratch, Nn, ObserverIndex, SlotOrder};
-use ccmm_core::sweep::{sweep_computations, SweepConfig};
+use ccmm_core::sweep::supervisor::{sweep_supervised, Supervisor};
+use ccmm_core::sweep::SweepConfig;
 use ccmm_core::universe::Universe;
 use ccmm_core::{MemoryModel, Model};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -27,48 +28,48 @@ const MODELS: [Model; 6] = [Model::Sc, Model::Lc, Model::Nn, Model::Nw, Model::W
 /// The `ccmm sweep` phase-1 workload for `models` on the scalar-scratch
 /// path.
 fn memberships_scalar(models: &[Model], u: &Universe, cfg: &SweepConfig) -> u64 {
-    sweep_computations(
+    sweep_supervised(
         u,
         cfg,
-        || (0u64, CheckScratch::new()),
-        |acc, _, c, w| {
+        &Supervisor::none(),
+        None,
+        None,
+        || 0u64,
+        CheckScratch::new,
+        |acc, check, _, c, w| {
             let _ = for_each_observer(c, |phi| {
                 for m in models {
-                    acc.0 += w * m.contains_with(c, phi, &mut acc.1) as u64;
+                    *acc += w * m.contains_with(c, phi, check) as u64;
                 }
                 ControlFlow::Continue(())
             });
         },
     )
     .expect_complete("bench scalar memberships")
-    .into_iter()
-    .map(|(n, _)| n)
-    .sum()
 }
 
 /// The same workload through the lane engine: observers packed 64 per
 /// word in enumeration order, verdict masks popcounted against weights.
 fn memberships_lanes(models: &[Model], u: &Universe, cfg: &SweepConfig) -> u64 {
-    sweep_computations(
+    sweep_supervised(
         u,
         cfg,
-        || (0u64, ObserverIndex::new(), LanePack::new(), LaneScratch::new()),
-        |acc, _, c, w| {
-            let (total, index, pack, lanes) = acc;
+        &Supervisor::none(),
+        None,
+        None,
+        || 0u64,
+        || (ObserverIndex::new(), LanePack::new(), LaneScratch::new()),
+        |total, (index, pack, lanes), _, c, w| {
             index.prepare(c, SlotOrder::LocationMajor, pack);
             index.for_each_pack(pack, |pack| {
                 let used = pack.used();
                 for m in models {
-                    let verdict = m.contains_lanes(c, pack, lanes) & used;
-                    *total += w * u64::from(verdict.count_ones());
+                    *total += w * u64::from((m.contains_lanes(c, pack, lanes) & used).count_ones());
                 }
             });
         },
     )
     .expect_complete("bench lane memberships")
-    .into_iter()
-    .map(|(n, _, _, _)| n)
-    .sum()
 }
 
 /// Scalar-scratch vs lane64 rows of `models` in group `name`.

@@ -9,7 +9,8 @@
 
 use ccmm_core::constructible::BoundedConstructible;
 use ccmm_core::relation::compare;
-use ccmm_core::sweep::{compare_par, SweepConfig};
+use ccmm_core::sweep::supervisor::{compare_supervised, Supervisor};
+use ccmm_core::sweep::SweepConfig;
 use ccmm_core::universe::Universe;
 use ccmm_core::{Lc, Nn};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -24,7 +25,10 @@ fn bench_compare(c: &mut Criterion) {
     });
     let cfg = SweepConfig::from_env();
     group.bench_function(BenchmarkId::new(format!("parallel_t{}", cfg.threads), 4), |b| {
-        b.iter(|| black_box(compare_par(&Lc, &Nn::default(), &u, &cfg).pairs_checked))
+        b.iter(|| {
+            let out = compare_supervised(&Lc, &Nn::default(), &u, &cfg, &Supervisor::none());
+            black_box(out.expect_complete("bench compare").pairs_checked)
+        })
     });
     group.finish();
 }

@@ -14,7 +14,8 @@
 
 use ccmm_bench::Table;
 use ccmm_core::relation::Relation;
-use ccmm_core::sweep::{compare_par, SweepConfig};
+use ccmm_core::sweep::supervisor::{compare_supervised, Supervisor};
+use ccmm_core::sweep::SweepConfig;
 use ccmm_core::universe::Universe;
 use ccmm_core::Location;
 use ccmm_core::{Computation, Lc, MemoryModel, Model, ObserverFunction, Op, Sc};
@@ -24,7 +25,9 @@ fn main() {
     let u = Universe::new(4, 1);
     let cfg = SweepConfig::from_env();
     let models = [Model::Sc, Model::Lc, Model::Nn, Model::Nw, Model::Wn, Model::Ww];
-    let compare = |a: &Model, b: &Model, u: &Universe| compare_par(a, b, u, &cfg);
+    let compare = |a: &Model, b: &Model, u: &Universe| {
+        compare_supervised(a, b, u, &cfg, &Supervisor::none()).expect_complete("exp_fig1")
+    };
 
     println!(
         "== E1: pairwise model relations (all computations ≤ 4 nodes, 1 location; {} threads) ==\n",
@@ -102,7 +105,8 @@ fn main() {
 
     // Also check SC ⊆ LC holds on a small 2-location universe.
     let u2 = Universe::new(3, 2);
-    let cmp = compare_par(&Sc, &Lc, &u2, &cfg);
+    let cmp = compare_supervised(&Sc, &Lc, &u2, &cfg, &Supervisor::none())
+        .expect_complete("exp_fig1 SC/LC");
     assert!(cmp.a_only.is_none(), "SC ⊆ LC must hold");
     println!(
         "SC ⊆ LC over all computations ≤ 3 nodes, 2 locations: ✓ ({} pairs checked)",

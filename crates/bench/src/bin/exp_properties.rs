@@ -10,11 +10,26 @@
 //! Run: `cargo run --release -p ccmm-bench --bin exp_properties`
 
 use ccmm_bench::{mark, Table};
-use ccmm_core::sweep::{
-    check_complete_par, check_constructible_aug_par, check_monotonic_par, SweepConfig,
+use ccmm_core::sweep::supervisor::{
+    check_complete_supervised, check_constructible_aug_supervised, check_monotonic_supervised,
+    Supervisor,
 };
+use ccmm_core::sweep::SweepConfig;
 use ccmm_core::universe::Universe;
 use ccmm_core::Model;
+
+/// Whether `m` is complete, monotonic and constructible: no witness in
+/// `u` (complete, monotonic) and in `uc` (constructible).
+fn properties(m: Model, u: &Universe, uc: &Universe, cfg: &SweepConfig) -> [bool; 3] {
+    let sup = Supervisor::none();
+    [
+        check_complete_supervised(&m, u, cfg, &sup).expect_complete("complete").is_none(),
+        check_monotonic_supervised(&m, u, cfg, &sup).expect_complete("monotonic").is_none(),
+        check_constructible_aug_supervised(&m, uc, cfg, &sup)
+            .expect_complete("constructible")
+            .is_none(),
+    ]
+}
 
 fn main() {
     // Completeness and monotonicity at a 4-node bound; constructibility
@@ -32,9 +47,7 @@ fn main() {
     let t0 = std::time::Instant::now();
     let mut t = Table::new(["model", "complete", "monotonic", "constructible", "paper"]);
     for m in [Model::Sc, Model::Lc, Model::Nn, Model::Nw, Model::Wn, Model::Ww, Model::Any] {
-        let complete = check_complete_par(&m, &u4, &cfg).is_ok();
-        let monotonic = check_monotonic_par(&m, &u4, &cfg).is_ok();
-        let constructible = check_constructible_aug_par(&m, &u5, &cfg).is_ok();
+        let [complete, monotonic, constructible] = properties(m, &u4, &u5, &cfg);
         let paper = m.paper_says_constructible();
         t.row([
             m.name().to_string(),
@@ -57,11 +70,12 @@ fn main() {
     println!("cross-check at ≤3 nodes, 2 locations:");
     let mut t2 = Table::new(["model", "complete", "monotonic", "constructible(≤3)"]);
     for m in [Model::Sc, Model::Lc, Model::Nn, Model::Ww] {
+        let [complete, monotonic, constructible] = properties(m, &u32, &u32, &cfg);
         t2.row([
             m.name().to_string(),
-            mark(check_complete_par(&m, &u32, &cfg).is_ok()).to_string(),
-            mark(check_monotonic_par(&m, &u32, &cfg).is_ok()).to_string(),
-            mark(check_constructible_aug_par(&m, &u32, &cfg).is_ok()).to_string(),
+            mark(complete).to_string(),
+            mark(monotonic).to_string(),
+            mark(constructible).to_string(),
         ]);
     }
     println!("{}", t2.render());

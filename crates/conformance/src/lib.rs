@@ -1,7 +1,8 @@
 //! # ccmm-conformance — differential testing of the model checkers
 //!
-//! Every claim in the paper is a set-membership equality (`LC = NN*`, the
-//! Figure-1 lattice), so the repo's value hinges on the fast
+//! Every claim in the paper is a set-membership equality: `LC = NN*`
+//! (equal through 4 nodes, LC ⊊ NN* from 5 here, ROADMAP item 1) and the
+//! Figure-1 lattice. So the repo's value hinges on the fast
 //! [`ccmm_core::model`] checkers agreeing with their definitions. This
 //! crate treats consistency checking as a testable decision procedure:
 //! each production checker is differentially tested against its

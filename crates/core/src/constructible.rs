@@ -29,8 +29,8 @@ use crate::fault::FaultPlan;
 use crate::model::MemoryModel;
 use crate::observer::ObserverFunction;
 use crate::props::any_extension;
-use crate::sweep::supervisor::{retry_once, Quarantined};
-use crate::sweep::{sweep_computations, SweepConfig};
+use crate::sweep::supervisor::{retry_once, sweep_supervised, Quarantined, Supervisor};
+use crate::sweep::SweepConfig;
 use crate::telemetry::{self, Counter};
 use crate::universe::Universe;
 use ccmm_dag::bitset::BitSet;
@@ -167,11 +167,16 @@ impl BoundedConstructible {
         // materialisation always runs the labelled enumeration even when
         // the caller's config asks for a canonical sweep.
         let cfg = &SweepConfig { canonical: false, ..*cfg };
-        let chunks = sweep_computations(
+        let mut pairs: HashMap<Computation, HashSet<ObserverFunction>> = sweep_supervised(
             u,
             cfg,
+            // `fault` targets the fixpoint's checks, not this sweep.
+            &Supervisor::none(),
+            None,
+            None,
             Vec::new,
-            |acc: &mut Vec<(Computation, HashSet<ObserverFunction>)>, _, c, _| {
+            || (),
+            |acc: &mut Vec<(Computation, HashSet<ObserverFunction>)>, (), _, c, _| {
                 let mut set = HashSet::new();
                 let _ = for_each_observer(c, |phi| {
                     if model.contains(c, phi) {
@@ -185,9 +190,9 @@ impl BoundedConstructible {
         // Completeness here is a soundness requirement: the fixpoint
         // assumes the universe is closed under augmentation, so a
         // degraded/partial materialisation must not be silently used.
-        .expect_complete("Δ* materialisation");
-        let mut pairs: HashMap<Computation, HashSet<ObserverFunction>> =
-            chunks.into_iter().flatten().collect();
+        .expect_complete("Δ* materialisation")
+        .into_iter()
+        .collect();
 
         // Initial full pass, parallelised over computations: the survivor
         // map is only read here, so workers share it immutably and report

@@ -26,7 +26,8 @@
 //!   checkpoint/resume, exercised by a deterministic fault-injection
 //!   plan;
 //! * [`constructible`]: the bounded Δ* fixpoint (Definition 8, Theorem 9)
-//!   used to machine-check `LC = NN*` (Theorem 23);
+//!   used to machine-check Theorem 23 (`LC = NN*`): equal through 4
+//!   nodes, LC ⊊ NN* from 5 here (ROADMAP item 1);
 //! * [`telemetry`]: zero-cost-when-disabled counters, spans, and
 //!   progress heartbeats threaded through every long-running path;
 //! * [`witness`]: the paper's Figures 2–4 as concrete library values;

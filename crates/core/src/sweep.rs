@@ -21,19 +21,29 @@
 //! labelling within it is necessarily location-canonical (ditto), so the
 //! smallest-task-index merge returns exactly the serial labelled witness.
 //!
+//! Every sweep runs through one supervised engine, and the public entry
+//! points all live in [`supervisor`]: the general
+//! [`supervisor::sweep_supervised`] fold and the checks built on it. A
+//! caller that wants all-or-nothing semantics passes
+//! [`supervisor::Supervisor::none`] and unwraps with
+//! [`supervisor::Supervised::expect_complete`].
+//!
 //! Determinism is part of the contract, not an accident:
 //!
-//! * counting sweeps ([`compare_par`]) visit every pair exactly once
-//!   (canonical mode: exactly once per orbit, weighted), so the merged
-//!   totals are bit-identical to the serial scan;
-//! * witness sweeps ([`check_complete_par`], [`check_monotonic_par`],
-//!   [`check_constructible_aug_par`], and [`compare_par`]'s witnesses)
-//!   resolve races by *smallest task index wins*. A task is scanned
-//!   serially by exactly one worker, so "first witness within the minimal
-//!   witnessing task" is exactly the witness the serial scan returns.
-//!   A shared atomic best-index lets workers skip or abandon tasks that
-//!   can no longer win — cooperative early exit without changing the
-//!   answer.
+//! * counting sweeps ([`supervisor::memberships_supervised`],
+//!   [`supervisor::compare_supervised`], [`supervisor::lattice_supervised`])
+//!   visit every pair exactly once (canonical mode: exactly once per
+//!   orbit, weighted), so the merged totals are bit-identical to the
+//!   serial scan;
+//! * witness sweeps ([`supervisor::check_complete_supervised`],
+//!   [`supervisor::check_monotonic_supervised`],
+//!   [`supervisor::check_constructible_aug_supervised`], and
+//!   [`supervisor::compare_supervised`]'s witnesses) resolve races by
+//!   *smallest task index wins*. A task is scanned serially by exactly
+//!   one worker, so "first witness within the minimal witnessing task" is
+//!   exactly the witness the serial scan returns. A shared atomic
+//!   best-index lets workers skip or abandon tasks that can no longer win
+//!   — cooperative early exit without changing the answer.
 //!
 //! Thread count comes from [`SweepConfig`]: the `CCMM_THREADS` environment
 //! variable when set, otherwise [`std::thread::available_parallelism`].
@@ -41,10 +51,7 @@
 pub mod supervisor;
 
 use crate::computation::Computation;
-use crate::model::MemoryModel;
 use crate::op::{Location, Op};
-use crate::props::{ConstructibilityWitness, IncompleteWitness, MonotonicityWitness};
-use crate::relation::{Comparison, LatticeRow, Relation};
 use crate::universe::Universe;
 use ccmm_dag::canon::for_each_canonical_poset;
 use ccmm_dag::poset::{count_posets_fast, for_each_poset_indexed};
@@ -52,7 +59,6 @@ use ccmm_dag::Dag;
 use crossbeam::deque::{Injector, Steal};
 use std::ops::ControlFlow;
 use std::time::Duration;
-use supervisor::Supervisor;
 
 /// How a sweep is parallelised and enumerated.
 #[derive(Clone, Copy, Debug)]
@@ -63,12 +69,11 @@ pub struct SweepConfig {
     /// labellings only, weighting counts by orbit size (see the module
     /// docs). Totals and witnesses are identical to the labelled sweep.
     pub canonical: bool,
-    /// Cooperative time budget, honoured by the supervised entry points
-    /// ([`supervisor`]) and by [`sweep_computations`]: workers stop
-    /// between tasks once it elapses and the sweep reports a partial
-    /// result with its resume frontier. The `_par` wrappers cannot
-    /// express partial results and panic if the deadline fires — set a
-    /// deadline only when the caller inspects [`supervisor::SweepStatus`].
+    /// Cooperative time budget: workers stop between tasks once it
+    /// elapses and the sweep reports [`supervisor::SweepStatus::Partial`]
+    /// with its resume frontier. A caller that unwraps with
+    /// [`supervisor::Supervised::expect_complete`] panics on a partial
+    /// sweep, so set a deadline only when the caller inspects the status.
     pub deadline: Option<Duration>,
 }
 
@@ -108,9 +113,7 @@ impl SweepConfig {
         self
     }
 
-    /// Sets the cooperative time budget (see the `deadline` field: only
-    /// the supervised entry points can report the resulting partial
-    /// sweep).
+    /// Sets the cooperative time budget (see the `deadline` field).
     pub fn deadline(mut self, budget: Duration) -> Self {
         self.deadline = Some(budget);
         self
@@ -336,59 +339,6 @@ where
     })
 }
 
-/// The general sharded sweep: runs `work` once per computation of the
-/// universe (canonical mode: once per isomorphism orbit), fanned out over
-/// `cfg.threads` workers at poset granularity, each task folding into its
-/// own fresh accumulator (seeded by `init`). Returns the per-task
-/// accumulators — in completion order, so callers must merge them
-/// commutatively — wrapped in a [`supervisor::Supervised`] verdict.
-///
-/// This runs through the supervised engine: a task that panics (twice —
-/// one retry with rebuilt scratch) is quarantined and the sweep finishes
-/// [`supervisor::SweepStatus::Degraded`] with every other task's
-/// accumulator intact, instead of aborting the whole run; a configured
-/// [`SweepConfig::deadline`] yields `Partial` with the completed-task
-/// frontier. Callers that need totality use
-/// [`supervisor::Supervised::expect_complete`].
-///
-/// `work` receives the computation's *task index* (the global poset
-/// index) so callers can impose the serial order on merged results, and
-/// the computation's universe multiplicity (1 in labelled mode) so
-/// weighted counts reproduce labelled totals exactly.
-pub fn sweep_computations<R, I, F>(
-    u: &Universe,
-    cfg: &SweepConfig,
-    init: I,
-    work: F,
-) -> supervisor::Supervised<Vec<R>>
-where
-    R: Send,
-    I: Fn() -> R + Sync,
-    F: Fn(&mut R, usize, &Computation, u64) + Sync,
-{
-    let alphabet = u.alphabet();
-    let maps = maps_for(u, cfg, &alphabet);
-    supervisor::run_supervised(
-        materialize(u, cfg.canonical),
-        cfg.threads,
-        cfg.deadline,
-        &crate::fault::FaultPlan::none(),
-        supervisor::Frontier::new(),
-        Vec::new(),
-        None,
-        LabelScratch::new,
-        |task, scratch| {
-            let mut acc = init();
-            let _ = for_each_labelling(&alphabet, &maps, task, scratch, &mut |c, weight| {
-                work(&mut acc, task.idx, c, weight);
-                ControlFlow::Continue(())
-            });
-            vec![acc]
-        },
-        |all: &mut Vec<R>, mut acc, _| all.append(&mut acc),
-    )
-}
-
 /// A witness tagged with the task index it was found in; merged by
 /// smallest index, which reproduces the serial scan's first witness.
 struct Keyed<W> {
@@ -402,103 +352,49 @@ fn keep_min<W>(slot: &mut Option<Keyed<W>>, task_idx: usize, witness: impl FnOnc
     }
 }
 
-/// Parallel [`crate::relation::compare`]: identical `Comparison` —
-/// totals are exact (every pair visited exactly once) and the
-/// `a_only`/`b_only` witnesses are the serial scan's first witnesses
-/// (smallest task index, first in scan order within it). Runs through
-/// the supervised engine with no faults injected; a real panic in model
-/// code is quarantined, retried once, and re-raised here if it persists.
-pub fn compare_par<A, B>(a: &A, b: &B, u: &Universe, cfg: &SweepConfig) -> Comparison
-where
-    A: MemoryModel + Sync,
-    B: MemoryModel + Sync,
-{
-    supervisor::compare_supervised(a, b, u, cfg, &Supervisor::none()).expect_complete("compare_par")
-}
-
-/// Decides only the [`Relation`] between two models, with cooperative
-/// early exit: once witnesses in both directions exist the verdict is
-/// `Incomparable` no matter what remains, so a shared flag per direction
-/// lets every worker stop scanning. Existence of a witness is scan-order
-/// independent, so the verdict is deterministic.
-pub fn relation_par<A, B>(a: &A, b: &B, u: &Universe, cfg: &SweepConfig) -> Relation
-where
-    A: MemoryModel + Sync,
-    B: MemoryModel + Sync,
-{
-    supervisor::relation_supervised(a, b, u, cfg, &Supervisor::none())
-        .expect_complete("relation_par")
-}
-
-/// Parallel [`crate::relation::lattice`]: the full pairwise relation
-/// matrix, decided by one verdict pass over the universe (every model
-/// checked once per observer).
-pub fn lattice_par<M: MemoryModel + Sync>(
-    models: &[M],
-    u: &Universe,
-    cfg: &SweepConfig,
-) -> Vec<LatticeRow> {
-    supervisor::lattice_supervised(models, u, cfg, &Supervisor::none())
-        .expect_complete("lattice_par")
-}
-
-/// Parallel [`crate::props::check_complete`], returning the serial scan's
-/// witness. (Large `Err` is deliberate: the witness is the product.)
-#[allow(clippy::result_large_err)]
-pub fn check_complete_par<M: MemoryModel + Sync>(
-    model: &M,
-    u: &Universe,
-    cfg: &SweepConfig,
-) -> Result<(), IncompleteWitness> {
-    match supervisor::check_complete_supervised(model, u, cfg, &Supervisor::none())
-        .expect_complete("check_complete_par")
-    {
-        Some(w) => Err(w),
-        None => Ok(()),
-    }
-}
-
-/// Parallel [`crate::props::check_monotonic`], returning the serial
-/// scan's witness. (Large `Err` is deliberate: the witness is the
-/// product.)
-#[allow(clippy::result_large_err)]
-pub fn check_monotonic_par<M: MemoryModel + Sync>(
-    model: &M,
-    u: &Universe,
-    cfg: &SweepConfig,
-) -> Result<(), MonotonicityWitness> {
-    match supervisor::check_monotonic_supervised(model, u, cfg, &Supervisor::none())
-        .expect_complete("check_monotonic_par")
-    {
-        Some(w) => Err(w),
-        None => Ok(()),
-    }
-}
-
-/// Parallel [`crate::props::check_constructible_aug`], returning the
-/// serial scan's witness. (Large `Err` is deliberate: the witness is the
-/// product.)
-#[allow(clippy::result_large_err)]
-pub fn check_constructible_aug_par<M: MemoryModel + Sync>(
-    model: &M,
-    u: &Universe,
-    cfg: &SweepConfig,
-) -> Result<(), ConstructibilityWitness> {
-    match supervisor::check_constructible_aug_supervised(model, u, cfg, &Supervisor::none())
-        .expect_complete("check_constructible_aug_par")
-    {
-        Some(w) => Err(w),
-        None => Ok(()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::supervisor::{
+        check_complete_supervised, check_constructible_aug_supervised, check_monotonic_supervised,
+        compare_supervised, lattice_supervised, sweep_supervised, Supervisor, SweepStatus,
+    };
     use super::*;
-    use crate::model::{AnyObserver, Lc, Model, Nn, Sc};
+    use crate::model::{Lc, MemoryModel, Model, Nn, Sc};
     use crate::observer::ObserverFunction;
     use crate::props::{check_complete, check_constructible_aug, check_monotonic};
-    use crate::relation::compare;
+    use crate::relation::{compare, Comparison};
+
+    /// The supervised comparison, unwrapped as a clean run must be.
+    fn compare_clean<A, B>(a: &A, b: &B, u: &Universe, cfg: &SweepConfig) -> Comparison
+    where
+        A: MemoryModel + Sync,
+        B: MemoryModel + Sync,
+    {
+        compare_supervised(a, b, u, cfg, &Supervisor::none()).expect_complete("compare")
+    }
+
+    /// The universe's weighted computation count, over the tasks whose
+    /// index `count` admits.
+    fn weighted_count(
+        u: &Universe,
+        cfg: &SweepConfig,
+        count: impl Fn(usize) -> bool + Sync,
+    ) -> supervisor::Supervised<u64> {
+        sweep_supervised(
+            u,
+            cfg,
+            &Supervisor::none(),
+            None,
+            None,
+            || 0u64,
+            || (),
+            |acc, _, idx, _, w| {
+                if count(idx) {
+                    *acc += w;
+                }
+            },
+        )
+    }
 
     fn assert_same_comparison(serial: &Comparison, par: &Comparison) {
         assert_eq!(serial.relation, par.relation);
@@ -530,7 +426,7 @@ mod tests {
                 (Model::Nw, Model::Wn),
             ] {
                 let serial = compare(&a, &b, &u);
-                let par = compare_par(&a, &b, &u, &cfg);
+                let par = compare_clean(&a, &b, &u, &cfg);
                 assert_same_comparison(&serial, &par);
             }
         }
@@ -540,22 +436,8 @@ mod tests {
     fn compare_par_two_locations() {
         let u = Universe::new(3, 2);
         let serial = compare(&Sc, &Lc, &u);
-        let par = compare_par(&Sc, &Lc, &u, &SweepConfig::with_threads(3));
+        let par = compare_clean(&Sc, &Lc, &u, &SweepConfig::with_threads(3));
         assert_same_comparison(&serial, &par);
-    }
-
-    #[test]
-    fn relation_par_matches_compare() {
-        let u = Universe::new(3, 1);
-        let cfg = SweepConfig::with_threads(4);
-        for (a, b) in [
-            (Model::Sc, Model::Lc),
-            (Model::Lc, Model::Ww),
-            (Model::Ww, Model::Lc),
-            (Model::Nw, Model::Wn),
-        ] {
-            assert_eq!(relation_par(&a, &b, &u, &cfg), compare(&a, &b, &u).relation);
-        }
     }
 
     #[test]
@@ -563,7 +445,9 @@ mod tests {
         let u = Universe::new(2, 1);
         let models = [Model::Sc, Model::Lc, Model::Nn, Model::Ww];
         let serial = crate::relation::lattice(&models, &u);
-        let par = lattice_par(&models, &u, &SweepConfig::with_threads(4));
+        let par =
+            lattice_supervised(&models, &u, &SweepConfig::with_threads(4), &Supervisor::none())
+                .expect_complete("lattice");
         for (sr, pr) in serial.iter().zip(&par) {
             assert_eq!(sr.name, pr.name);
             assert_eq!(sr.relations, pr.relations);
@@ -574,13 +458,17 @@ mod tests {
     fn parallel_props_agree_with_serial_on_passing_models() {
         let u = Universe::new(3, 1);
         let cfg = SweepConfig::with_threads(4);
+        let sup = Supervisor::none();
         for m in [Model::Sc, Model::Lc, Model::Nn, Model::Ww] {
-            assert_eq!(check_complete(&m, &u).is_ok(), check_complete_par(&m, &u, &cfg).is_ok());
-            assert_eq!(check_monotonic(&m, &u).is_ok(), check_monotonic_par(&m, &u, &cfg).is_ok());
-            assert_eq!(
-                check_constructible_aug(&m, &u).is_ok(),
-                check_constructible_aug_par(&m, &u, &cfg).is_ok()
-            );
+            let complete =
+                check_complete_supervised(&m, &u, &cfg, &sup).expect_complete("complete");
+            assert_eq!(check_complete(&m, &u).is_ok(), complete.is_none());
+            let monotonic =
+                check_monotonic_supervised(&m, &u, &cfg, &sup).expect_complete("monotonic");
+            assert_eq!(check_monotonic(&m, &u).is_ok(), monotonic.is_none());
+            let constructible = check_constructible_aug_supervised(&m, &u, &cfg, &sup)
+                .expect_complete("constructible");
+            assert_eq!(check_constructible_aug(&m, &u).is_ok(), constructible.is_none());
         }
     }
 
@@ -591,8 +479,10 @@ mod tests {
         let u = Universe::new(5, 1);
         let serial =
             check_constructible_aug(&Nn::default(), &u).expect_err("NN is not constructible");
-        let par = check_constructible_aug_par(&Nn::default(), &u, &SweepConfig::with_threads(4))
-            .expect_err("NN is not constructible (parallel)");
+        let cfg = SweepConfig::with_threads(4);
+        let par = check_constructible_aug_supervised(&Nn::default(), &u, &cfg, &Supervisor::none())
+            .expect_complete("constructible")
+            .expect("NN is not constructible (parallel)");
         assert_eq!(serial.c, par.c);
         assert_eq!(serial.phi, par.phi);
         assert_eq!(serial.extension, par.extension);
@@ -603,14 +493,9 @@ mod tests {
     fn sweep_computations_counts_the_universe() {
         let u = Universe::new(3, 1);
         for threads in [1, 2, 4, 7] {
-            let counts = sweep_computations(
-                &u,
-                &SweepConfig::with_threads(threads),
-                || 0usize,
-                |acc, _, _, _| *acc += 1,
-            )
-            .expect_complete("counting sweep");
-            assert_eq!(counts.iter().sum::<usize>(), u.count_computations());
+            let counts = weighted_count(&u, &SweepConfig::with_threads(threads), |_| true)
+                .expect_complete("counting sweep");
+            assert_eq!(counts, u.count_computations() as u64);
         }
     }
 
@@ -623,11 +508,9 @@ mod tests {
             let u = Universe::new(nodes, locs);
             for threads in [1, 2, 4] {
                 let cfg = SweepConfig::with_threads(threads).canonical(true);
-                let weighted =
-                    sweep_computations(&u, &cfg, || 0u128, |acc, _, _, w| *acc += w as u128)
-                        .expect_complete("weighted sweep");
+                let weighted = weighted_count(&u, &cfg, |_| true).expect_complete("weighted sweep");
                 assert_eq!(
-                    weighted.iter().sum::<u128>(),
+                    u128::from(weighted),
                     u.count_computations_closed(),
                     "bound {nodes}, {locs} locations, {threads} threads"
                 );
@@ -637,42 +520,26 @@ mod tests {
 
     #[test]
     fn unsupervised_panic_degrades_with_surviving_witnesses() {
-        // A panicking task on the plain `sweep_computations` path must
+        // A panic in the caller's own fold, with no fault plan, must
         // quarantine and degrade — not abort the process — with every
-        // other task's accumulator intact, serial and parallel alike.
+        // other task's contribution intact, serial and parallel alike.
         let u = Universe::new(3, 1);
-        let clean = sweep_computations(
-            &u,
-            &SweepConfig::serial(),
-            || (0usize, 0usize),
-            |acc, idx, _, _| {
-                acc.0 += 1;
-                if idx == 1 {
-                    acc.1 += 1;
-                }
-            },
-        )
-        .expect_complete("clean sweep");
-        let total: usize = clean.iter().map(|(n, _)| n).sum();
-        let task1: usize = clean.iter().map(|(_, n)| n).sum();
+        let total = weighted_count(&u, &SweepConfig::serial(), |_| true).expect_complete("clean");
+        let task1 =
+            weighted_count(&u, &SweepConfig::serial(), |idx| idx == 1).expect_complete("task 1");
         assert!(task1 > 0, "task 1 does real work at this bound");
         for threads in [1, 2, 4] {
-            let out = sweep_computations(
-                &u,
-                &SweepConfig::with_threads(threads),
-                || 0usize,
-                |acc, idx, _, _| {
-                    assert!(idx != 1, "task 1 always panics");
-                    *acc += 1;
-                },
-            );
-            assert_eq!(out.status, supervisor::SweepStatus::Degraded, "{threads} threads");
+            let out = weighted_count(&u, &SweepConfig::with_threads(threads), |idx| {
+                assert!(idx != 1, "task 1 always panics");
+                true
+            });
+            assert_eq!(out.status, SweepStatus::Degraded, "{threads} threads");
             assert_eq!(out.quarantined.len(), 1);
             assert_eq!(out.quarantined[0].task_idx, 1);
             assert!(out.quarantined[0].payload.contains("always panics"));
             assert!(!out.frontier.contains(1));
             assert_eq!(out.frontier.len(), out.total_tasks - 1);
-            assert_eq!(out.value.iter().sum::<usize>(), total - task1);
+            assert_eq!(out.value, total - task1);
         }
     }
 
@@ -686,7 +553,7 @@ mod tests {
                 let cfg = SweepConfig::with_threads(threads).canonical(true);
                 for (a, b) in [(Model::Lc, Model::Nn), (Model::Sc, Model::Lc)] {
                     let serial = compare(&a, &b, &u);
-                    let canonical = compare_par(&a, &b, &u, &cfg);
+                    let canonical = compare_clean(&a, &b, &u, &cfg);
                     assert_same_comparison(&serial, &canonical);
                 }
             }
@@ -697,16 +564,22 @@ mod tests {
     fn canonical_witness_checks_match_labelled() {
         let u = Universe::new(4, 1);
         let cfg = SweepConfig::with_threads(2).canonical(true);
+        let sup = Supervisor::none();
         // NN is complete and monotonic at this bound; WN fails
         // constructibility with a specific witness the canonical search
         // must reproduce exactly.
-        assert!(check_complete_par(&Model::Nn, &u, &cfg).is_ok());
-        assert!(check_monotonic_par(&Model::Nn, &u, &cfg).is_ok());
+        assert!(check_complete_supervised(&Model::Nn, &u, &cfg, &sup)
+            .expect_complete("c")
+            .is_none());
+        assert!(check_monotonic_supervised(&Model::Nn, &u, &cfg, &sup)
+            .expect_complete("m")
+            .is_none());
         let u5 = Universe::new(5, 1);
         let serial =
             check_constructible_aug(&Nn::default(), &u5).expect_err("NN is not constructible");
-        let canonical = check_constructible_aug_par(&Nn::default(), &u5, &cfg)
-            .expect_err("NN is not constructible (canonical)");
+        let canonical = check_constructible_aug_supervised(&Nn::default(), &u5, &cfg, &sup)
+            .expect_complete("constructible")
+            .expect("NN is not constructible (canonical)");
         assert_eq!(serial.c, canonical.c);
         assert_eq!(serial.phi, canonical.phi);
         assert_eq!(serial.extension, canonical.extension);
@@ -738,21 +611,5 @@ mod tests {
         assert_eq!(SweepConfig::serial().threads, 1);
         assert_eq!(SweepConfig::with_threads(7).threads, 7);
         assert!(SweepConfig::from_env().threads >= 1);
-    }
-
-    #[test]
-    fn relation_par_early_exit_on_incomparable() {
-        // NW ∥ WN needs 4-node computations (Figure 1); with witnesses in
-        // both directions the sweep can stop early yet must still say
-        // Incomparable.
-        let u = Universe::new(4, 1);
-        let r = relation_par(&Model::Nw, &Model::Wn, &u, &SweepConfig::with_threads(2));
-        assert_eq!(r, Relation::Incomparable);
-        // And Equal when comparing a model to itself.
-        let u3 = Universe::new(3, 1);
-        assert_eq!(
-            relation_par(&AnyObserver, &AnyObserver, &u3, &SweepConfig::with_threads(2)),
-            Relation::Equal
-        );
     }
 }

@@ -1,12 +1,11 @@
-//! Fault-tolerant supervision for parallel sweeps, and the one
+//! The sweep entry points, the one engine behind them, and the
 //! supervision contract every long run shares.
 //!
-//! The plain engine in [`crate::sweep`] is all-or-nothing: one panicking
-//! task aborts the whole run, there is no time budget, and a killed
-//! multi-hour sweep loses all progress. This module wraps the same
-//! poset-granular task queue with three guarantees, each written once
-//! and reused by the Δ* fixpoints ([`crate::constructible`]) and by the
-//! `ccmm stress` and `ccmm watch` drivers:
+//! Every sweep of [`crate::sweep`] runs through that engine
+//! (`run_supervised`), a poset-granular task queue with three
+//! guarantees, each written once and reused by the Δ* fixpoints
+//! ([`crate::constructible`]) and by the `ccmm stress` and `ccmm watch`
+//! drivers:
 //!
 //! 1. **Panic quarantine** ([`retry_once`]). Every task runs under
 //!    `catch_unwind` and folds into a *fresh per-task delta*, merged
@@ -40,9 +39,7 @@
 //! Determinism note: deltas are merged in worker completion order, which
 //! is racy — so supervised sweeps require merges to be commutative and
 //! associative (weighted counts are; the min-task-index witness merge is,
-//! because task indices are unique). That is exactly the property the
-//! unsupervised engine already relied on for its per-worker fold, now
-//! stated as the [`Merge`] contract.
+//! because task indices are unique): the [`Merge`] contract.
 //!
 //! Faults are injected deterministically via [`FaultPlan`] — see
 //! [`crate::fault`]. The injected-kill path ([`SweepStatus::Killed`])
@@ -77,7 +74,7 @@ use std::time::{Duration, Instant};
 
 /// Supervision settings for a sweep: the deterministic fault-injection
 /// plan. Deadlines live on [`SweepConfig`]; checkpointing is passed to
-/// the entry points that support it ([`sweep_supervised_ckpt`],
+/// the entry points that support it ([`sweep_supervised`],
 /// [`memberships_supervised`]).
 #[derive(Debug, Default)]
 pub struct Supervisor {
@@ -239,11 +236,10 @@ impl<S> Supervised<S> {
         self.status == SweepStatus::Complete
     }
 
-    /// Unwraps a sweep that must have completed cleanly — the bridge for
-    /// the unsupervised `_par` entry points, which have no way to express
-    /// degraded or partial results. Panics (with the first quarantined
-    /// task's payload) otherwise, restoring the old abort-on-panic
-    /// behaviour for callers that opted out of supervision.
+    /// Unwraps a sweep that must have completed cleanly, for callers that
+    /// cannot use a degraded or partial result (a Δ* materialisation, a
+    /// table of paper results, a test). Panics otherwise, with the first
+    /// quarantined task's payload when there is one.
     pub fn expect_complete(self, what: &str) -> S {
         match self.status {
             SweepStatus::Complete => self.value,
@@ -290,6 +286,22 @@ impl<S> Supervised<S> {
 pub trait Merge {
     /// Folds `other` into `self`.
     fn merge(&mut self, other: Self);
+}
+
+/// Counts merge by addition.
+impl Merge for u64 {
+    fn merge(&mut self, other: Self) {
+        *self += other;
+    }
+}
+
+/// Per-task lists merge by appending, in completion order: only an
+/// order-insensitive consumer (a map, a set, a sort by task index) keeps
+/// the result deterministic.
+impl<T> Merge for Vec<T> {
+    fn merge(&mut self, mut other: Self) {
+        self.append(&mut other);
+    }
 }
 
 /// Where and how often a counting sweep journals `(frontier, state)`
@@ -548,36 +560,22 @@ where
     }
 }
 
-/// Supervised general counting sweep: like
-/// [`crate::sweep::sweep_computations`] but with per-task transactional
-/// deltas, panic quarantine, and deadline support. `empty` seeds each
-/// task's delta; `scratch` builds per-worker scratch (rebuilt after a
-/// panic); `work` folds one `(computation, weight)` into the delta.
-pub fn sweep_supervised<S, X, EF, XF, WF>(
-    u: &Universe,
-    cfg: &SweepConfig,
-    sup: &Supervisor,
-    empty: EF,
-    scratch: XF,
-    work: WF,
-) -> Supervised<S>
-where
-    S: Merge + Send,
-    EF: Fn() -> S + Sync,
-    XF: Fn() -> X + Sync,
-    WF: Fn(&mut S, &mut X, usize, &Computation, u64) + Sync,
-{
-    sweep_supervised_ckpt(u, cfg, sup, None, None, empty, scratch, work)
-}
-
-/// [`sweep_supervised`] plus checkpoint/resume: `resume` restores a
-/// decoded `(frontier, state)` snapshot (completed tasks are skipped and
-/// their contributions are already in `state`); `ckpt` journals fresh
-/// snapshots as the sweep progresses. Because [`Merge`] is commutative
-/// and associative and witnesses merge by unique minimal task index, a
-/// resumed run is bit-identical to an uninterrupted one.
+/// The general sweep: runs `work` once per computation of the universe
+/// (canonical mode: once per isomorphism orbit), each task folding into
+/// a fresh delta seeded by `empty` and merged through [`Merge`].
+/// `scratch` builds per-worker scratch (rebuilt after a panic); `work`
+/// gets the delta, the scratch, the task (global poset) index, the
+/// computation and its universe multiplicity (1 in labelled mode), so
+/// weighted counts reproduce labelled totals exactly.
+///
+/// `resume` restores a decoded `(frontier, state)` snapshot (completed
+/// tasks are skipped and their contributions are already in `state`);
+/// `ckpt` journals fresh snapshots as the sweep progresses. Because
+/// [`Merge`] is commutative and associative and witnesses merge by unique
+/// minimal task index, a resumed run is bit-identical to an
+/// uninterrupted one.
 #[allow(clippy::too_many_arguments)]
-pub fn sweep_supervised_ckpt<S, X, EF, XF, WF>(
+pub fn sweep_supervised<S, X, EF, XF, WF>(
     u: &Universe,
     cfg: &SweepConfig,
     sup: &Supervisor,
@@ -628,73 +626,6 @@ fn merge_keyed<W>(dst: &mut Option<Keyed<W>>, src: Option<Keyed<W>>) {
             *dst = Some(k);
         }
     }
-}
-
-/// Supervised [`crate::sweep::relation_par`]. Witness-existence evidence
-/// found by a task that later panics is kept — it is a real pair, so the
-/// verdict stays sound; a degraded verdict may at worst miss evidence
-/// from quarantined tasks (conservative toward `Equal`/one-sided).
-pub fn relation_supervised<A, B>(
-    a: &A,
-    b: &B,
-    u: &Universe,
-    cfg: &SweepConfig,
-    sup: &Supervisor,
-) -> Supervised<Relation>
-where
-    A: MemoryModel + Sync,
-    B: MemoryModel + Sync,
-{
-    let alphabet = u.alphabet();
-    let maps = maps_for(u, cfg, &alphabet);
-    // Ordering audit: Relaxed is enough for these monotonic
-    // (false→true) evidence flags. A stale `false` costs at most one
-    // redundant check of a pair that would set the same flag; the final
-    // loads below run after `run_supervised` has joined every worker
-    // (thread join synchronizes-with), so no store can be missed.
-    let found_a_only = AtomicBool::new(false);
-    let found_b_only = AtomicBool::new(false);
-    let out = run_supervised(
-        materialize(u, cfg.canonical),
-        cfg.threads,
-        cfg.deadline,
-        &sup.fault,
-        Frontier::new(),
-        (),
-        None,
-        || (LabelScratch::new(), CheckScratch::new()),
-        |task, xs| {
-            if found_a_only.load(Ordering::Relaxed) && found_b_only.load(Ordering::Relaxed) {
-                return; // verdict already forced
-            }
-            let (ls, check) = xs;
-            let _ = for_each_labelling(&alphabet, &maps, task, ls, &mut |c, _| {
-                let done_a = found_a_only.load(Ordering::Relaxed);
-                let done_b = found_b_only.load(Ordering::Relaxed);
-                if done_a && done_b {
-                    return ControlFlow::Break(());
-                }
-                let _ = for_each_observer(c, |phi| {
-                    let in_a = a.contains_with(c, phi, check);
-                    let in_b = b.contains_with(c, phi, check);
-                    if in_a && !in_b {
-                        found_a_only.store(true, Ordering::Relaxed);
-                    }
-                    if in_b && !in_a {
-                        found_b_only.store(true, Ordering::Relaxed);
-                    }
-                    ControlFlow::Continue(())
-                });
-                ControlFlow::Continue(())
-            });
-        },
-        |_, _, _| {},
-    );
-    let relation = Relation::from_evidence(
-        found_a_only.load(Ordering::Relaxed),
-        found_b_only.load(Ordering::Relaxed),
-    );
-    out.map(|()| relation)
 }
 
 /// Supervised first-witness search over the computations of `u` (the
@@ -756,7 +687,7 @@ fn search_supervised<W: Send, X>(
     out.map(|k| k.map(|k| k.witness))
 }
 
-/// Supervised [`crate::sweep::check_complete_par`]; `Some` is the serial
+/// Supervised [`crate::props::check_complete`]; `Some` is the serial
 /// scan's witness.
 pub fn check_complete_supervised<M: MemoryModel + Sync>(
     model: &M,
@@ -777,7 +708,7 @@ pub fn check_complete_supervised<M: MemoryModel + Sync>(
     })
 }
 
-/// Supervised [`crate::sweep::check_monotonic_par`]; `Some` is the serial
+/// Supervised [`crate::props::check_monotonic`]; `Some` is the serial
 /// scan's witness.
 pub fn check_monotonic_supervised<M: MemoryModel + Sync>(
     model: &M,
@@ -804,8 +735,8 @@ pub fn check_monotonic_supervised<M: MemoryModel + Sync>(
     })
 }
 
-/// Supervised [`crate::sweep::check_constructible_aug_par`]; `Some` is
-/// the serial scan's witness.
+/// Supervised [`crate::props::check_constructible_aug`]; `Some` is the
+/// serial scan's witness.
 pub fn check_constructible_aug_supervised<M: MemoryModel + Sync>(
     model: &M,
     u: &Universe,
@@ -1154,7 +1085,7 @@ where
     S: Merge + Send,
 {
     let n = models.len();
-    sweep_supervised_ckpt(
+    sweep_supervised(
         u,
         cfg,
         sup,
@@ -1251,13 +1182,6 @@ impl<A: MemoryModel, B: MemoryModel> MemoryModel for Side<'_, A, B> {
             Side::B(m) => m.contains_with(c, phi, s),
         }
     }
-
-    fn contains_lanes(&self, c: &Computation, phis: &LanePack, s: &mut LaneScratch) -> u64 {
-        match self {
-            Side::A(m) => m.contains_lanes(c, phis, s),
-            Side::B(m) => m.contains_lanes(c, phis, s),
-        }
-    }
 }
 
 /// Per-task (and merged) comparison state.
@@ -1281,11 +1205,11 @@ impl Merge for CmpState {
     }
 }
 
-/// The comparison of `a` and `b` through kernel `K`. Slots fill in
-/// observer-enumeration order, so the lowest set bit of a one-sided
-/// mask is the scalar scan's first witness within the batch, and
-/// [`keep_min`]/[`merge_keyed`] resolve across batches and tasks.
-fn compare<K: VerdictKernel, A, B>(
+/// Supervised [`crate::relation::compare`]: same `Comparison` when
+/// complete; under quarantine, totals exclude the quarantined tasks and
+/// the witnesses of all other tasks still match the serial scan (first
+/// in scan order within a task, smallest task index across tasks).
+pub fn compare_supervised<A, B>(
     a: &A,
     b: &B,
     u: &Universe,
@@ -1305,7 +1229,7 @@ where
         a_only: None,
         b_only: None,
     };
-    let out = verdict_pass::<K, _, _>(&models, u, cfg, sup, None, None, empty, |p, bt| {
+    let out = verdict_pass::<Scalar, _, _>(&models, u, cfg, sup, None, None, empty, |p, bt| {
         let (va, vb, w) = (bt.verdicts[0], bt.verdicts[1], bt.weight as usize);
         p.pairs_checked += w * bt.slots.count_ones() as usize;
         p.a_total += w * va.count_ones() as usize;
@@ -1331,39 +1255,6 @@ where
             pairs_checked: p.pairs_checked,
         }
     })
-}
-
-/// Supervised [`crate::sweep::compare_par`]: same `Comparison` when
-/// complete; under quarantine, totals exclude the quarantined tasks and
-/// the witnesses of all other tasks still match the serial scan.
-pub fn compare_supervised<A, B>(
-    a: &A,
-    b: &B,
-    u: &Universe,
-    cfg: &SweepConfig,
-    sup: &Supervisor,
-) -> Supervised<Comparison>
-where
-    A: MemoryModel + Sync,
-    B: MemoryModel + Sync,
-{
-    compare::<Scalar, _, _>(a, b, u, cfg, sup)
-}
-
-/// Lane-engine counterpart of [`compare_supervised`]: same `Comparison`
-/// — counts AND first witnesses — as the scalar engine.
-pub fn compare_lanes_supervised<A, B>(
-    a: &A,
-    b: &B,
-    u: &Universe,
-    cfg: &SweepConfig,
-    sup: &Supervisor,
-) -> Supervised<Comparison>
-where
-    A: MemoryModel + Sync,
-    B: MemoryModel + Sync,
-{
-    compare::<Lane64, _, _>(a, b, u, cfg, sup)
 }
 
 /// Ordered-pair evidence of a lattice pass: bit `i·n + j` is set once
@@ -1420,7 +1311,7 @@ fn lattice<K: VerdictKernel, M: MemoryModel + Sync>(
     })
 }
 
-/// Supervised [`crate::sweep::lattice_par`]: the whole relation matrix
+/// Supervised [`crate::relation::lattice`]: the whole relation matrix
 /// from one verdict pass over the universe. Under quarantine a cell may
 /// miss evidence held only by quarantined tasks (conservative toward
 /// `Equal`/one-sided); a partial pass's cells cover exactly its frontier.
@@ -1716,25 +1607,6 @@ mod tests {
                 .expect_complete("lane memberships");
                 assert_eq!(lanes, scalar, "canonical={canonical} threads={threads}");
             }
-        }
-    }
-
-    #[test]
-    fn lane_compare_matches_scalar_counts_and_witnesses() {
-        let u = Universe::new(4, 1);
-        let serial = compare(&Model::Lc, &Model::Nn, &u);
-        for threads in [1, 2, 4] {
-            let cfg = SweepConfig::with_threads(threads).canonical(true);
-            let out =
-                compare_lanes_supervised(&Model::Lc, &Model::Nn, &u, &cfg, &Supervisor::none())
-                    .expect_complete("lane compare");
-            assert_eq!(out.relation, serial.relation, "{threads} threads");
-            assert_eq!(out.both, serial.both, "{threads} threads");
-            assert_eq!(out.a_total, serial.a_total, "{threads} threads");
-            assert_eq!(out.b_total, serial.b_total, "{threads} threads");
-            assert_eq!(out.pairs_checked, serial.pairs_checked, "{threads} threads");
-            assert_eq!(out.a_only, serial.a_only, "{threads} threads: a_only witness");
-            assert_eq!(out.b_only, serial.b_only, "{threads} threads: b_only witness");
         }
     }
 

@@ -3,52 +3,54 @@
 
 use ccmm_core::enumerate::for_each_observer;
 use ccmm_core::model::{CheckScratch, LanePack, LaneScratch, ObserverIndex, SlotOrder};
-use ccmm_core::sweep::{sweep_computations, SweepConfig};
+use ccmm_core::sweep::supervisor::{sweep_supervised, Supervisor};
+use ccmm_core::sweep::SweepConfig;
 use ccmm_core::universe::Universe;
 use ccmm_core::{MemoryModel, Model};
 use std::ops::ControlFlow;
 use std::time::Instant;
 
 fn scalar(u: &Universe, cfg: &SweepConfig, models: &[Model]) -> u64 {
-    sweep_computations(
+    sweep_supervised(
         u,
         cfg,
-        || (0u64, CheckScratch::new()),
-        |acc, _, c, w| {
+        &Supervisor::none(),
+        None,
+        None,
+        || 0u64,
+        CheckScratch::new,
+        |acc, check, _, c, w| {
             let _ = for_each_observer(c, |phi| {
                 for m in models {
-                    acc.0 += w * m.contains_with(c, phi, &mut acc.1) as u64;
+                    *acc += w * m.contains_with(c, phi, check) as u64;
                 }
                 ControlFlow::Continue(())
             });
         },
     )
     .expect_complete("scalar")
-    .into_iter()
-    .map(|(n, _)| n)
-    .sum()
 }
 
 fn lanes(u: &Universe, cfg: &SweepConfig, models: &[Model]) -> u64 {
-    sweep_computations(
+    sweep_supervised(
         u,
         cfg,
-        || (0u64, ObserverIndex::new(), LanePack::new(), LaneScratch::new()),
-        |acc, _, c, w| {
-            let (total, index, pack, ls) = acc;
+        &Supervisor::none(),
+        None,
+        None,
+        || 0u64,
+        || (ObserverIndex::new(), LanePack::new(), LaneScratch::new()),
+        |total, (index, pack, lanes), _, c, w| {
             index.prepare(c, SlotOrder::LocationMajor, pack);
             index.for_each_pack(pack, |pack| {
                 let used = pack.used();
                 for m in models {
-                    *total += w * u64::from((m.contains_lanes(c, pack, ls) & used).count_ones());
+                    *total += w * u64::from((m.contains_lanes(c, pack, lanes) & used).count_ones());
                 }
             });
         },
     )
     .expect_complete("lanes")
-    .into_iter()
-    .map(|(n, _, _, _)| n)
-    .sum()
 }
 
 #[test]

@@ -1,5 +1,6 @@
 //! Figure 4 live: watch NN-dag consistency get stuck online, then compute
-//! its constructible version and find location consistency (Theorem 23).
+//! its constructible version and find location consistency through 4
+//! nodes (Theorem 23; LC ⊊ NN* from 5 nodes here, ROADMAP item 1).
 //!
 //! Run with: `cargo run --release --example nonconstructible`
 
@@ -49,5 +50,6 @@ fn main() {
         println!("{:<6} {:>12} {:>12} {:>14}", n, a.survivors, a.in_model, a.disagreements);
         assert_eq!(a.disagreements, 0, "Theorem 23 violated at size {n}");
     }
-    println!("\nLC = NN* on every size below the boundary — Theorem 23 ✓");
+    println!("\nLC = NN* on every size below the boundary.");
+    println!("Theorem 23: equal through 4 nodes, LC ⊊ NN* from 5 here (ROADMAP item 1).");
 }

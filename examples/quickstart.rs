@@ -56,5 +56,6 @@ fn main() {
     println!("connects the two reads — but not location consistent: no");
     println!("serialization of l puts each writer last for its reader.");
     println!("That gap is Theorem 22 (LC ⊊ NN); closing it by demanding");
-    println!("online implementability is Theorem 23 (LC = NN*).");
+    println!("online implementability is Theorem 23 (LC = NN*): equal");
+    println!("through 4 nodes, LC ⊊ NN* from 5 here (ROADMAP item 1).");
 }

@@ -211,27 +211,35 @@ fn cmd_backer(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_lattice(args: &[String]) -> Result<(), String> {
+    use ccmm::core::sweep::supervisor::{lattice_supervised, Supervisor};
+    use ccmm::core::sweep::SweepConfig;
     let mut nodes = 3usize;
     let mut args = Args::new(args);
-    while let Some(a) = args.next_flag() {
-        if a == "--nodes" {
-            nodes = args.parse(a)?;
+    while let Some(flag) = args.next_flag() {
+        match flag {
+            "--nodes" => nodes = args.parse(flag)?,
+            other => return Err(format!("unknown flag `{other}`")),
         }
     }
     if nodes > 4 {
-        return Err("--nodes > 4 is too slow for the CLI; use exp_fig1".into());
+        return Err("--nodes > 4 is too slow for the CLI; \
+             use `ccmm sweep --bound N --canonical --engine lane64`"
+            .into());
     }
     let u = ccmm::core::universe::Universe::new(nodes, 1);
     let models = [Model::Sc, Model::Lc, Model::Nn, Model::Nw, Model::Wn, Model::Ww];
+    let cfg = SweepConfig::from_env().canonical(true);
+    let rows =
+        lattice_supervised(&models, &u, &cfg, &Supervisor::none()).expect_complete("lattice");
     print!("{:<4}", "");
     for b in models {
         print!("{:>4}", b.name());
     }
     println!();
-    for a in models {
-        print!("{:<4}", a.name());
-        for b in models {
-            print!("{:>4}", ccmm::core::relation::compare(&a, &b, &u).relation.to_string());
+    for row in rows {
+        print!("{:<4}", row.name);
+        for r in row.relations {
+            print!("{:>4}", r.to_string());
         }
         println!();
     }

@@ -114,6 +114,24 @@ fn backer_reports_lc() {
 }
 
 #[test]
+fn lattice_rejects_unknown_flags_and_points_large_bounds_at_sweep() {
+    let out = bin().args(["lattice", "--node", "4"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8(out.stderr).unwrap().contains("unknown flag `--node`"));
+
+    let out = bin().args(["lattice", "--nodes", "5"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("ccmm sweep --bound N --canonical --engine lane64"), "{err}");
+
+    let out = bin().args(["lattice", "--nodes", "2"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(text.lines().next(), Some("      SC  LC  NN  NW  WN  WW"), "{text}");
+    assert_eq!(text.lines().count(), 7, "{text}");
+}
+
+#[test]
 fn dot_renders_graphviz() {
     let c = write_temp("dot", "n0: W(0)\nn1: R(0) <- n0\n");
     let out = bin().arg("dot").arg(&c).output().unwrap();

@@ -2,7 +2,7 @@
 //! test-friendly bounds (the experiment binaries push the same checks to
 //! larger universes).
 
-use ccmm::core::constructible::BoundedConstructible;
+use ccmm::core::constructible::{survives_lookahead, BoundedConstructible};
 use ccmm::core::enumerate::{all_observers, for_each_observer};
 use ccmm::core::props::{any_extension, check_complete, check_constructible_aug, check_monotonic};
 use ccmm::core::universe::Universe;
@@ -103,6 +103,23 @@ fn theorem_23_lc_equals_nn_star_bounded() {
         let a = fix.agreement_with(&Lc, n, &u);
         assert_eq!(a.disagreements, 0, "size {n}");
     }
+}
+
+#[test]
+fn theorem_23_fails_at_five_nodes() {
+    // ROADMAP item 1's counterexample: n2 is a fresh value at l0, so the
+    // pair is in NN* (here: survives two augmentation steps), yet it is
+    // not in LC. LC ⊊ NN* from 5 nodes on.
+    use ccmm::core::parse::{parse_computation, parse_observer};
+    let c = parse_computation("n0: W(0)\nn1: W(0)\nn2: W(0)\nn3: N <- n0\nn4: N <- n1\n").unwrap();
+    let phi = parse_observer("l0: n0 n1 n2 n1 n0\n", &c).unwrap();
+    for m in [Model::Nn, Model::Nw, Model::Wn, Model::Ww] {
+        assert!(m.contains(&c, &phi), "{m} must contain the pair");
+    }
+    for m in [Model::Sc, Model::Lc] {
+        assert!(!m.contains(&c, &phi), "{m} must not contain the pair");
+    }
+    assert!(survives_lookahead(&Nn::default(), &c, &phi, 2, &Op::all(1)));
 }
 
 #[test]

@@ -6,8 +6,9 @@
 //! `SweepConfig::from_env`, so no test touches the process environment.
 
 use ccmm::core::model::Model;
-use ccmm::core::relation::compare;
-use ccmm::core::sweep::{compare_par, sweep_computations, SweepConfig};
+use ccmm::core::relation::{compare, Comparison};
+use ccmm::core::sweep::supervisor::{compare_supervised, sweep_supervised, Supervisor};
+use ccmm::core::sweep::SweepConfig;
 use ccmm::core::universe::Universe;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 7];
@@ -16,27 +17,20 @@ const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 fn sweeps_are_bit_identical_to_serial_at_every_thread_count() {
     let u = Universe::new(3, 1);
     let serial = compare(&Model::Lc, &Model::Nn, &u);
-    let serial_counts: usize =
-        sweep_computations(&u, &SweepConfig::serial(), || 0usize, |acc, _, _, _| *acc += 1)
-            .expect_complete("serial counting sweep")
-            .iter()
-            .sum();
-    assert_eq!(serial_counts, u.count_computations());
+    let serial_counts = weighted_count(&u, &SweepConfig::serial());
+    assert_eq!(serial_counts, u.count_computations() as u64);
 
     for threads in THREAD_COUNTS {
         // Explicit thread count.
         let cfg = SweepConfig::with_threads(threads);
-        check_identical(&serial, &compare_par(&Model::Lc, &Model::Nn, &u, &cfg), threads);
-        let counts: usize = sweep_computations(&u, &cfg, || 0usize, |acc, _, _, _| *acc += 1)
-            .expect_complete("counting sweep")
-            .iter()
-            .sum();
+        check_identical(&serial, &lc_vs_nn(&u, &cfg), threads);
+        let counts = weighted_count(&u, &cfg);
         assert_eq!(counts, serial_counts, "count drift at {threads} threads");
 
         // Same thread count by way of a CCMM_THREADS value.
         let env_cfg = SweepConfig::from_threads_var(Some(&format!(" {threads}\n")));
         assert_eq!(env_cfg.threads, threads, "CCMM_THREADS not honoured");
-        check_identical(&serial, &compare_par(&Model::Lc, &Model::Nn, &u, &env_cfg), threads);
+        check_identical(&serial, &lc_vs_nn(&u, &env_cfg), threads);
     }
 
     // Unset, garbage and zero values fall back to the available
@@ -59,21 +53,37 @@ fn canonical_sweep_is_bit_identical_at_bound_4() {
     let closed = u.count_computations_closed();
     for threads in [1, 2, 4] {
         let cfg = SweepConfig::with_threads(threads).canonical(true);
-        check_identical(&serial, &compare_par(&Model::Lc, &Model::Nn, &u, &cfg), threads);
-        let weighted: u128 =
-            sweep_computations(&u, &cfg, || 0u128, |acc, _, _, w| *acc += w as u128)
-                .expect_complete("weighted sweep")
-                .iter()
-                .sum();
+        check_identical(&serial, &lc_vs_nn(&u, &cfg), threads);
+        let weighted = u128::from(weighted_count(&u, &cfg));
         assert_eq!(weighted, closed, "orbit-weighted total drift at {threads} threads");
     }
 }
 
-fn check_identical(
-    serial: &ccmm::core::relation::Comparison,
-    par: &ccmm::core::relation::Comparison,
-    threads: usize,
-) {
+/// The supervised LC/NN comparison, which must complete.
+fn lc_vs_nn(u: &Universe, cfg: &SweepConfig) -> Comparison {
+    compare_supervised(&Model::Lc, &Model::Nn, u, cfg, &Supervisor::none())
+        .expect_complete("LC/NN comparison")
+}
+
+/// The universe's computation count, each weighted by its multiplicity
+/// (1 in labelled mode).
+fn weighted_count(u: &Universe, cfg: &SweepConfig) -> u64 {
+    let out = sweep_supervised(
+        u,
+        cfg,
+        &Supervisor::none(),
+        None,
+        None,
+        || 0u64,
+        || (),
+        |acc, (), _, _, w| {
+            *acc += w;
+        },
+    );
+    out.expect_complete("counting sweep")
+}
+
+fn check_identical(serial: &Comparison, par: &Comparison, threads: usize) {
     assert_eq!(serial.relation, par.relation, "relation drift at {threads} threads");
     assert_eq!(serial.both, par.both, "count drift at {threads} threads");
     assert_eq!(serial.a_total, par.a_total, "count drift at {threads} threads");
