@@ -145,7 +145,7 @@ lane_parity() {
     diff <(lattice "$scratch/lane-scalar.out") <(lattice "$1") \
         || { echo "lane64 lattice diverges from scalar ($2)"; exit 1; }
     diff <(fixline "$scratch/lane-scalar.out") <(fixline "$1") \
-        || { echo "lane64 NN* fixpoint diverges from the scalar worklist ($2)"; exit 1; }
+        || { echo "lane64 NN* fixpoint diverges from the scalar engine ($2)"; exit 1; }
     diff <(constructibility "$scratch/lane-scalar.out") <(constructibility "$1") \
         || { echo "lane64 constructibility diverges from scalar ($2)"; exit 1; }
 }
@@ -171,35 +171,34 @@ ccmm sweep --bound "$lane_bound" --canonical --engine lane64 --threads 2 \
     --resume "$scratch/lane.ckpt" > "$scratch/lane-resumed.out" 2>/dev/null
 lane_parity "$scratch/lane-resumed.out" "after kill/resume"
 
-echo "== lane fixpoint smoke: bound-4 kill in both phases, resume bit-identical =="
-# The lane Δ* fixpoint journals survivor masks to <ckpt>.fixpoint. The
-# canonical bound-4 universe is 25 tasks, so --ckpt-every 16 writes
-# exactly one record per phase: run 1 is killed by the memberships
-# record; run 2 resumes, finishes memberships without a new record (9
-# tasks < 16), and is killed by the fixpoint journal's first record; run
-# 3 resumes the masks and must complete with survivor counts
-# bit-identical to both an uninterrupted lane run and the scalar
-# worklist.
-ccmm sweep --bound 4 --canonical --threads 2 --engine lane64 \
-    > "$scratch/fix-clean.out" 2>/dev/null
-rc=0
-ccmm sweep --bound 4 --canonical --threads 2 --engine lane64 \
-    --ckpt "$scratch/fix.ckpt" --ckpt-every 16 --fault kill-after-ckpt=1 \
-    > /dev/null 2>&1 || rc=$?
-[[ "$rc" == 70 ]] || { echo "expected memberships-phase kill exit 70, got $rc"; exit 1; }
-rc=0
-ccmm sweep --bound 4 --canonical --threads 2 --engine lane64 \
-    --resume "$scratch/fix.ckpt" --ckpt-every 16 --fault kill-after-ckpt=1 \
-    > "$scratch/fix-killed.out" 2>/dev/null || rc=$?
-[[ "$rc" == 70 ]] || { echo "expected fixpoint-phase kill exit 70, got $rc"; exit 1; }
-grep -q "fixpoint checkpoint record" "$scratch/fix-killed.out" \
-    || { echo "second kill did not land in the fixpoint phase"; exit 1; }
-ccmm sweep --bound 4 --canonical --threads 2 --engine lane64 \
-    --resume "$scratch/fix.ckpt" > "$scratch/fix-resumed.out" 2>/dev/null
-diff <(fixline "$scratch/fix-clean.out") <(fixline "$scratch/fix-resumed.out") \
-    || { echo "resumed lane fixpoint differs from the uninterrupted run"; exit 1; }
-diff <(fixline "$scratch/clean.out") <(fixline "$scratch/fix-resumed.out") \
-    || { echo "lane fixpoint differs from the scalar worklist"; exit 1; }
+echo "== fixpoint smoke: bound-4 kill in both phases, resume bit-identical, both engines =="
+# Both engines run the mask Δ* fixpoint and journal its survivor masks
+# to <ckpt>.fixpoint. The canonical bound-4 universe is 25 tasks, so
+# --ckpt-every 16 writes exactly one record per phase: run 1 is killed
+# by the memberships record; run 2 resumes, finishes memberships without
+# a new record (9 tasks < 16), and is killed by the fixpoint journal's
+# first record; run 3 resumes the masks and must complete with survivor
+# counts bit-identical to both an uninterrupted run of the same engine
+# and the uninterrupted scalar run above.
+for engine in scalar lane64; do
+    fix_sweep() { ccmm sweep --bound 4 --canonical --threads 2 --engine "$engine" "$@"; }
+    fix_sweep > "$scratch/fix-clean-$engine.out" 2>/dev/null
+    rc=0
+    fix_sweep --ckpt "$scratch/fix-$engine.ckpt" --ckpt-every 16 --fault kill-after-ckpt=1 \
+        > /dev/null 2>&1 || rc=$?
+    [[ "$rc" == 70 ]] || { echo "expected $engine memberships-phase kill exit 70, got $rc"; exit 1; }
+    rc=0
+    fix_sweep --resume "$scratch/fix-$engine.ckpt" --ckpt-every 16 --fault kill-after-ckpt=1 \
+        > "$scratch/fix-killed-$engine.out" 2>/dev/null || rc=$?
+    [[ "$rc" == 70 ]] || { echo "expected $engine fixpoint-phase kill exit 70, got $rc"; exit 1; }
+    grep -q "fixpoint checkpoint record" "$scratch/fix-killed-$engine.out" \
+        || { echo "$engine second kill did not land in the fixpoint phase"; exit 1; }
+    fix_sweep --resume "$scratch/fix-$engine.ckpt" > "$scratch/fix-resumed-$engine.out" 2>/dev/null
+    diff <(fixline "$scratch/fix-clean-$engine.out") <(fixline "$scratch/fix-resumed-$engine.out") \
+        || { echo "resumed $engine fixpoint differs from the uninterrupted run"; exit 1; }
+    diff <(fixline "$scratch/clean.out") <(fixline "$scratch/fix-resumed-$engine.out") \
+        || { echo "resumed $engine fixpoint differs from the scalar engine"; exit 1; }
+done
 
 echo "== stress smoke: perturbed-executor conformance + seeded-mutation self-test =="
 # The self-test proves the oracle has teeth (seeded skip-flush and

@@ -101,11 +101,11 @@ fn bench_lane_lc(c: &mut Criterion) {
     bench_engines(c, "lane_lc", &[Model::Lc], &[(5, 1), (4, 2)]);
 }
 
-/// The `ccmm sweep` phase-3 workload both ways: the scalar Δ* worklist
-/// (hash-set survivor sets, one membership check per recheck) vs the
-/// lane fixpoint (node-major survivor masks, 64-wide deltas). Both are
-/// single-threaded end-to-end — Stage A plus the cascade — so the ratio
-/// is the `--engine lane64` fixpoint claim in its reproducible form.
+/// The `ccmm sweep` phase-3 workload under both `--engine` kernels: the
+/// mask fixpoint with the scalar Stage-A kernel (one membership check
+/// per observer) vs the lane kernel (64 observers per `u64` word). Both
+/// are single-threaded end-to-end — Stage A plus the cascade — and both
+/// are checked against the naïve re-scan before timing.
 fn bench_lane_fixpoint(c: &mut Criterion) {
     let mut group = c.benchmark_group("lane_fixpoint");
     group.sample_size(10);
@@ -113,21 +113,32 @@ fn bench_lane_fixpoint(c: &mut Criterion) {
         let u = Universe::new(nodes, locs);
         let cfg = SweepConfig::serial();
         let id = format!("{nodes}n{locs}l");
-        let scalar = BoundedConstructible::compute_worklist(&Nn::default(), &u, &cfg);
-        let lane = LaneConstructible::compute(&Nn::default(), &u, &cfg);
-        assert_eq!(
-            (scalar.total_pairs(), scalar.deleted),
-            (lane.total_pairs(), lane.deleted),
-            "engines disagree at {id}; the ratio would be meaningless"
-        );
-        group.bench_function(BenchmarkId::new("worklist", &id), |b| {
-            b.iter(|| {
-                black_box(BoundedConstructible::compute_worklist(&Nn::default(), &u, &cfg))
-                    .total_pairs()
-            })
+        let engine = |lanes| {
+            LaneConstructible::compute_supervised(
+                &Nn::default(),
+                &u,
+                &cfg,
+                &Supervisor::none(),
+                None,
+                None,
+                lanes,
+            )
+            .expect_complete("bench fixpoint")
+        };
+        let naive = BoundedConstructible::compute(&Nn::default(), &u);
+        for lanes in [false, true] {
+            let fix = engine(lanes);
+            assert_eq!(
+                (naive.total_pairs(), naive.deleted),
+                (fix.total_pairs(), fix.deleted),
+                "engine disagrees with the naïve fixpoint at {id}"
+            );
+        }
+        group.bench_function(BenchmarkId::new("scalar", &id), |b| {
+            b.iter(|| black_box(engine(false)).total_pairs())
         });
         group.bench_function(BenchmarkId::new("lane64", &id), |b| {
-            b.iter(|| black_box(LaneConstructible::compute(&Nn::default(), &u, &cfg)).total_pairs())
+            b.iter(|| black_box(engine(true)).total_pairs())
         });
     }
     group.finish();

@@ -1,12 +1,13 @@
 //! Benchmarks the parallel sweep engine against the serial scans it
-//! replaces, and the worklist Δ* fixpoint against the naïve re-scan
+//! replaces, and the mask Δ* fixpoint against the naïve re-scan
 //! fixpoint.
 //!
 //! On a multi-core box the `compare` group shows the sweep speedup
 //! (thread count via `CCMM_THREADS`, default = available parallelism);
 //! on one core the parallel engine degenerates to the serial inline
-//! path, so the interesting row is `fixpoint`: worklist vs naïve.
+//! path, so the interesting row is `fixpoint`: mask vs naïve.
 
+use ccmm_core::constructible::lanes::LaneConstructible;
 use ccmm_core::constructible::BoundedConstructible;
 use ccmm_core::relation::compare;
 use ccmm_core::sweep::supervisor::{compare_supervised, Supervisor};
@@ -41,14 +42,10 @@ fn bench_fixpoint(c: &mut Criterion) {
             let u = Universe::new(n, 1);
             b.iter(|| black_box(BoundedConstructible::compute(&Nn::default(), &u).total_pairs()))
         });
-        group.bench_with_input(BenchmarkId::new("worklist", n), &n, |b, &n| {
+        group.bench_with_input(BenchmarkId::new("mask", n), &n, |b, &n| {
             let u = Universe::new(n, 1);
             let cfg = SweepConfig::from_env();
-            b.iter(|| {
-                black_box(
-                    BoundedConstructible::compute_worklist(&Nn::default(), &u, &cfg).total_pairs(),
-                )
-            })
+            b.iter(|| black_box(LaneConstructible::compute(&Nn::default(), &u, &cfg).total_pairs()))
         });
     }
     group.finish();

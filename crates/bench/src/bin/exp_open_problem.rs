@@ -6,13 +6,13 @@
 //! fixpoint used for Theorem 23 and compare them with LC and with NN*
 //! size by size — exhaustive evidence below the bound.
 //!
-//! Both fixpoints run on the worklist engine with a parallel base sweep
-//! (`CCMM_THREADS` threads).
+//! Both fixpoints run on the mask engine (`LaneConstructible`) with a
+//! parallel base sweep (`CCMM_THREADS` threads).
 //!
 //! Run: `cargo run --release -p ccmm-bench --bin exp_open_problem [bound]`
 
 use ccmm_bench::Table;
-use ccmm_core::constructible::BoundedConstructible;
+use ccmm_core::constructible::lanes::LaneConstructible;
 use ccmm_core::enumerate::for_each_observer;
 use ccmm_core::sweep::SweepConfig;
 use ccmm_core::universe::Universe;
@@ -26,11 +26,11 @@ fn main() {
 
     println!(
         "computing bounded NW* and WN* over all computations ≤ {bound} nodes \
-         (worklist fixpoint, {} threads)…\n",
+         (mask fixpoint, {} threads)…\n",
         cfg.threads
     );
     let t0 = std::time::Instant::now();
-    let nw_star = BoundedConstructible::compute_worklist(&Nw::default(), &u, &cfg);
+    let nw_star = LaneConstructible::compute(&Nw::default(), &u, &cfg);
     let nw_wall = t0.elapsed();
     println!(
         "NW*: {} rounds, {} deleted, {} survive ({nw_wall:?})",
@@ -39,7 +39,7 @@ fn main() {
         nw_star.total_pairs()
     );
     let t0 = std::time::Instant::now();
-    let wn_star = BoundedConstructible::compute_worklist(&Wn::default(), &u, &cfg);
+    let wn_star = LaneConstructible::compute(&Wn::default(), &u, &cfg);
     let wn_wall = t0.elapsed();
     println!(
         "WN*: {} rounds, {} deleted, {} survive ({wn_wall:?})\n",

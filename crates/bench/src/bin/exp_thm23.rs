@@ -10,17 +10,17 @@
 //! NN* has 486,527 pairs against 484,519 for LC (ROADMAP item 1), so the
 //! per-size equality assertion holds at bounds ≤ 5, not beyond.
 //!
-//! The fixpoint runs on the worklist engine: the base set is materialised
-//! by the parallel sweep (`CCMM_THREADS` threads) and, after one full
-//! pass, deletions propagate only to the unique augmentation parent of
-//! each deleted pair instead of re-scanning the universe. Survivors are
-//! identical to the naïve re-scan fixpoint.
+//! The fixpoint runs on the mask engine (`LaneConstructible`): survivor
+//! masks are materialised by the parallel sweep (`CCMM_THREADS` threads)
+//! and, after one full pass, deletions propagate only to the unique
+//! augmentation parent of each deleted pair instead of re-scanning the
+//! universe. Survivors are identical to the naïve re-scan fixpoint.
 //!
 //! Run: `cargo run --release -p ccmm-bench --bin exp_thm23 [max_nodes]`
 //! (default bound 5; 4 is fast, 5 takes a few seconds in release)
 
 use ccmm_bench::Table;
-use ccmm_core::constructible::BoundedConstructible;
+use ccmm_core::constructible::lanes::LaneConstructible;
 use ccmm_core::enumerate::for_each_observer;
 use ccmm_core::sweep::SweepConfig;
 use ccmm_core::universe::Universe;
@@ -33,11 +33,11 @@ fn main() {
     let cfg = SweepConfig::from_env();
     println!(
         "computing bounded NN* over all computations ≤ {bound} nodes, 1 location \
-         (worklist fixpoint, {} threads)…",
+         (mask fixpoint, {} threads)…",
         cfg.threads
     );
     let t0 = std::time::Instant::now();
-    let fix = BoundedConstructible::compute_worklist(&Nn::default(), &u, &cfg);
+    let fix = LaneConstructible::compute(&Nn::default(), &u, &cfg);
     let wall = t0.elapsed();
     println!(
         "fixpoint reached in {:?}: {} rounds, {} pairs deleted, {} survive\n",
@@ -51,29 +51,29 @@ fn main() {
         Table::new(["size", "NN pairs", "NN* pairs", "LC pairs", "NN*=LC", "LC⊊NN gap"]);
     let mut all_agree = true;
     for n in 0..bound {
-        // Count NN pairs and LC pairs at this size; compare fixpoint to LC.
-        let mut nn_pairs = 0usize;
+        // Count NN and LC pairs at this size; compare the fixpoint to LC.
+        let (mut nn_pairs, mut lc_pairs, mut disagreements) = (0usize, 0usize, 0usize);
         let mut flow = |c: &ccmm_core::Computation| {
             let _ = for_each_observer(c, |phi| {
-                if Nn::default().contains(c, phi) {
-                    nn_pairs += 1;
-                }
+                let in_lc = Lc.contains(c, phi);
+                nn_pairs += usize::from(Nn::default().contains(c, phi));
+                lc_pairs += usize::from(in_lc);
+                disagreements += usize::from(fix.contains(c, phi) != in_lc);
                 ControlFlow::Continue(())
             });
             ControlFlow::Continue(())
         };
         let _ = u.for_each_computation_of_size(n, &mut flow);
-        let agree = fix.agreement_with(&Lc, n, &u);
-        all_agree &= agree.disagreements == 0;
+        all_agree &= disagreements == 0;
         table.row([
             n.to_string(),
             nn_pairs.to_string(),
-            agree.survivors.to_string(),
-            agree.in_model.to_string(),
-            ccmm_bench::mark(agree.disagreements == 0).to_string(),
-            (nn_pairs - agree.in_model).to_string(),
+            fix.pairs_of_size(n).to_string(),
+            lc_pairs.to_string(),
+            ccmm_bench::mark(disagreements == 0).to_string(),
+            (nn_pairs - lc_pairs).to_string(),
         ]);
-        assert_eq!(agree.disagreements, 0, "NN* ≠ LC at size {n}");
+        assert_eq!(disagreements, 0, "NN* ≠ LC at size {n}");
     }
     println!("{}", table.render());
     println!("(sizes below the bound only; boundary-size pairs are never");

@@ -1,12 +1,14 @@
 //! Lane-parallel bounded Δ* fixpoint: survivor sets as `u64` verdict
 //! masks over node-major observer columns.
 //!
-//! The scalar worklist ([`BoundedConstructible::compute_worklist`])
-//! keys survivor sets by `HashMap<Computation, HashSet<ObserverFunction>>`
-//! — every membership query hashes a whole observer table, every
-//! cascade re-check re-enumerates extension candidates one `HashSet`
-//! probe at a time. This module replaces that representation with a
-//! flat bit arena:
+//! This is the one Δ* engine: both `ccmm sweep` engines, the
+//! experiments and the benchmark run it. The naïve reference
+//! ([`BoundedConstructible::compute`]) keys survivor sets by
+//! `HashMap<Computation, HashSet<ObserverFunction>>` — every membership
+//! query hashes a whole observer table, every extension test probes one
+//! `HashSet` entry at a time — and re-scans the universe after every
+//! pass. This module replaces that representation with a flat bit
+//! arena:
 //!
 //! * Every *involved* labelled computation gets an [`Entry`]: a
 //!   contiguous run of mask words in which bit `p` is the survivor flag
@@ -28,9 +30,9 @@
 //!   propagation to the unique augmentation parent is a shift
 //!   (`parent bit = p / E`) instead of an observer-table restriction.
 //!   Masking is exact: clearing bit `p` removes exactly the pair the
-//!   scalar path removes, and a block emptiness flip is exactly the
+//!   reference removes, and a block emptiness flip is exactly the
 //!   scalar `any_extension` condition turning false, so the greatest
-//!   fixpoint (and `deleted`) is bit-identical to the scalar worklist.
+//!   fixpoint (and `deleted`) is bit-identical to the naïve reference.
 //! * Every other computation is bound-size without a top node, so the
 //!   fixpoint never touches its pairs: its survivors are its model
 //!   members, counted over the canonical top-less posets by orbit
@@ -41,9 +43,10 @@
 //! checkpoint/resume — filling each involved task's mask words either
 //! with the lane engine (64 observers per [`LanePack`] word through
 //! [`MemoryModel::contains_lanes`]) or the scalar kernel (bit-at-a-time;
-//! same bits, used for journal interop and differential tests). Stage B
-//! (the cascade) is a serial worklist over the arena mirroring the
-//! scalar algorithm's rounds, counters, and quarantine semantics exactly.
+//! same bits; `ccmm sweep --engine scalar` runs it). Stage B (the
+//! cascade) is a serial worklist over the arena: after one full pass, a
+//! deleted bit re-checks only its unique augmentation parent's bit, and
+//! each initial-pass check is quarantined on its own if it panics twice.
 //!
 //! Checkpoint records are *incremental*: each snapshot journals only
 //! the mask groups completed since the previous record (plus the full
@@ -496,8 +499,7 @@ fn entry_slice<'a>(words: &'a [u64], e: &Entry) -> &'a [u64] {
 fn run_fixpoint(layout: &Layout, words: &mut [u64], fault: &FaultPlan) -> FixOutcome {
     // Initial full pass: for every surviving bit of every interior
     // entry, test each op's extension block in the augmentation's mask.
-    // One interior *computation* is one supervised check (mirroring the
-    // scalar path's per-computation quarantine granularity) through
+    // One interior *computation* is one supervised check through
     // `retry_once`, quarantined — keeping its bits — on a second panic.
     let mut queue: Vec<(u32, u32)> = Vec::new();
     let mut quarantined = Vec::new();
@@ -543,8 +545,8 @@ fn run_fixpoint(layout: &Layout, words: &mut [u64], fault: &FaultPlan) -> FixOut
 
     // Cascade: clear a round of bits, push the unique augmentation
     // parent of each cleared bit for re-check, evaluate re-checks after
-    // the round. Identical round structure, counters, and `passes`
-    // accounting to the scalar worklist.
+    // the round. `passes` counts the initial pass and every round that
+    // deletes.
     let mut passes = 1;
     let mut deleted = 0usize;
     telemetry::count(Counter::WorklistPushes, queue.len() as u64);
@@ -607,8 +609,8 @@ fn run_fixpoint(layout: &Layout, words: &mut [u64], fault: &FaultPlan) -> FixOut
 // ---------------------------------------------------------------------
 
 /// The bounded Δ* fixpoint computed lane-parallel over mask words.
-/// Survivors, `deleted`, and `passes` are bit-identical to
-/// [`BoundedConstructible::compute_worklist`] on the same universe.
+/// Survivors and `deleted` are bit-identical to
+/// [`BoundedConstructible::compute`] on the same universe.
 /// Carries a copy of its model, which decides the uninvolved pairs.
 pub struct LaneConstructible<M> {
     model: M,
@@ -653,7 +655,7 @@ impl<M: MemoryModel + Sync + Clone> LaneConstructible<M> {
     /// checkpoints to `ckpt` (`(writer, every)`), resumes from a decoded
     /// journal, and quarantines panicking shards (their pairs are
     /// conservatively kept: all-ones masks, all pairs counted); Stage B
-    /// mirrors the scalar worklist's per-computation quarantine. `lanes`
+    /// quarantines each panicking initial-pass check the same way. `lanes`
     /// selects the lane kernel ([`MemoryModel::contains_lanes`]) or the
     /// scalar kernel for Stage A — the journals and results are
     /// bit-identical either way, so a journal written by one engine
@@ -719,7 +721,7 @@ impl<M: MemoryModel + Sync + Clone> LaneConstructible<M> {
 }
 
 impl<M: MemoryModel> LaneConstructible<M> {
-    /// Whether `(c, phi)` survived the fixpoint. Matches the scalar
+    /// Whether `(c, phi)` survived the fixpoint. Matches the naïve
     /// [`BoundedConstructible::contains`] on every computation of the
     /// universe: an unknown shape (too large, backward edge, op outside
     /// the alphabet, non-enumerated closure) is simply not a survivor,
@@ -774,6 +776,7 @@ impl<M: MemoryModel> LaneConstructible<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constructible::tests::assert_matches_naive;
     use crate::constructible::BoundedConstructible;
     use crate::enumerate::for_each_observer;
     use crate::model::{Lc, Nn};
@@ -782,37 +785,13 @@ mod tests {
         SweepConfig { threads, ..SweepConfig::default() }
     }
 
-    fn assert_matches_scalar<M: MemoryModel + Sync>(
-        model: &M,
-        u: &Universe,
-        lane: &LaneConstructible<M>,
-    ) {
-        let scalar = BoundedConstructible::compute_worklist(model, u, &cfg(1));
-        assert_eq!(lane.total_pairs(), scalar.total_pairs());
-        assert_eq!(lane.deleted, scalar.deleted);
-        assert_eq!(lane.passes, scalar.passes);
-        for n in 0..=u.max_nodes {
-            assert_eq!(lane.pairs_of_size(n), scalar.pairs_of_size(n), "size {n}");
-        }
-        let _ = u.for_each_computation(|c| {
-            let _ = for_each_observer(c, |phi| {
-                assert_eq!(
-                    lane.contains(c, phi),
-                    scalar.contains(c, phi),
-                    "pair disagreement on {c:?} / {phi:?}"
-                );
-                ControlFlow::Continue(())
-            });
-            ControlFlow::Continue(())
-        });
-    }
-
     #[test]
     fn lane_fixpoint_matches_scalar_worklist() {
         for &(b, l) in &[(3, 1), (4, 1), (3, 2)] {
             let u = Universe::new(b, l);
             let lane = LaneConstructible::compute(&Nn::default(), &u, &cfg(1));
-            assert_matches_scalar(&Nn::default(), &u, &lane);
+            let naive = BoundedConstructible::compute(&Nn::default(), &u);
+            assert_matches_naive(&naive, &lane, &u);
         }
     }
 
@@ -820,7 +799,9 @@ mod tests {
     fn lane_fixpoint_matches_scalar_worklist_threaded_and_lc() {
         let u = Universe::new(3, 2);
         let lane = LaneConstructible::compute(&Lc, &u, &cfg(4));
-        assert_matches_scalar(&Lc, &u, &lane);
+        assert_matches_naive(&BoundedConstructible::compute(&Lc, &u), &lane, &u);
+        // LC is constructible: nothing deleted, no cascade round.
+        assert_eq!((lane.deleted, lane.passes), (0, 1));
     }
 
     #[test]
@@ -840,6 +821,29 @@ mod tests {
         assert_eq!(lane.words, scalar_kernel.words);
         assert_eq!(lane.deleted, scalar_kernel.deleted);
         assert_eq!(lane.passes, scalar_kernel.passes);
+    }
+
+    #[test]
+    fn deadline_stops_stage_a_under_both_kernels() {
+        // A spent budget stops Stage A before any task: the run is
+        // Partial with an empty frontier, and no fixpoint runs on it.
+        let u = Universe::new(4, 1);
+        let cfg = cfg(2).deadline(std::time::Duration::ZERO);
+        for lanes in [false, true] {
+            let out = LaneConstructible::compute_supervised(
+                &Nn::default(),
+                &u,
+                &cfg,
+                &Supervisor::none(),
+                None,
+                None,
+                lanes,
+            );
+            assert_eq!(out.status, SweepStatus::Partial, "lanes={lanes}");
+            assert!(out.frontier.is_empty(), "lanes={lanes}");
+            assert_eq!(out.total_tasks, stage_a_tasks(&u).len(), "lanes={lanes}");
+            assert_eq!((out.value.total_pairs(), out.value.passes), (0, 0), "lanes={lanes}");
+        }
     }
 
     #[test]

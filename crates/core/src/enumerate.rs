@@ -337,7 +337,7 @@ mod tests {
     }
 
     #[test]
-    fn node_major_index_factors_through_the_augmentation_parent() {
+    fn node_major_index_factors_through_augmentation() {
         use crate::universe::Universe;
         // For every C and op o: index(aug, Φ') = index(C, Φ'|C)·E + lo,
         // blocks are contiguous, and every Φ' in block b restricts to the

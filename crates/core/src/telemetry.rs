@@ -99,7 +99,7 @@ pub enum Counter {
     /// model, and the bound.
     LaneFixpointWords,
     /// Survivor bits cleared by the lane fixpoint's masked deletions
-    /// (equals the scalar worklist's `deleted` total). Deterministic.
+    /// (equals the fixpoint's `deleted` total). Deterministic.
     LaneDeletionsMasked,
     /// Final survivor-set population (surviving (C, Φ) bits) reported
     /// once when the lane fixpoint converges. Deterministic.

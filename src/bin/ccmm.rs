@@ -592,7 +592,6 @@ fn report_stop(
 
 fn cmd_sweep(args: &[String]) -> Result<u8, String> {
     use ccmm::core::constructible::lanes::{decode_masks_journal, LaneConstructible};
-    use ccmm::core::constructible::BoundedConstructible;
     use ccmm::core::sweep::supervisor::{
         check_constructible_aug_lanes_supervised, check_constructible_aug_supervised,
         decode_counts_snapshot, lattice_lanes_supervised, lattice_supervised,
@@ -745,81 +744,62 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
             println!();
         }
 
-        // Phase 3: constructibility. The NN Δ* fixpoint (labelled by
-        // necessity — survivor sets are keyed by concrete computations),
-        // then the one-step augmentation check for every model. The lane
-        // engine runs the mask-based fixpoint: it masks only the involved
-        // computations (below the bound, or with a top node) and counts
-        // the rest over canonical posets (DESIGN §12). It checkpoints to
-        // its own journal (`<path>.fixpoint`) beside the memberships
-        // journal. The fingerprint is engine-free because the mask bits
-        // are identical either way, so a fixpoint journal written under
-        // one kernel resumes under the other; v1 journals (a group for
-        // every labelled task) are refused by fingerprint.
+        // Phase 3: constructibility. The NN Δ* fixpoint, then the
+        // one-step augmentation check for every model. Both engines run
+        // the mask fixpoint, which masks only the involved computations
+        // (below the bound, or with a top node) and counts the rest over
+        // canonical posets (DESIGN §12); `--engine` picks its Stage-A
+        // kernel. It checkpoints to its own journal (`<path>.fixpoint`)
+        // beside the memberships journal. The fingerprint is engine-free
+        // because the mask bits are identical either way, so a fixpoint
+        // journal written under one kernel resumes under the other; v1
+        // journals (a group for every labelled task) are refused by
+        // fingerprint.
         let t0 = Instant::now();
         let phase_span = ccmm::core::telemetry::span("sweep/fixpoint");
-        let (fix_pairs, fix_deleted, fix_passes, fix_status) = if lane {
-            let fix_fingerprint = format!("ccmm-fixpoint-v2 bound={bound} locs={locs} model=nn");
-            let fix_journal = run.journal().map(|base| format!("{base}.fixpoint"));
-            let path = fix_journal.as_deref();
-            let resuming = resume.is_some() && path.is_some_and(|p| Path::new(p).exists());
-            let (mut fix_writer, fix_resume) = open_journal(
-                "fixpoint checkpoint",
-                path.filter(|_| !resuming),
-                path.filter(|_| resuming),
-                &fix_fingerprint,
-                |ck| decode_masks_journal(ck, &u).map(Some),
-            )?;
-            if let (Some(p), Some((f, _))) = (path, &fix_resume) {
-                println!("resuming fixpoint from {p}: {} task(s) already complete", f.len());
-            }
-            let out = LaneConstructible::compute_supervised(
-                &Nn::default(),
-                &u,
-                &cfg,
-                &sup,
-                fix_resume,
-                fix_writer.as_mut().map(|w| (w, run.ckpt_every)),
-                true,
-            );
-            drop(phase_span);
-            let wall = t0.elapsed();
-            tel.end_phase("fixpoint", wall);
-            warn_journal("fixpoint ", out.ckpt_error.as_deref());
-            report_quarantine("fixpoint", &out.quarantined);
-            let done = (out.frontier.len(), out.total_tasks, "task(s) complete", POSET_INDICES);
-            let (phase, fix_writer) = (Some("fixpoint"), fix_writer.as_ref());
-            if let Some(code) =
-                report_stop(out.status, phase, fix_writer, done, &out.frontier, &run)
-            {
-                tel.write()?;
-                return Ok(code);
-            }
-            (out.value.total_pairs(), out.value.deleted, out.value.passes, out.status)
-        } else {
-            let fix = BoundedConstructible::compute_worklist_supervised(
-                &Nn::default(),
-                &u,
-                &cfg,
-                &sup.fault,
-            );
-            drop(phase_span);
-            let wall = t0.elapsed();
-            tel.end_phase("fixpoint", wall);
-            report_quarantine("fixpoint", &fix.quarantined);
-            let fix_status = SweepStatus::fold(false, false, !fix.quarantined.is_empty());
-            (fix.total_pairs(), fix.deleted, fix.passes, fix_status)
-        };
+        let fix_fingerprint = format!("ccmm-fixpoint-v2 bound={bound} locs={locs} model=nn");
+        let fix_journal = run.journal().map(|base| format!("{base}.fixpoint"));
+        let path = fix_journal.as_deref();
+        let resuming = resume.is_some() && path.is_some_and(|p| Path::new(p).exists());
+        let (mut fix_writer, fix_resume) = open_journal(
+            "fixpoint checkpoint",
+            path.filter(|_| !resuming),
+            path.filter(|_| resuming),
+            &fix_fingerprint,
+            |ck| decode_masks_journal(ck, &u).map(Some),
+        )?;
+        if let (Some(p), Some((f, _))) = (path, &fix_resume) {
+            println!("resuming fixpoint from {p}: {} task(s) already complete", f.len());
+        }
+        let fix = LaneConstructible::compute_supervised(
+            &Nn::default(),
+            &u,
+            &cfg,
+            &sup,
+            fix_resume,
+            fix_writer.as_mut().map(|w| (w, run.ckpt_every)),
+            lane,
+        );
+        drop(phase_span);
         let wall = t0.elapsed();
-        worst = worst.max(fix_status);
+        tel.end_phase("fixpoint", wall);
+        warn_journal("fixpoint ", fix.ckpt_error.as_deref());
+        report_quarantine("fixpoint", &fix.quarantined);
+        let done = (fix.frontier.len(), fix.total_tasks, "task(s) complete", POSET_INDICES);
+        let (phase, fix_writer) = (Some("fixpoint"), fix_writer.as_ref());
+        if let Some(code) = report_stop(fix.status, phase, fix_writer, done, &fix.frontier, &run) {
+            tel.write()?;
+            return Ok(code);
+        }
+        worst = worst.max(fix.status);
         println!(
             "NN* {} fixpoint: {} surviving pairs, {} deleted, {} pass(es) [{:.2?}] ({})",
-            if lane { "lane64" } else { "worklist" },
-            fix_pairs,
-            fix_deleted,
-            fix_passes,
+            if lane { "lane64" } else { "scalar" },
+            fix.value.total_pairs(),
+            fix.value.deleted,
+            fix.value.passes,
             wall,
-            status_name(fix_status)
+            status_name(fix.status)
         );
         let t0 = Instant::now();
         let phase_span = ccmm::core::telemetry::span("sweep/constructibility");
@@ -831,13 +811,25 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
             };
             report_quarantine("constructibility", &check.quarantined);
             worst = worst.max(check.status);
-            match check.value {
-                None => println!("  {:<4} constructible up to bound {bound}", m.name()),
-                Some(w) => println!(
+            // A witness is a dead end wherever it was found; its absence
+            // proves constructibility only if every task was scanned.
+            match (check.value, check.status) {
+                (Some(w), _) => println!(
                     "  {:<4} NOT constructible: dead end at {} nodes appending {:?}",
                     m.name(),
                     w.c.node_count(),
                     w.op
+                ),
+                (None, SweepStatus::Complete) => {
+                    println!("  {:<4} constructible up to bound {bound}", m.name())
+                }
+                (None, SweepStatus::Partial) => {
+                    println!("  {:<4} undecided: no dead end before the deadline", m.name())
+                }
+                (None, _) => println!(
+                    "  {:<4} undecided: no dead end outside {} quarantined task(s)",
+                    m.name(),
+                    check.quarantined.len()
                 ),
             }
         }
@@ -910,7 +902,7 @@ fn cmd_conformance(args: &[String]) -> Result<bool, String> {
     let lanes = ccmm::conformance::run_lanes(&cfg);
     tel.end_phase("lane-differential", t1.elapsed());
     // The fixpoint differential pins the lane Δ* engine (survivor masks,
-    // both Stage-A kernels) to the scalar worklist, and the lane
+    // both Stage-A kernels) to the naïve re-scan, and the lane
     // constructibility search to the scalar scan one bound up.
     let t2 = std::time::Instant::now();
     let fix = ccmm::conformance::run_fixpoint(&cfg);
@@ -1497,16 +1489,14 @@ USAGE:
              [--trace FILE] [--metrics FILE] [--progress]
                                            exhaustive verification at bound N
                                            (N ≤ 5): memberships, lattice, NN*
-                                           fixpoint, constructibility.
+                                           fixpoint (journals to
+                                           <ckpt>.fixpoint), constructibility.
                                            --engine lane64 (with --canonical)
-                                           batches 64 observers per u64 word
-                                           and runs the Δ* fixpoint on lane
-                                           survivor masks; counts and
-                                           witnesses stay bit-identical to
-                                           scalar, and every phase runs
-                                           through bound 6 (memberships phase
-                                           only beyond; fixpoint journals to
-                                           <ckpt>.fixpoint).
+                                           batches 64 observers per u64 word;
+                                           counts and witnesses stay
+                                           bit-identical to scalar, and every
+                                           phase runs through bound 6
+                                           (memberships phase only beyond).
                                            --deadline-secs stops after the
                                            budget (exit 4, resume frontier
                                            printed); --ckpt journals progress

@@ -238,8 +238,11 @@ fn sweep_injected_panic_degrades_but_completes() {
     assert_eq!(lattice_quarantines, 1, "{text}");
     assert!(text.contains("(degraded)"), "{text}");
     assert!(text.contains("sweep status: degraded"), "{text}");
-    // The sweep still ran to the end: all phases reported.
-    assert!(text.contains("NN* worklist fixpoint"), "{text}");
+    // The sweep still ran to the end: all phases reported, and the
+    // fixpoint's Stage A saw the same fault.
+    assert!(text.contains("quarantined: fixpoint task 1"), "{text}");
+    let fixpoint = text.lines().find(|l| l.starts_with("NN* scalar fixpoint")).expect(&text);
+    assert!(fixpoint.ends_with("(degraded)"), "{text}");
 }
 
 #[test]
@@ -284,7 +287,9 @@ fn sweep_kill_and_resume_round_trip_is_bit_identical() {
         clean_counts,
         "resumed counts must be bit-identical to the uninterrupted run"
     );
-    let _ = std::fs::remove_file(&ckpt);
+    for p in [&ckpt, &ckpt.with_extension("fixpoint")] {
+        let _ = std::fs::remove_file(p);
+    }
 }
 
 #[test]
@@ -357,7 +362,7 @@ fn sweep_lane64_fixpoint_matches_scalar_worklist() {
     let scalar = cmd.args(shape).output().unwrap();
     assert_eq!(scalar.status.code(), Some(0));
     let scalar_text = String::from_utf8(scalar.stdout).unwrap();
-    assert!(scalar_text.contains("NN* worklist fixpoint:"), "{scalar_text}");
+    assert!(scalar_text.contains("NN* scalar fixpoint:"), "{scalar_text}");
 
     let mut cmd = sweep_cmd();
     let lane = cmd.args(shape).args(["--engine", "lane64"]).output().unwrap();
@@ -455,6 +460,50 @@ fn sweep_zero_deadline_exits_partial_with_resume_frontier() {
     assert!(text.contains("deadline hit"), "{text}");
     assert!(text.contains("resume frontier"), "{text}");
     assert!(text.contains("(partial)"), "{text}");
+}
+
+#[test]
+fn sweep_fixpoint_deadline_stops_cleanly_under_both_engines() {
+    // Task 6 is a non-canonical labelled 3-node poset, so only the
+    // fixpoint's Stage A scans it: the delay overruns the deadline there
+    // and nowhere else.
+    for engine in ["scalar", "lane64"] {
+        let out = sweep_cmd()
+            .args(["--bound", "4", "--canonical", "--threads", "1", "--engine", engine])
+            .args(["--deadline-secs", "1", "--fault", "delay-at-task=6:1500"])
+            .output()
+            .unwrap();
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(!err.contains("panicked"), "{engine}: {err}");
+        assert_eq!(out.status.code(), Some(4), "{engine}: partial (deadline) exit code");
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert!(text.contains("deadline hit during fixpoint"), "{engine}: {text}");
+    }
+}
+
+#[test]
+fn sweep_degraded_constructibility_check_is_undecided_not_constructible() {
+    // Task 21 holds NW's only bound-5 dead ends. With it quarantined, no
+    // dead end is found for NW, which is still not constructible: the
+    // verdict must be undecided. Witnesses found elsewhere stand.
+    let shape = ["--bound", "5", "--canonical", "--engine", "lane64", "--threads", "2"];
+    let clean = sweep_cmd().args(shape).output().unwrap();
+    assert_eq!(clean.status.code(), Some(0));
+    let clean = String::from_utf8(clean.stdout).unwrap();
+    let out = sweep_cmd().args(shape).args(["--fault", "panic-at-task=21"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(3), "degraded exit code");
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(!text.contains("NW   constructible"), "{text}");
+    assert!(text.contains("  NW   undecided: no dead end outside 1 quarantined task(s)"), "{text}");
+    let verdict = |text: &str, model: &str| {
+        let prefix = format!("  {model:<4} ");
+        let mut lines = text.lines();
+        lines.find(|l| l.starts_with(&prefix) && l.contains("constructible")).map(str::to_string)
+    };
+    for model in ["NN", "WN"] {
+        assert!(verdict(&text, model).is_some(), "{text}");
+        assert_eq!(verdict(&text, model), verdict(&clean, model), "{text}");
+    }
 }
 
 #[test]
@@ -793,7 +842,9 @@ fn sweep_ckpt_io_error_degrades_but_keeps_every_verdict() {
     // The sweep itself still ran to completion with full results.
     assert_eq!(membership_counts(&text).len(), 6, "{text}");
     assert!(text.contains("sweep status: degraded"), "{text}");
-    let _ = std::fs::remove_file(&ckpt);
+    for p in [&ckpt, &ckpt.with_extension("fixpoint")] {
+        let _ = std::fs::remove_file(p);
+    }
 }
 
 #[test]
