@@ -91,6 +91,19 @@ if [[ "$fast" != "fast" ]]; then
     done
 fi
 
+if [[ "$fast" != "fast" ]]; then
+    echo "== perf census: traced sweep-b5 run is correct and prints every metric =="
+    # perfbench prints a non-finite metric (a census ratio whose
+    # denominator is 0) as null, and a null metric makes the run's
+    # result line unusable. The traced run also exercises every census
+    # counter; any wrong answer, failed operation or null metric fails.
+    census=$(python3 perfbench/run.py --workload sweep-b5 --seed 1 --seconds 5 --trace 1 \
+        | tail -1) || { echo "traced perfbench sweep-b5 did not run"; exit 1; }
+    jq -e '.correct == true and .failed == 0 and all(.metrics[]; .value != null)' \
+        <<< "$census" > /dev/null \
+        || { echo "traced perfbench sweep-b5: $census"; exit 1; }
+fi
+
 echo "== robustness smoke: panic quarantine + kill/resume round trip =="
 if [[ "$fast" != "fast" ]]; then
     ccmm() { ./target/release/ccmm "$@"; }
@@ -392,10 +405,22 @@ fi
 echo "== canonical posets: pruned automorphism search vs extension enumeration =="
 # The sweep's canonical poset list (pruned search, down-set DP for e(P))
 # must equal canon_info's linear-extension enumeration on every labelled
-# poset of 7 nodes. Release only: debug tier-1 covers up to 6 nodes.
+# poset of 7 nodes, and each representative's recorded automorphisms a
+# brute force over all 7! permutations. Release only: debug tier-1
+# covers up to 6 nodes.
 if [[ "$fast" != "fast" ]]; then
     cargo test -q --release -p ccmm-dag --lib -- --ignored --exact \
         canon::tests::pruned_search_matches_enumeration_at_7_nodes
+fi
+
+echo "== canonical sweep: Aut(P) x S_k quotient vs labelled scan at bound 5 x 2 =="
+# Memberships, lattice rows and every constructibility witness of the
+# canonical sweep must equal the labelled scan's where both node and
+# location symmetries act. Release only: debug tier-1 covers 3 x 3 and
+# 4 x 2.
+if [[ "$fast" != "fast" ]]; then
+    cargo test -q --release --test sweep_determinism -- --ignored --exact \
+        canonical_sweep_is_bit_identical_at_bound_5_with_two_locations
 fi
 
 echo "== clean tree: no step wrote into the repository =="

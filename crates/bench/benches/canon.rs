@@ -2,8 +2,8 @@
 //! shadows, and the reusable-scratch checker kernels against the
 //! allocate-per-pair path they replace.
 //!
-//! `canon_sweep` isolates the enumeration win (canonical posets ×
-//! location-canonical labellings vs every labelled computation) on the
+//! `canon_sweep` isolates the enumeration win (canonical posets × one
+//! labelling per `Aut(P) × S_k` orbit vs every labelled computation) on the
 //! same membership workload; `canon_scratch` isolates the allocation win
 //! (one `CheckScratch` reused across every pair vs fresh checker state
 //! per call) on a fixed pair set. Both run single-threaded so the ratios
@@ -112,7 +112,7 @@ fn bench_canonical_posets(c: &mut Criterion) {
     group.sample_size(10);
     let pruned = |n: usize| {
         let mut orbits = 0u64;
-        for_each_canonical_poset(n, |_, _, info| orbits += info.orbit);
+        for_each_canonical_poset(n, |_, _, info, _| orbits += info.orbit);
         orbits
     };
     let enumerated = |n: usize| {

@@ -786,7 +786,7 @@ mod tests {
     }
 
     #[test]
-    fn lane_fixpoint_matches_scalar_worklist() {
+    fn lane_fixpoint_matches_naive_rescan() {
         for &(b, l) in &[(3, 1), (4, 1), (3, 2)] {
             let u = Universe::new(b, l);
             let lane = LaneConstructible::compute(&Nn::default(), &u, &cfg(1));
@@ -796,7 +796,7 @@ mod tests {
     }
 
     #[test]
-    fn lane_fixpoint_matches_scalar_worklist_threaded_and_lc() {
+    fn lane_fixpoint_matches_naive_rescan_threaded_and_lc() {
         let u = Universe::new(3, 2);
         let lane = LaneConstructible::compute(&Lc, &u, &cfg(4));
         assert_matches_naive(&BoundedConstructible::compute(&Lc, &u), &lane, &u);

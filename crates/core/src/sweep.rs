@@ -12,14 +12,17 @@
 //! dag isomorphism and under permutations of the location alphabet. With
 //! [`SweepConfig::canonical`] set, the sweep enumerates only canonical
 //! poset representatives ([`ccmm_dag::canon`]) weighted by orbit size,
-//! and within each poset only location-canonical op labellings weighted
-//! by their `S_k`-orbit, so weighted totals are *integer-identical* to
-//! the labelled scan at a fraction of the work. Witnesses are also
-//! bit-identical: the minimal witnessing poset is necessarily canonical
-//! (its class representative is the first class member in enumeration
-//! order and witnesses too, by invariance), and the first witnessing
-//! labelling within it is necessarily location-canonical (ditto), so the
-//! smallest-task-index merge returns exactly the serial labelled witness.
+//! and within each poset only one op labelling per orbit of
+//! `Aut(P) × S_k` (the poset's automorphisms times the location
+//! permutations) weighted by that orbit's size, so weighted totals are
+//! *integer-identical* to the labelled scan at a fraction of the work.
+//! Witnesses are also bit-identical: the minimal witnessing poset is
+//! necessarily canonical (its class representative is the first class
+//! member in enumeration order and witnesses too, by invariance), and
+//! the first witnessing labelling within it is necessarily its orbit's
+//! representative (the representative witnesses too and is enumerated
+//! no later), so the smallest-task-index merge returns exactly the
+//! serial labelled witness.
 //!
 //! Every sweep runs through one supervised engine, and the public entry
 //! points all live in [`supervisor`]: the general
@@ -65,9 +68,9 @@ use std::time::Duration;
 pub struct SweepConfig {
     /// Number of worker threads (≥ 1).
     pub threads: usize,
-    /// Sweep canonical poset representatives and location-canonical
-    /// labellings only, weighting counts by orbit size (see the module
-    /// docs). Totals and witnesses are identical to the labelled sweep.
+    /// Sweep canonical poset representatives and one labelling per
+    /// `Aut(P) × S_k` orbit only, weighting counts by orbit size (see the
+    /// module docs). Totals and witnesses are identical to the labelled sweep.
     pub canonical: bool,
     /// Cooperative time budget: workers stop between tasks once it
     /// elapses and the sweep reports [`supervisor::SweepStatus::Partial`]
@@ -140,22 +143,30 @@ pub(crate) struct Task {
     pub(crate) weight: u64,
     /// The poset's transitive-closure dag.
     pub(crate) dag: Dag,
+    /// The automorphisms its labellings are quotiented by, as node
+    /// permutations of `size` bytes each, concatenated, the identity
+    /// first: all of `Aut(P)` in canonical mode, the identity alone in
+    /// labelled mode.
+    pub(crate) auts: Vec<u8>,
 }
 
 /// All tasks of the universe, in serial enumeration order. In canonical
 /// mode, only class representatives — weighted by orbit, keeping their
-/// labelled global indices.
+/// labelled global indices, and carrying their automorphisms.
 pub(crate) fn materialize(u: &Universe, canonical: bool) -> Vec<Task> {
     let mut tasks = Vec::new();
     let mut base = 0usize;
     for n in 0..=u.max_nodes {
         if canonical {
-            for_each_canonical_poset(n, |idx, dag, info| {
-                tasks.push(Task { idx: base + idx, size: n, weight: info.orbit, dag: dag.clone() });
+            for_each_canonical_poset(n, |idx, dag, info, auts| {
+                let (weight, dag, auts) = (info.orbit, dag.clone(), auts.to_vec());
+                tasks.push(Task { idx: base + idx, size: n, weight, dag, auts });
             });
         } else {
+            let identity: Vec<u8> = (0..n as u8).collect();
             for_each_poset_indexed(n, |idx, dag| {
-                tasks.push(Task { idx: base + idx, size: n, weight: 1, dag: dag.clone() });
+                let (dag, auts) = (dag.clone(), identity.clone());
+                tasks.push(Task { idx: base + idx, size: n, weight: 1, dag, auts });
             });
         }
         base += count_posets_fast(n) as usize;
@@ -217,36 +228,47 @@ pub(crate) fn location_digit_maps(alphabet: &[Op], num_locations: usize) -> Vec<
         .collect()
 }
 
-/// Whether `digits` is the first member of its `S_k`-orbit in labelling
-/// enumeration order (reversed-digit lexicographic: `digits[n-1]` most
-/// significant, matching the base-`k` counter that increments `digits[0]`
-/// fastest), and if so its orbit size `|S_k| / |Stab|`.
-fn location_canonical_weight(digits: &[usize], maps: &[Vec<usize>]) -> (bool, u64) {
+/// Whether the labelling `digits` is the first member of its orbit
+/// under `Aut(P) × S_k` in labelling enumeration order (reversed-digit
+/// lexicographic: `digits[n-1]` most significant, matching the base-`k`
+/// counter that increments `digits[0]` fastest), and if so `Some` of its
+/// orbit size `|G| / |Stab|`. `auts` holds the node permutations of
+/// `Aut(P)` (`n` bytes each) and `maps` the digit maps of `S_k`; the
+/// pair `(g, m)` sends `digits` to the labelling whose node `j` carries
+/// `m[digits[g[j]]]`.
+fn orbit_weight(digits: &[usize], auts: &[u8], maps: &[Vec<usize>]) -> Option<u64> {
+    let n = digits.len();
+    if n == 0 || (auts.len() == n && maps.len() <= 1) {
+        return Some(1); // the group fixes every labelling
+    }
     let mut stabilizers = 0u64;
-    for m in maps {
-        let mut cmp = std::cmp::Ordering::Equal;
-        for &d in digits.iter().rev() {
-            cmp = m[d].cmp(&d);
-            if cmp != std::cmp::Ordering::Equal {
-                break;
+    for g in auts.chunks_exact(n) {
+        for m in maps {
+            let mut cmp = std::cmp::Ordering::Equal;
+            for j in (0..n).rev() {
+                cmp = m[digits[g[j] as usize]].cmp(&digits[j]);
+                if cmp != std::cmp::Ordering::Equal {
+                    break;
+                }
+            }
+            match cmp {
+                std::cmp::Ordering::Less => return None,
+                std::cmp::Ordering::Equal => stabilizers += 1,
+                std::cmp::Ordering::Greater => {}
             }
         }
-        match cmp {
-            std::cmp::Ordering::Less => return (false, 0),
-            std::cmp::Ordering::Equal => stabilizers += 1,
-            std::cmp::Ordering::Greater => {}
-        }
     }
-    (true, maps.len() as u64 / stabilizers)
+    Some((auts.len() / n * maps.len()) as u64 / stabilizers)
 }
 
 /// Calls `f` with every op labelling of a task's poset, in the same
 /// base-`k` digit-counter order as `Universe::for_each_computation_of_size`,
-/// plus the labelling's universe multiplicity (poset orbit × location
-/// orbit; 1 in labelled mode). With more than one digit map, only
-/// location-canonical labellings are visited. `f` may grow the
-/// computation in place ([`Computation::push`]) but must undo it
-/// ([`Computation::pop_last`]) before returning.
+/// plus the labelling's universe multiplicity (poset orbit × labelling
+/// orbit; 1 in labelled mode). Only the first member of each orbit under
+/// the task's automorphisms times the digit maps is visited, so a
+/// labelled task with the identity map visits every labelling. `f` may
+/// grow the computation in place ([`Computation::push`]) but must undo
+/// it ([`Computation::pop_last`]) before returning.
 pub(crate) fn for_each_labelling<F>(
     alphabet: &[Op],
     maps: &[Vec<usize>],
@@ -264,17 +286,12 @@ where
     scratch.digits.clear();
     scratch.digits.resize(n, 0);
     loop {
-        let (canonical, loc_weight) = if maps.len() <= 1 {
-            (true, 1)
-        } else {
-            location_canonical_weight(&scratch.digits, maps)
-        };
-        if canonical {
+        if let Some(orbit) = orbit_weight(&scratch.digits, &task.auts, maps) {
             crate::telemetry::count(crate::telemetry::Counter::LabellingsScanned, 1);
             scratch.ops.clear();
             scratch.ops.extend(scratch.digits.iter().map(|&d| alphabet[d]));
             scratch.c.refresh_ops(&scratch.ops);
-            f(&mut scratch.c, task.weight * loc_weight)?;
+            f(&mut scratch.c, task.weight * orbit)?;
         }
         let mut i = 0;
         loop {
@@ -363,6 +380,7 @@ mod tests {
     use crate::observer::ObserverFunction;
     use crate::props::{check_complete, check_constructible_aug, check_monotonic};
     use crate::relation::{compare, Comparison};
+    use ccmm_dag::NodeId;
 
     /// The supervised comparison, unwrapped as a clean run must be.
     fn compare_clean<A, B>(a: &A, b: &B, u: &Universe, cfg: &SweepConfig) -> Comparison
@@ -584,6 +602,95 @@ mod tests {
         assert_eq!(serial.phi, canonical.phi);
         assert_eq!(serial.extension, canonical.extension);
         assert_eq!(serial.op, canonical.op);
+    }
+
+    /// All permutations of `0..n`.
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        if n == 0 {
+            return vec![Vec::new()];
+        }
+        let mut out = Vec::new();
+        for p in permutations(n - 1) {
+            for at in 0..n {
+                let mut q: Vec<usize> = p.iter().map(|&x| x + usize::from(x >= at)).collect();
+                q.insert(0, at);
+                out.push(q);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn kept_labellings_are_first_of_their_orbits() {
+        // Independently of `orbit_weight`: Aut(P) by testing all n! node
+        // permutations on the dag, S_k by permuting the locations of the
+        // ops, and each orbit marked whole by walking the labellings in
+        // enumeration order — the first unmarked one is its orbit's
+        // representative, weighted by poset orbit × labelling orbit.
+        for (nodes, locs) in [(5, 1), (5, 2), (5, 3), (6, 1)] {
+            let u = Universe::new(nodes, locs);
+            let alphabet = u.alphabet();
+            let k = alphabet.len();
+            let cfg = SweepConfig::serial().canonical(true);
+            let maps = maps_for(&u, &cfg, &alphabet);
+            let digit = |op: Op| alphabet.iter().position(|&a| a == op).expect("op in alphabet");
+            let moved = |op: Op, p: &[usize]| match op {
+                Op::Nop => Op::Nop,
+                Op::Read(l) => Op::Read(Location::new(p[l.index()])),
+                Op::Write(l) => Op::Write(Location::new(p[l.index()])),
+            };
+            let loc_perms = permutations(locs);
+            let mut total = 0u128;
+            for task in materialize(&u, true) {
+                let n = task.size;
+                let node = NodeId::new;
+                let auts: Vec<Vec<usize>> = permutations(n)
+                    .into_iter()
+                    .filter(|g| {
+                        (0..n).all(|a| {
+                            (0..n).all(|b| {
+                                task.dag.has_edge(node(a), node(b))
+                                    == task.dag.has_edge(node(g[a]), node(g[b]))
+                            })
+                        })
+                    })
+                    .collect();
+                let index = |ops: &[Op]| ops.iter().rev().fold(0, |acc, &o| acc * k + digit(o));
+                let labellings = k.pow(n as u32);
+                let mut marked = vec![false; labellings];
+                let mut expected = Vec::new();
+                for i in 0..labellings {
+                    if marked[i] {
+                        continue;
+                    }
+                    let ops: Vec<Op> = (0..n).map(|j| alphabet[i / k.pow(j as u32) % k]).collect();
+                    let mut orbit = 0u64;
+                    for g in &auts {
+                        for p in &loc_perms {
+                            let image: Vec<Op> = (0..n).map(|j| moved(ops[g[j]], p)).collect();
+                            let at = index(&image);
+                            assert!(at >= i, "an orbit member precedes its first member");
+                            if !marked[at] {
+                                marked[at] = true;
+                                orbit += 1;
+                            }
+                        }
+                    }
+                    expected.push((i, task.weight * orbit));
+                }
+                let mut got = Vec::new();
+                let mut scratch = LabelScratch::new();
+                let _ = for_each_labelling(&alphabet, &maps, &task, &mut scratch, &mut |c, w| {
+                    got.push((index(c.ops()), w));
+                    ControlFlow::Continue(())
+                });
+                let at = format!("{nodes}x{locs}, task {}", task.idx);
+                assert_eq!(task.auts.len(), auts.len() * n, "{at}: |Aut(P)|");
+                assert_eq!(got, expected, "{at}: kept labellings and weights");
+                total += got.iter().map(|&(_, w)| u128::from(w)).sum::<u128>();
+            }
+            assert_eq!(total, u.count_computations_closed(), "{nodes}x{locs}: weighted total");
+        }
     }
 
     #[test]

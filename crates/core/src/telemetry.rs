@@ -39,9 +39,10 @@ pub enum Counter {
     /// Posets handed to a labelling scan (one per task scan attempt).
     PosetsScanned,
     /// Op labellings visited inside those scans (canonical mode: one per
-    /// location-canonical labelling).
+    /// `Aut(P) × S_k` orbit, its representative).
     LabellingsScanned,
-    /// (computation, observer) membership pairs checked by a sweep.
+    /// (computation, observer) membership pairs checked by a sweep
+    /// (canonical mode: over orbit representatives only, unweighted).
     PairsChecked,
     /// Φ-membership checks dispatched to the SC checker.
     PhiChecksSc,
@@ -85,7 +86,8 @@ pub enum Counter {
     /// harness.
     ConformanceChecks,
     /// Lane words evaluated by the lane64 engine (one per flushed
-    /// [`crate::model::lane::LanePack`], full or underfull).
+    /// [`crate::model::lane::LanePack`], full or underfull; canonical
+    /// mode packs orbit representatives only).
     LaneWords,
     /// Observer lanes occupied across those words (occupancy =
     /// `lane_slots / (64 · lane_words)`).

@@ -27,6 +27,13 @@
 //! topological prefixes, whose surviving leaves are exactly the
 //! automorphisms, and counts `e(P)` by a dynamic program over down-sets.
 //! The two agree on every labelled poset of up to 7 nodes (unit tests).
+//!
+//! The search hands each representative's automorphisms to the caller
+//! as node permutations, so a sweep can quotient a poset's op labellings
+//! by `Aut(P)` as well: a labelling and its image under an automorphism
+//! are isomorphic computations. The recorded leaves equal a brute force
+//! over all `n!` permutations on every canonical poset of up to 7 nodes
+//! (unit tests).
 
 use crate::graph::{Dag, NodeId};
 use crate::poset::{dag_from_masks, for_each_poset_masks};
@@ -124,9 +131,14 @@ pub fn canonical_form(dag: &Dag) -> Dag {
 /// merging by smallest index still reproduces the serial labelled scan)
 /// and its [`CanonInfo`], equal to [`canon_info`] of the poset.
 ///
+/// The last argument is `Aut(P)`: `info.automorphisms` node
+/// permutations of `n` bytes each, concatenated, the identity first.
+/// Permutation `g` maps node `j` to node `g[j]`; every `g` preserves the
+/// order (`u` precedes `v` in `P` iff `g[u]` precedes `g[v]`).
+///
 /// Posets are tested on their ancestor-mask vectors; only the
 /// representatives are built as [`Dag`]s.
-pub fn for_each_canonical_poset<F: FnMut(usize, &Dag, &CanonInfo)>(n: usize, mut f: F) {
+pub fn for_each_canonical_poset<F: FnMut(usize, &Dag, &CanonInfo, &[u8])>(n: usize, mut f: F) {
     let mut search = AutSearch::default();
     let mut ways = Vec::new();
     let mut idx = 0;
@@ -140,7 +152,7 @@ pub fn for_each_canonical_poset<F: FnMut(usize, &Dag, &CanonInfo)>(n: usize, mut
                 automorphisms,
                 extensions,
             };
-            f(idx, &dag_from_masks(anc), &info);
+            f(idx, &dag_from_masks(anc), &info, &search.perms);
         }
         idx += 1;
     });
@@ -149,7 +161,7 @@ pub fn for_each_canonical_poset<F: FnMut(usize, &Dag, &CanonInfo)>(n: usize, mut
 /// The number of isomorphism classes of posets on `n` elements (A000112).
 pub fn count_canonical_posets(n: usize) -> usize {
     let mut c = 0;
-    for_each_canonical_poset(n, |_, _, _| c += 1);
+    for_each_canonical_poset(n, |_, _, _, _| c += 1);
     c
 }
 
@@ -170,7 +182,10 @@ pub fn count_canonical_posets(n: usize) -> usize {
 ///
 /// A prefix that matches all the way down is an extension whose vector
 /// is `key`, a relabelling that maps the poset onto itself: the leaves of
-/// a search that never stops are exactly the automorphisms.
+/// a search that never stops are exactly the automorphisms. Each leaf's
+/// extension `t` is recorded as the automorphism `j ↦ t[j]`; the identity
+/// extension is the first leaf, since at every depth of it the smallest
+/// unplaced node is the tied one.
 #[derive(Default)]
 struct AutSearch {
     n: usize,
@@ -181,6 +196,10 @@ struct AutSearch {
     /// Each node's ancestors as a mask over the positions placed so far;
     /// complete once the node is ready.
     rel: [u32; 16],
+    /// The node placed at each depth of the current prefix.
+    order: [u8; 16],
+    /// The leaves reached so far, `n` bytes each.
+    perms: Vec<u8>,
     leaves: u64,
 }
 
@@ -201,6 +220,7 @@ impl AutSearch {
             }
         }
         self.leaves = 0;
+        self.perms.clear();
         self.descend(0, 0).is_continue().then_some(self.leaves)
     }
 
@@ -208,6 +228,7 @@ impl AutSearch {
     fn descend(&mut self, depth: usize, placed: u32) -> ControlFlow<()> {
         if depth == self.n {
             self.leaves += 1;
+            self.perms.extend_from_slice(&self.order[..self.n]);
             return ControlFlow::Continue(());
         }
         let want = self.key[depth];
@@ -228,6 +249,7 @@ impl AutSearch {
         while tied != 0 {
             let v = tied.trailing_zeros() as usize;
             tied &= tied - 1;
+            self.order[depth] = v as u8;
             self.toggle(v, depth);
             let below = self.descend(depth + 1, placed | (1 << v));
             self.toggle(v, depth);
@@ -275,8 +297,38 @@ mod tests {
     use super::*;
     use crate::poset::count_posets;
 
+    /// `Aut(P)` of the poset with ancestor masks `anc`, by testing every
+    /// one of the `n!` permutations in lexicographic order: `g` is kept
+    /// iff it maps each node's ancestors onto its image's ancestors.
+    fn brute_force_automorphisms(anc: &[u32]) -> Vec<u8> {
+        fn extend(anc: &[u32], g: &mut Vec<u8>, out: &mut Vec<u8>) {
+            let n = anc.len();
+            if g.len() == n {
+                let image = |m: u32| {
+                    (0..n).filter(|&u| m >> u & 1 == 1).fold(0u32, |acc, u| acc | 1 << g[u])
+                };
+                if (0..n).all(|v| image(anc[v]) == anc[g[v] as usize]) {
+                    out.extend_from_slice(g);
+                }
+                return;
+            }
+            for v in 0..n as u8 {
+                if !g.contains(&v) {
+                    g.push(v);
+                    extend(anc, g, out);
+                    g.pop();
+                }
+            }
+        }
+        let mut out = Vec::new();
+        extend(anc, &mut Vec::new(), &mut out);
+        out
+    }
+
     /// Every labelled poset on `n` nodes that [`canon_info`] marks
-    /// canonical, with its info, against what the pruned search emits.
+    /// canonical, with its info, against what the pruned search emits;
+    /// and each representative's recorded automorphisms against a brute
+    /// force.
     fn assert_search_matches_enumeration(n: usize) {
         let mut expected = Vec::new();
         crate::poset::for_each_poset_indexed(n, |idx, dag| {
@@ -286,7 +338,15 @@ mod tests {
             }
         });
         let mut got = Vec::new();
-        for_each_canonical_poset(n, |idx, dag, info| got.push((idx, dag.clone(), info.clone())));
+        for_each_canonical_poset(n, |idx, dag, info, auts| {
+            assert_eq!(
+                auts,
+                brute_force_automorphisms(&info.key),
+                "n={n}: automorphisms of {dag:?}"
+            );
+            assert_eq!(auts.len() as u64, info.automorphisms * n as u64, "n={n}: |Aut| of {dag:?}");
+            got.push((idx, dag.clone(), info.clone()));
+        });
         assert_eq!(got.len(), expected.len(), "n={n}: class count");
         for (g, e) in got.iter().zip(&expected) {
             assert_eq!(g, e, "n={n}: pruned search diverges from the enumeration");
@@ -323,7 +383,7 @@ mod tests {
         // (A006455) — the exactness guarantee the weighted sweep rests on.
         for n in 0..=5 {
             let mut total = 0u64;
-            for_each_canonical_poset(n, |_, _, info| total += info.orbit);
+            for_each_canonical_poset(n, |_, _, info, _| total += info.orbit);
             assert_eq!(total, count_posets(n) as u64, "n={n}");
         }
     }
@@ -364,7 +424,7 @@ mod tests {
                 }
             });
             // Each class was seen exactly `orbit` times.
-            for_each_canonical_poset(n, |_, dag, info| {
+            for_each_canonical_poset(n, |_, dag, info, _| {
                 assert_eq!(seen[&info.key], info.orbit, "orbit miscount for {dag:?}");
             });
         }

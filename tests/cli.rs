@@ -348,7 +348,7 @@ fn sweep_lane64_flag_validation() {
 }
 
 #[test]
-fn sweep_lane64_fixpoint_matches_scalar_worklist() {
+fn sweep_lane64_fixpoint_matches_scalar_engine() {
     // The bound-4 Δ* fixpoint and constructibility verdicts must be
     // bit-identical across engines — same survivors, deletions, passes.
     let fixpoint_line = |text: &str| {

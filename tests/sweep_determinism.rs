@@ -7,7 +7,10 @@
 
 use ccmm::core::model::Model;
 use ccmm::core::relation::{compare, Comparison};
-use ccmm::core::sweep::supervisor::{compare_supervised, sweep_supervised, Supervisor};
+use ccmm::core::sweep::supervisor::{
+    check_constructible_aug_lanes_supervised, compare_supervised, lattice_lanes_supervised,
+    memberships_lanes_supervised, sweep_supervised, Supervisor,
+};
 use ccmm::core::sweep::SweepConfig;
 use ccmm::core::universe::Universe;
 
@@ -56,6 +59,62 @@ fn canonical_sweep_is_bit_identical_at_bound_4() {
         check_identical(&serial, &lc_vs_nn(&u, &cfg), threads);
         let weighted = u128::from(weighted_count(&u, &cfg));
         assert_eq!(weighted, closed, "orbit-weighted total drift at {threads} threads");
+    }
+}
+
+#[test]
+fn canonical_sweep_is_bit_identical_across_locations() {
+    // With more than one location the labellings are quotiented by
+    // Aut(P) × S_k, a product of two non-trivial groups: memberships,
+    // the lattice and every constructibility witness must still be the
+    // labelled scan's, exactly; so must the first separating pairs of
+    // two model comparisons (the scalar kernel).
+    for (nodes, locs) in [(3, 3), (4, 2)] {
+        let u = Universe::new(nodes, locs);
+        assert_canonical_matches_labelled(&u);
+        for (a, b) in [(Model::Lc, Model::Nn), (Model::Nw, Model::Wn)] {
+            let serial = compare(&a, &b, &u);
+            let cfg = SweepConfig::with_threads(2).canonical(true);
+            let canonical = compare_supervised(&a, &b, &u, &cfg, &Supervisor::none())
+                .expect_complete("compare");
+            check_identical(&serial, &canonical, 2);
+        }
+    }
+}
+
+/// The same at bound 5 × 2 locations: 1.1 M labelled computations, so a
+/// release build only; `ci.sh` runs it outside fast mode.
+#[test]
+#[ignore]
+fn canonical_sweep_is_bit_identical_at_bound_5_with_two_locations() {
+    assert_canonical_matches_labelled(&Universe::new(5, 2));
+}
+
+/// Canonical against labelled, both at 2 threads on the lane kernels:
+/// membership counts, lattice rows, and each model's constructibility
+/// witness.
+fn assert_canonical_matches_labelled(u: &Universe) {
+    let models = [Model::Sc, Model::Lc, Model::Nn, Model::Nw, Model::Wn, Model::Ww];
+    let sup = Supervisor::none();
+    let labelled = SweepConfig::with_threads(2);
+    let canonical = labelled.canonical(true);
+    let at = format!("bound {} x {} locations", u.max_nodes, u.num_locations);
+    let members = |cfg| {
+        memberships_lanes_supervised(&models, u, cfg, &sup, None, None).expect_complete("members")
+    };
+    assert_eq!(members(&canonical), members(&labelled), "memberships at {at}");
+    let lattice = |cfg| {
+        let rows = lattice_lanes_supervised(&models, u, cfg, &sup).expect_complete("lattice");
+        rows.into_iter().map(|r| r.relations).collect::<Vec<_>>()
+    };
+    assert_eq!(lattice(&canonical), lattice(&labelled), "lattice at {at}");
+    for m in &models {
+        let witness = |cfg| {
+            check_constructible_aug_lanes_supervised(m, u, cfg, &sup)
+                .expect_complete("constructibility")
+                .map(|w| (w.c, w.phi, w.extension, w.op))
+        };
+        assert_eq!(witness(&canonical), witness(&labelled), "{} witness at {at}", m.name());
     }
 }
 
