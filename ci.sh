@@ -423,6 +423,26 @@ if [[ "$fast" != "fast" ]]; then
         canonical_sweep_is_bit_identical_at_bound_5_with_two_locations
 fi
 
+echo "== second derivations: scalar engine at bound 6, memberships at bound 7 =="
+# The canonical scalar engine shares no kernel with lane64, so its
+# bound-6 run re-derives every headline number: stdout must match the
+# lane64 run line for line once timings and engine names are masked.
+# The bound-7 memberships (lane64 only) must reproduce the NN and
+# SC = LC totals that the pre-quotient engine (one labelling per
+# Aut(P) x S_k orbit, reads decided one by one) printed.
+if [[ "$fast" != "fast" ]]; then
+    mask() { sed -E 's/\[[^]]*\]/[T]/g; s/(lane64|canonical) enumeration/E enumeration/; s/NN\* (lane64|scalar) fixpoint/NN* E fixpoint/' "$1"; }
+    ccmm sweep --bound 6 --canonical --engine scalar --threads 2 > "$scratch/b6-scalar.out"
+    ccmm sweep --bound 6 --canonical --engine lane64 --threads 2 > "$scratch/b6-lane.out"
+    diff <(mask "$scratch/b6-scalar.out") <(mask "$scratch/b6-lane.out") \
+        || { echo "bound-6 scalar and lane64 sweeps diverge"; exit 1; }
+    ccmm sweep --bound 7 --canonical --engine lane64 --threads 2 > "$scratch/b7.out"
+    for want in "SC   5600586374" "LC   5600586374" "NN   6586438278"; do
+        grep -qx "  $want" "$scratch/b7.out" \
+            || { echo "bound-7 memberships lost \"$want\""; cat "$scratch/b7.out"; exit 1; }
+    done
+fi
+
 echo "== clean tree: no step wrote into the repository =="
 diff <(echo "$tree_status") <(git status --porcelain) \
     || { echo "the working tree changed during CI"; exit 1; }

@@ -10,12 +10,20 @@
 //! pass. This module replaces that representation with a flat bit
 //! arena:
 //!
-//! * Every *involved* labelled computation gets an [`Entry`]: a
-//!   contiguous run of mask words in which bit `p` is the survivor flag
-//!   of the `p`-th observer in **node-major** enumeration order
-//!   ([`for_each_observer_node_major`]). A computation is involved iff
-//!   it is below the bound (it has an augmentation) or its final node
+//! * Every *involved* computation spelled in pattern letters gets an
+//!   [`Entry`]: a contiguous run of mask words in which bit `p` is the
+//!   survivor flag of the `p`-th observer in **node-major** enumeration
+//!   order ([`for_each_observer_node_major`]). A computation is involved
+//!   iff it is below the bound (it has an augmentation) or its final node
 //!   succeeds every other node (it is some computation's augmentation).
+//!   Pattern letters (`sweep::Letters`: `N` for every non-write, one letter per
+//!   write) quotient the labellings by read/no-op relabelling. Every
+//!   model is invariant under it, and so is each deletion round, because
+//!   an `R(l)` augmentation is an `N` augmentation up to that
+//!   relabelling. So one entry decides every labelling with its write
+//!   pattern, the augmentation ops are the letters, and `deleted`, the
+//!   survivor counts and [`LaneConstructible::contains`] weigh or map each
+//!   labelling through its pattern.
 //! * Node-major order sorts free observer slots by `(node, location)`,
 //!   so the final node's slots always form the least-significant digits
 //!   of the mixed-radix observer index. Because augmentation appends a
@@ -66,23 +74,20 @@ use crate::enumerate::{for_each_observer_node_major, node_major_index};
 use crate::fault::FaultPlan;
 use crate::model::{CheckScratch, LanePack, LaneScratch, MemoryModel, ObserverIndex, SlotOrder};
 use crate::observer::ObserverFunction;
-use crate::op::Op;
 use crate::sweep::supervisor::{
     retry_once, run_supervised, CkptSink, Frontier, Merge, Quarantined, Supervised, Supervisor,
     SweepStatus,
 };
-use crate::sweep::{
-    for_each_labelling, location_digit_maps, materialize, LabelScratch, SweepConfig, Task,
-};
+use crate::sweep::{for_each_labelling, materialize, LabelScratch, Letters, SweepConfig, Task};
 use crate::telemetry::{self, Counter};
 use crate::universe::Universe;
 
 #[cfg(doc)]
 use crate::constructible::BoundedConstructible;
 
-/// One completed involved task's survivor-mask words: all `kⁿ`
-/// labellings of one poset, in labelling order, each labelling's mask
-/// starting on a fresh word boundary.
+/// One completed involved task's survivor-mask words: all `Lⁿ`
+/// pattern labellings of one poset (`L` pattern letters), in labelling
+/// order, each labelling's mask starting on a fresh word boundary.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct MaskGroup {
     /// Global labelled task index of the poset.
@@ -227,9 +232,10 @@ struct TaskMeta {
     idx: usize,
     size: usize,
     /// Index of this task's first entry; labellings are contiguous, one
-    /// entry per base-`k` op assignment (digit of node 0 fastest).
+    /// entry per base-`L` pattern-letter assignment (digit of node 0
+    /// fastest).
     entry_base: usize,
-    /// Number of labellings, `k^size`.
+    /// Number of pattern labellings, `L^size`.
     labellings: u64,
     /// Task whose poset is this one minus its final node — present iff
     /// the final node succeeds every other node (the unique
@@ -242,7 +248,8 @@ struct TaskMeta {
 
 #[derive(Default)]
 struct Layout {
-    alphabet: Vec<Op>,
+    /// The pattern letters entries are spelled in (identity maps).
+    letters: Letters,
     /// Involved tasks, ascending in `idx`.
     metas: Vec<TaskMeta>,
     entries: Vec<Entry>,
@@ -263,6 +270,26 @@ impl Layout {
         let start = self.entries[meta.entry_base].off as usize;
         let last = &self.entries[meta.entry_base + meta.labellings as usize - 1];
         start..last.off as usize + entry_words(last)
+    }
+
+    /// How many labellings entry `e` of task position `t` decides: the
+    /// product of its pattern letters' weights.
+    fn multiplicity(&self, t: usize, e: usize) -> u64 {
+        let meta = &self.metas[t];
+        self.letters.weight_of_index((e - meta.entry_base) as u64, meta.size)
+    }
+
+    /// Surviving labelled pairs of task position `t`: each entry's
+    /// popcount weighed by its multiplicity.
+    fn survivors(&self, words: &[u64], t: usize) -> usize {
+        let meta = &self.metas[t];
+        let entries = meta.entry_base..meta.entry_base + meta.labellings as usize;
+        let count = |e: usize| -> u64 {
+            let ones: u32 =
+                entry_slice(words, &self.entries[e]).iter().map(|w| w.count_ones()).sum();
+            u64::from(ones) * self.multiplicity(t, e)
+        };
+        entries.map(count).sum::<u64>() as usize
     }
 }
 
@@ -296,13 +323,12 @@ fn aug_key(dag: &Dag) -> u64 {
 
 /// Lays out the involved tasks of `tasks` (a [`stage_a_tasks`] list).
 fn build_layout(u: &Universe, tasks: &[Task]) -> Layout {
-    let alphabet = u.alphabet();
+    let letters = Letters::new(u, true, false);
     let involved: Vec<&Task> = tasks.iter().filter(|t| is_involved(t, u.max_nodes)).collect();
     let mut key_map = HashMap::with_capacity(involved.len());
     for (pos, t) in involved.iter().enumerate() {
         key_map.insert((t.size as u8, sub_key(&t.dag, t.size)), pos as u32);
     }
-    let identity: Vec<Vec<usize>> = vec![(0..alphabet.len()).collect()];
     let mut scratch = LabelScratch::new();
     let mut index = ObserverIndex::new();
     let mut metas = Vec::with_capacity(involved.len());
@@ -319,7 +345,7 @@ fn build_layout(u: &Universe, tasks: &[Task]) -> Layout {
             *key_map.get(&key).expect("universe is closed under augmentation below the bound")
         });
         let entry_base = entries.len();
-        let _ = for_each_labelling(&alphabet, &identity, t, &mut scratch, &mut |c, _w| {
+        let _ = for_each_labelling(&letters, t, &mut scratch, &mut |c, _w| {
             let (observers, block) = index.index(c, SlotOrder::NodeMajor);
             entries.push(Entry {
                 off: words_len,
@@ -332,7 +358,7 @@ fn build_layout(u: &Universe, tasks: &[Task]) -> Layout {
         let labellings = (entries.len() - entry_base) as u64;
         metas.push(TaskMeta { idx: t.idx, size: n, entry_base, labellings, parent, aug });
     }
-    Layout { alphabet, metas, entries, words_len, key_map }
+    Layout { letters, metas, entries, words_len, key_map }
 }
 
 fn entry_words(e: &Entry) -> usize {
@@ -415,9 +441,9 @@ fn materialize_masks<M: MemoryModel + Sync>(
     ckpt: Option<(&mut CkptWriter, usize)>,
     lanes: bool,
 ) -> Supervised<MaskState> {
-    let alphabet = u.alphabet();
-    let identity: Vec<Vec<usize>> = vec![(0..alphabet.len()).collect()];
-    let location_maps = location_digit_maps(&alphabet, u.num_locations);
+    // Involved tasks are labelled posets masked entry by entry; counted
+    // ones are canonical and also quotient by location permutations.
+    let (masked, quotiented) = (Letters::new(u, true, false), Letters::new(u, true, true));
     let encode = |s: &MaskState, f: &Frontier| encode_masks_snapshot(f, s);
     let sink = ckpt.map(|(writer, every)| CkptSink { writer, every, encode: &encode });
     let (frontier, initial) = resume.unwrap_or_default();
@@ -435,9 +461,9 @@ fn materialize_masks<M: MemoryModel + Sync>(
         },
         |task, (ls, index, pack, lscr, check)| {
             let involved = is_involved(task, u.max_nodes);
-            let maps = if involved { &identity } else { &location_maps };
+            let letters = if involved { &masked } else { &quotiented };
             let (mut words, mut counted) = (Vec::new(), 0);
-            let _ = for_each_labelling(&alphabet, maps, task, ls, &mut |c, w| {
+            let _ = for_each_labelling(letters, task, ls, &mut |c, w| {
                 // Member words in node-major observer order, the same
                 // from either kernel: masked if involved, else counted.
                 let mut emit = |v: u64| {
@@ -521,7 +547,7 @@ fn run_fixpoint(layout: &Layout, words: &mut [u64], fault: &FaultPlan) -> FixOut
                     while w != 0 {
                         let p = (wi as u32) * 64 + w.trailing_zeros();
                         w &= w - 1;
-                        for j in 0..layout.alphabet.len() as u64 {
+                        for j in 0..layout.letters.ops.len() as u64 {
                             let a = aug_meta.entry_base + (ord + j * meta.labellings) as usize;
                             let ae = &layout.entries[a];
                             let block = u64::from(ae.block);
@@ -561,9 +587,9 @@ fn run_fixpoint(layout: &Layout, words: &mut [u64], fault: &FaultPlan) -> FixOut
                 continue; // deleted earlier this cascade
             }
             words[w] &= !m;
-            deleted += 1;
-            telemetry::count(Counter::LaneDeletionsMasked, 1);
             let t = owner(&layout.metas, e as usize);
+            deleted += layout.multiplicity(t, e as usize) as usize;
+            telemetry::count(Counter::LaneDeletionsMasked, 1);
             let meta = &layout.metas[t];
             if let Some(pt) = meta.parent {
                 let pmeta = &layout.metas[pt as usize];
@@ -692,11 +718,11 @@ impl<M: MemoryModel + Sync + Clone> LaneConstructible<M> {
             .filter(|&idx| layout.task(idx).is_none())
             .collect();
         if !lost.is_empty() {
-            let maps = location_digit_maps(&layout.alphabet, u.num_locations);
+            let letters = Letters::new(u, true, true);
             let mut index = ObserverIndex::new();
             for t in stage_a_tasks(u).iter().filter(|t| lost.contains(&t.idx)) {
                 let mut ls = LabelScratch::new();
-                let _ = for_each_labelling(&layout.alphabet, &maps, t, &mut ls, &mut |c, w| {
+                let _ = for_each_labelling(&letters, t, &mut ls, &mut |c, w| {
                     counted += w * index.index(c, SlotOrder::NodeMajor).0;
                     ControlFlow::Continue(())
                 });
@@ -725,7 +751,9 @@ impl<M: MemoryModel> LaneConstructible<M> {
     /// [`BoundedConstructible::contains`] on every computation of the
     /// universe: an unknown shape (too large, backward edge, op outside
     /// the alphabet, non-enumerated closure) is simply not a survivor,
-    /// and an uninvolved pair survives iff it is a model member.
+    /// and an uninvolved pair survives iff it is a model member. A
+    /// labelled computation is looked up through its write pattern (each
+    /// read spelled as the non-write letter).
     pub fn contains(&self, c: &Computation, phi: &ObserverFunction) -> bool {
         let n = c.node_count();
         if n > self.max_nodes || n > 11 {
@@ -739,10 +767,10 @@ impl<M: MemoryModel> LaneConstructible<M> {
         let l = &self.layout;
         let mut ord = 0u64;
         for v in (0..n).rev() {
-            let Some(d) = l.alphabet.iter().position(|&o| o == c.op(NodeId::new(v))) else {
+            let Some(d) = l.letters.letter(c.op(NodeId::new(v))) else {
                 return false;
             };
-            ord = ord * l.alphabet.len() as u64 + d as u64;
+            ord = ord * l.letters.ops.len() as u64 + d as u64;
         }
         let Some(&t) = l.key_map.get(&(n as u8, sub_key(c.dag(), n))) else {
             // Every closed involved shape is keyed, so a closed unkeyed
@@ -759,17 +787,20 @@ impl<M: MemoryModel> LaneConstructible<M> {
         self.words[e.off as usize + (p / 64) as usize] & (1u64 << (p % 64)) != 0
     }
 
-    /// Total surviving pairs (mask popcount plus the uninvolved count).
+    /// Total surviving pairs (weighted mask popcount plus the uninvolved
+    /// count).
     pub fn total_pairs(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum::<usize>() + self.counted as usize
+        let l = &self.layout;
+        let masked: usize = (0..l.metas.len()).map(|t| l.survivors(&self.words, t)).sum();
+        masked + self.counted as usize
     }
 
     /// Surviving pairs for computations of exactly `n` nodes.
     pub fn pairs_of_size(&self, n: usize) -> usize {
         let l = &self.layout;
         let tasks = (0..l.metas.len()).filter(|&t| l.metas[t].size == n);
-        let masked = tasks.flat_map(|t| &self.words[l.span(t)]).map(|w| w.count_ones() as usize);
-        masked.sum::<usize>() + if n == self.max_nodes { self.counted as usize } else { 0 }
+        let masked: usize = tasks.map(|t| l.survivors(&self.words, t)).sum();
+        masked + if n == self.max_nodes { self.counted as usize } else { 0 }
     }
 }
 
@@ -936,12 +967,12 @@ mod tests {
     fn quarantined_count_task_keeps_all_its_pairs() {
         let u = Universe::new(4, 1);
         let clean = LaneConstructible::compute(&Nn::default(), &u, &cfg(1));
-        let maps = location_digit_maps(&u.alphabet(), u.num_locations);
+        let letters = Letters::new(&u, false, true);
         // (all pairs, members) of a counted task, weighted by orbit.
         let pairs = |task: &Task| {
             let (mut all, mut members) = (0, 0);
             let mut ls = LabelScratch::new();
-            let _ = for_each_labelling(&u.alphabet(), &maps, task, &mut ls, &mut |c, w| {
+            let _ = for_each_labelling(&letters, task, &mut ls, &mut |c, w| {
                 let _ = for_each_observer(c, |phi| {
                     all += w as usize;
                     members += usize::from(Nn::default().contains(c, phi)) * w as usize;

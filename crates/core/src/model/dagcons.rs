@@ -274,7 +274,9 @@ impl<Q: QPredicate> MemoryModel for QDag<Q> {
 }
 
 /// A Q-dag-consistency model with a runtime predicate, for exploring the
-/// model family beyond the four named members.
+/// model family beyond the four named members. The predicate may look at
+/// ops only through the locations they write ([`MemoryModel`]'s
+/// contract), as Definition 20's predicates do.
 pub struct DynQ {
     name: String,
     #[allow(clippy::type_complexity)]

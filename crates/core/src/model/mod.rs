@@ -58,6 +58,16 @@ impl CheckScratch {
 /// Implementations must return `false` for pairs where `phi` is not a
 /// valid observer function for `c` (Definition 3 restricts models to valid
 /// pairs).
+///
+/// Membership may depend on `op(u)` only through the location `u`
+/// writes: relabelling a read as `N`, or as a read of another location,
+/// must not change any verdict. Every model of the paper meets this (an
+/// observer function forces a write to observe itself and otherwise
+/// treats reads and `N` alike; the SC/LC last-writer functions and the
+/// Q-dag predicates test only "u writes l"), and canonical sweeps rely on
+/// it: they decide one labelling per write pattern
+/// ([`crate::sweep::SweepConfig::canonical`]). A [`DynQ`] predicate must
+/// meet it too.
 pub trait MemoryModel {
     /// A short human-readable name ("SC", "NN-dag", …).
     fn name(&self) -> &str;

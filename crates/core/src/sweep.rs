@@ -16,10 +16,15 @@
 //! `Aut(P) × S_k` (the poset's automorphisms times the location
 //! permutations) weighted by that orbit's size, so weighted totals are
 //! *integer-identical* to the labelled scan at a fraction of the work.
+//! The model-verdict passes go one step further: a
+//! [`crate::model::MemoryModel`] sees ops only through the locations
+//! they write, so they spell labellings in write-pattern letters
+//! (`sweep::Letters`: `N` for every non-write, weighted by their number) and
+//! decide one labelling per orbit of write patterns.
 //! Witnesses are also bit-identical: the minimal witnessing poset is
 //! necessarily canonical (its class representative is the first class
 //! member in enumeration order and witnesses too, by invariance), and
-//! the first witnessing labelling within it is necessarily its orbit's
+//! the first witnessing labelling within it is necessarily its class's
 //! representative (the representative witnesses too and is enumerated
 //! no later), so the smallest-task-index merge returns exactly the
 //! serial labelled witness.
@@ -69,8 +74,10 @@ pub struct SweepConfig {
     /// Number of worker threads (≥ 1).
     pub threads: usize,
     /// Sweep canonical poset representatives and one labelling per
-    /// `Aut(P) × S_k` orbit only, weighting counts by orbit size (see the
-    /// module docs). Totals and witnesses are identical to the labelled sweep.
+    /// `Aut(P) × S_k` orbit only, weighting counts by orbit size; the
+    /// model-verdict passes also decide one labelling per write pattern
+    /// (see the module docs). Totals and witnesses are identical to the
+    /// labelled sweep.
     pub canonical: bool,
     /// Cooperative time budget: workers stop between tasks once it
     /// elapses and the sweep reports [`supervisor::SweepStatus::Partial`]
@@ -189,43 +196,129 @@ impl LabelScratch {
     }
 }
 
-/// Digit maps of the location-permutation group: for each `π ∈ S_k`,
-/// entry `d` is the alphabet index of `alphabet[d]` with `π` applied to
-/// its location. The identity is included. Labelled sweeps pass
-/// `num_locations = 0` (or 1), collapsing the group to the identity.
-pub(crate) fn location_digit_maps(alphabet: &[Op], num_locations: usize) -> Vec<Vec<usize>> {
-    let mut perms: Vec<Vec<usize>> = vec![Vec::new()];
-    for i in 0..num_locations {
-        perms = perms
-            .into_iter()
-            .flat_map(|p| {
-                (0..=i).map(move |at| {
-                    let mut q = p.clone();
-                    q.insert(at, i);
-                    q
-                })
-            })
-            .collect();
+/// The letters a sweep spells op labellings in, each with the number of
+/// alphabet ops it stands for, and the digit maps of the location group
+/// over them.
+///
+/// *Full* letters are the universe's alphabet, one op each. *Pattern*
+/// letters quotient labellings by read/no-op relabelling, which every
+/// [`crate::model::MemoryModel`] is invariant under (it sees `op(u)` only
+/// through the location `u` writes): the first non-write op of the
+/// alphabet — `N`, or `R(0)` in a universe without `N` — stands for every
+/// non-write op and weighs their number (`k + 1`, or `k`), and each write
+/// is its own letter. Either table keeps alphabet order, so within a
+/// class of labellings that share a write pattern, the one spelled in
+/// letters alone comes first in enumeration order. The default table is
+/// empty: no op has a letter.
+#[derive(Default)]
+pub(crate) struct Letters {
+    /// The ops labellings are spelled in, in alphabet order.
+    pub(crate) ops: Vec<Op>,
+    /// Per letter, the number of alphabet ops it stands for.
+    weights: Vec<u64>,
+    /// The universe's alphabet, and per alphabet op, its letter.
+    alphabet: Vec<Op>,
+    letter_of: Vec<usize>,
+    /// Digit maps of the location-permutation group over letters: for
+    /// each `π ∈ S_k`, entry `d` is the letter of `ops[d]` with `π`
+    /// applied to its location, the identity first. Just the identity
+    /// when the sweep does not quotient by location permutations.
+    pub(crate) maps: Vec<Vec<usize>>,
+}
+
+impl Letters {
+    /// The letter table of universe `u`: pattern letters if `patterns`,
+    /// full letters otherwise; all of `S_k` as maps if `locations`, the
+    /// identity alone otherwise.
+    pub(crate) fn new(u: &Universe, patterns: bool, locations: bool) -> Self {
+        let alphabet = u.alphabet();
+        let writes = |op: &Op| matches!(op, Op::Write(_));
+        let stand_in = alphabet.iter().position(|op| !writes(op));
+        let (mut ops, mut weights, mut letter_of) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, op) in alphabet.iter().enumerate() {
+            match stand_in {
+                Some(s) if patterns && !writes(op) && i != s => {
+                    let letter = letter_of[s];
+                    weights[letter] += 1;
+                    letter_of.push(letter);
+                }
+                _ => {
+                    letter_of.push(ops.len());
+                    ops.push(*op);
+                    weights.push(1);
+                }
+            }
+        }
+        let mut letters = Letters { ops, weights, alphabet, letter_of, maps: Vec::new() };
+        letters.maps = if locations {
+            letters.location_maps(u.num_locations)
+        } else {
+            vec![(0..letters.ops.len()).collect()]
+        };
+        letters
     }
-    perms
-        .iter()
-        .map(|p| {
-            alphabet
-                .iter()
-                .map(|op| {
-                    let moved = match *op {
-                        Op::Nop => Op::Nop,
-                        Op::Read(l) => Op::Read(Location::new(p[l.index()])),
-                        Op::Write(l) => Op::Write(Location::new(p[l.index()])),
-                    };
-                    alphabet
-                        .iter()
-                        .position(|&o| o == moved)
-                        .expect("alphabet is closed under location permutation")
+
+    /// The letters of a config's model-verdict passes: pattern letters
+    /// under `Aut(P) × S_k` in canonical mode, every labelling otherwise.
+    pub(crate) fn for_verdicts(u: &Universe, cfg: &SweepConfig) -> Self {
+        Letters::new(u, cfg.canonical, cfg.canonical)
+    }
+
+    /// The letter `op` is spelled with, or `None` if `op` is outside the
+    /// alphabet.
+    pub(crate) fn letter(&self, op: Op) -> Option<usize> {
+        self.alphabet.iter().position(|&o| o == op).map(|i| self.letter_of[i])
+    }
+
+    /// The universe multiplicity of a labelling spelled in `digits`.
+    fn weight(&self, digits: &[usize]) -> u64 {
+        digits.iter().map(|&d| self.weights[d]).product()
+    }
+
+    /// [`Self::weight`] of the `n`-node labelling with enumeration index
+    /// `ord` (base `|letters|`, node 0's digit least significant).
+    pub(crate) fn weight_of_index(&self, mut ord: u64, n: usize) -> u64 {
+        let base = self.ops.len() as u64;
+        let mut weight = 1;
+        for _ in 0..n {
+            weight *= self.weights[(ord % base) as usize];
+            ord /= base;
+        }
+        weight
+    }
+
+    /// The digit maps of all of `S_k` over the letters.
+    fn location_maps(&self, num_locations: usize) -> Vec<Vec<usize>> {
+        let mut perms: Vec<Vec<usize>> = vec![Vec::new()];
+        for i in 0..num_locations {
+            perms = perms
+                .into_iter()
+                .flat_map(|p| {
+                    (0..=i).map(move |at| {
+                        let mut q = p.clone();
+                        q.insert(at, i);
+                        q
+                    })
                 })
-                .collect()
-        })
-        .collect()
+                .collect();
+        }
+        perms
+            .iter()
+            .map(|p| {
+                self.ops
+                    .iter()
+                    .map(|op| {
+                        let moved = match *op {
+                            Op::Nop => Op::Nop,
+                            Op::Read(l) => Op::Read(Location::new(p[l.index()])),
+                            Op::Write(l) => Op::Write(Location::new(p[l.index()])),
+                        };
+                        self.letter(moved).expect("alphabet is closed under location permutation")
+                    })
+                    .collect()
+            })
+            .collect()
+    }
 }
 
 /// Whether the labelling `digits` is the first member of its orbit
@@ -261,17 +354,18 @@ fn orbit_weight(digits: &[usize], auts: &[u8], maps: &[Vec<usize>]) -> Option<u6
     Some((auts.len() / n * maps.len()) as u64 / stabilizers)
 }
 
-/// Calls `f` with every op labelling of a task's poset, in the same
-/// base-`k` digit-counter order as `Universe::for_each_computation_of_size`,
-/// plus the labelling's universe multiplicity (poset orbit × labelling
-/// orbit; 1 in labelled mode). Only the first member of each orbit under
-/// the task's automorphisms times the digit maps is visited, so a
-/// labelled task with the identity map visits every labelling. `f` may
-/// grow the computation in place ([`Computation::push`]) but must undo
-/// it ([`Computation::pop_last`]) before returning.
+/// Calls `f` with every labelling of a task's poset spelled in `letters`,
+/// in the base-`|letters|` digit-counter order of
+/// `Universe::for_each_computation_of_size` (node 0's digit fastest),
+/// plus the labelling's universe multiplicity: poset orbit × labelling
+/// orbit × the letters' weights (1 for a labelled task in full letters).
+/// Only the first member of each orbit under the task's automorphisms
+/// times `letters.maps` is visited, so a labelled task in full letters
+/// visits every labelling. `f` may grow the computation in place
+/// ([`Computation::push`]) but must undo it ([`Computation::pop_last`])
+/// before returning.
 pub(crate) fn for_each_labelling<F>(
-    alphabet: &[Op],
-    maps: &[Vec<usize>],
+    letters: &Letters,
     task: &Task,
     scratch: &mut LabelScratch,
     f: &mut F,
@@ -280,18 +374,18 @@ where
     F: FnMut(&mut Computation, u64) -> ControlFlow<()>,
 {
     let n = task.size;
-    let k = alphabet.len();
+    let k = letters.ops.len();
     crate::telemetry::count(crate::telemetry::Counter::PosetsScanned, 1);
     scratch.c.retarget(&task.dag);
     scratch.digits.clear();
     scratch.digits.resize(n, 0);
     loop {
-        if let Some(orbit) = orbit_weight(&scratch.digits, &task.auts, maps) {
+        if let Some(orbit) = orbit_weight(&scratch.digits, &task.auts, &letters.maps) {
             crate::telemetry::count(crate::telemetry::Counter::LabellingsScanned, 1);
             scratch.ops.clear();
-            scratch.ops.extend(scratch.digits.iter().map(|&d| alphabet[d]));
+            scratch.ops.extend(scratch.digits.iter().map(|&d| letters.ops[d]));
             scratch.c.refresh_ops(&scratch.ops);
-            f(&mut scratch.c, task.weight * orbit)?;
+            f(&mut scratch.c, task.weight * orbit * letters.weight(&scratch.digits))?;
         }
         let mut i = 0;
         loop {
@@ -305,16 +399,6 @@ where
             scratch.digits[i] = 0;
             i += 1;
         }
-    }
-}
-
-/// The digit maps a config asks for: the full `S_k` group in canonical
-/// mode, just the identity otherwise.
-pub(crate) fn maps_for(u: &Universe, cfg: &SweepConfig, alphabet: &[Op]) -> Vec<Vec<usize>> {
-    if cfg.canonical {
-        location_digit_maps(alphabet, u.num_locations)
-    } else {
-        vec![(0..alphabet.len()).collect()]
     }
 }
 
@@ -622,95 +706,152 @@ mod tests {
 
     #[test]
     fn kept_labellings_are_first_of_their_orbits() {
-        // Independently of `orbit_weight`: Aut(P) by testing all n! node
-        // permutations on the dag, S_k by permuting the locations of the
-        // ops, and each orbit marked whole by walking the labellings in
-        // enumeration order — the first unmarked one is its orbit's
-        // representative, weighted by poset orbit × labelling orbit.
+        // Independently of `orbit_weight` and `Letters`: Aut(P) by testing
+        // all n! node permutations on the dag, S_k by permuting the
+        // locations of the ops, and each class marked whole by walking the
+        // labellings in enumeration order — the first unmarked one is its
+        // class's representative, weighted by poset orbit × class size. In
+        // full letters a class is an `Aut(P) × S_k` orbit; in pattern
+        // letters it is every labelling whose write pattern (each
+        // non-write op read as `N`) lies in the orbit of the
+        // representative's.
         for (nodes, locs) in [(5, 1), (5, 2), (5, 3), (6, 1)] {
             let u = Universe::new(nodes, locs);
             let alphabet = u.alphabet();
             let k = alphabet.len();
-            let cfg = SweepConfig::serial().canonical(true);
-            let maps = maps_for(&u, &cfg, &alphabet);
             let digit = |op: Op| alphabet.iter().position(|&a| a == op).expect("op in alphabet");
             let moved = |op: Op, p: &[usize]| match op {
                 Op::Nop => Op::Nop,
                 Op::Read(l) => Op::Read(Location::new(p[l.index()])),
                 Op::Write(l) => Op::Write(Location::new(p[l.index()])),
             };
+            let pattern = |op: Op| if matches!(op, Op::Write(_)) { op } else { Op::Nop };
+            let non_writes: Vec<Op> =
+                alphabet.iter().copied().filter(|o| !matches!(o, Op::Write(_))).collect();
             let loc_perms = permutations(locs);
-            let mut total = 0u128;
-            for task in materialize(&u, true) {
-                let n = task.size;
-                let node = NodeId::new;
-                let auts: Vec<Vec<usize>> = permutations(n)
-                    .into_iter()
-                    .filter(|g| {
-                        (0..n).all(|a| {
-                            (0..n).all(|b| {
-                                task.dag.has_edge(node(a), node(b))
-                                    == task.dag.has_edge(node(g[a]), node(g[b]))
+            let tasks = materialize(&u, true);
+            for patterns in [false, true] {
+                let letters = Letters::new(&u, patterns, true);
+                let mut total = 0u128;
+                for task in &tasks {
+                    let n = task.size;
+                    let node = NodeId::new;
+                    let auts: Vec<Vec<usize>> = permutations(n)
+                        .into_iter()
+                        .filter(|g| {
+                            (0..n).all(|a| {
+                                (0..n).all(|b| {
+                                    task.dag.has_edge(node(a), node(b))
+                                        == task.dag.has_edge(node(g[a]), node(g[b]))
+                                })
                             })
                         })
-                    })
-                    .collect();
-                let index = |ops: &[Op]| ops.iter().rev().fold(0, |acc, &o| acc * k + digit(o));
-                let labellings = k.pow(n as u32);
-                let mut marked = vec![false; labellings];
-                let mut expected = Vec::new();
-                for i in 0..labellings {
-                    if marked[i] {
-                        continue;
-                    }
-                    let ops: Vec<Op> = (0..n).map(|j| alphabet[i / k.pow(j as u32) % k]).collect();
-                    let mut orbit = 0u64;
-                    for g in &auts {
-                        for p in &loc_perms {
-                            let image: Vec<Op> = (0..n).map(|j| moved(ops[g[j]], p)).collect();
-                            let at = index(&image);
-                            assert!(at >= i, "an orbit member precedes its first member");
-                            if !marked[at] {
-                                marked[at] = true;
-                                orbit += 1;
+                        .collect();
+                    let index = |ops: &[Op]| ops.iter().rev().fold(0, |acc, &o| acc * k + digit(o));
+                    // Every labelling in the class of the op image `ops`.
+                    let members = |ops: Vec<Op>| -> Vec<usize> {
+                        if !patterns {
+                            return vec![index(&ops)];
+                        }
+                        let mut out = vec![Vec::new()];
+                        for &o in &ops {
+                            let choices = if matches!(o, Op::Write(_)) {
+                                vec![o]
+                            } else {
+                                non_writes.clone()
+                            };
+                            out = out
+                                .into_iter()
+                                .flat_map(|pre: Vec<Op>| {
+                                    choices.iter().map(move |&c| {
+                                        let mut p = pre.clone();
+                                        p.push(c);
+                                        p
+                                    })
+                                })
+                                .collect();
+                        }
+                        out.iter().map(|ops| index(ops)).collect()
+                    };
+                    let labellings = k.pow(n as u32);
+                    let mut marked = vec![false; labellings];
+                    let mut expected = Vec::new();
+                    for i in 0..labellings {
+                        if marked[i] {
+                            continue;
+                        }
+                        let ops: Vec<Op> =
+                            (0..n).map(|j| alphabet[i / k.pow(j as u32) % k]).collect();
+                        let mut class = 0u64;
+                        for g in &auts {
+                            for p in &loc_perms {
+                                let image: Vec<Op> = (0..n).map(|j| moved(ops[g[j]], p)).collect();
+                                let image = if patterns {
+                                    image.into_iter().map(pattern).collect()
+                                } else {
+                                    image
+                                };
+                                for at in members(image) {
+                                    assert!(at >= i, "a class member precedes its first member");
+                                    if !marked[at] {
+                                        marked[at] = true;
+                                        class += 1;
+                                    }
+                                }
                             }
                         }
+                        expected.push((i, task.weight * class));
                     }
-                    expected.push((i, task.weight * orbit));
+                    let mut got = Vec::new();
+                    let mut scratch = LabelScratch::new();
+                    let _ = for_each_labelling(&letters, task, &mut scratch, &mut |c, w| {
+                        got.push((index(c.ops()), w));
+                        ControlFlow::Continue(())
+                    });
+                    let at = format!("{nodes}x{locs}, patterns {patterns}, task {}", task.idx);
+                    assert_eq!(task.auts.len(), auts.len() * n, "{at}: |Aut(P)|");
+                    assert_eq!(got, expected, "{at}: kept labellings and weights");
+                    total += got.iter().map(|&(_, w)| u128::from(w)).sum::<u128>();
                 }
-                let mut got = Vec::new();
-                let mut scratch = LabelScratch::new();
-                let _ = for_each_labelling(&alphabet, &maps, &task, &mut scratch, &mut |c, w| {
-                    got.push((index(c.ops()), w));
-                    ControlFlow::Continue(())
-                });
-                let at = format!("{nodes}x{locs}, task {}", task.idx);
-                assert_eq!(task.auts.len(), auts.len() * n, "{at}: |Aut(P)|");
-                assert_eq!(got, expected, "{at}: kept labellings and weights");
-                total += got.iter().map(|&(_, w)| u128::from(w)).sum::<u128>();
+                let at = format!("{nodes}x{locs}, patterns {patterns}");
+                assert_eq!(total, u.count_computations_closed(), "{at}: weighted total");
             }
-            assert_eq!(total, u.count_computations_closed(), "{nodes}x{locs}: weighted total");
         }
     }
 
     #[test]
     fn location_digit_maps_group_properties() {
         let u = Universe::new(2, 2);
-        let alphabet = u.alphabet();
-        let maps = location_digit_maps(&alphabet, 2);
-        assert_eq!(maps.len(), 2, "S_2 has two elements");
-        // Each map is a permutation of alphabet indices fixing Nop.
-        for m in &maps {
-            let mut seen = vec![false; alphabet.len()];
-            for &i in m {
-                assert!(!seen[i]);
-                seen[i] = true;
+        for patterns in [false, true] {
+            let letters = Letters::new(&u, patterns, true);
+            assert_eq!(letters.maps.len(), 2, "S_2 has two elements");
+            // Each map is a permutation of letters fixing the stand-in
+            // for non-writes.
+            for m in &letters.maps {
+                let mut seen = vec![false; letters.ops.len()];
+                for &i in m {
+                    assert!(!seen[i]);
+                    seen[i] = true;
+                }
+                assert_eq!(m[0], 0, "Nop is fixed");
             }
-            assert_eq!(m[0], 0, "Nop is fixed");
+            // Without the location group: identity only.
+            let id = Letters::new(&u, patterns, false).maps;
+            assert_eq!(id, vec![(0..letters.ops.len()).collect::<Vec<_>>()]);
         }
-        // Labelled mode: identity only.
-        let id = maps_for(&u, &SweepConfig::serial(), &alphabet);
-        assert_eq!(id, vec![(0..alphabet.len()).collect::<Vec<_>>()]);
+        // Pattern letters: N for the three non-writes, then each write.
+        let patterns = Letters::new(&u, true, true);
+        let w = |l| Op::Write(Location::new(l));
+        assert_eq!(patterns.ops, [Op::Nop, w(0), w(1)]);
+        assert_eq!(patterns.weights, [3, 1, 1]);
+        assert_eq!(patterns.letter(Op::Read(Location::new(1))), Some(0));
+        assert_eq!(patterns.letter(Op::Read(Location::new(2))), None, "outside the alphabet");
+        // Without N, R(0) stands in for both reads.
+        let no_nop = Universe { include_nop: false, ..u };
+        let stand_in = Letters::new(&no_nop, true, true);
+        assert_eq!(stand_in.ops, [Op::Read(Location::new(0)), w(0), w(1)]);
+        assert_eq!(stand_in.weights, [2, 1, 1]);
+        assert_eq!(stand_in.letter(Op::Nop), None, "N is outside this alphabet");
     }
 
     #[test]

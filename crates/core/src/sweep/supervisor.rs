@@ -47,7 +47,7 @@
 //! the journal exactly as a real `kill -9` would.
 
 use super::{
-    for_each_labelling, keep_min, maps_for, materialize, pop, run_workers, Keyed, LabelScratch,
+    for_each_labelling, keep_min, materialize, pop, run_workers, Keyed, LabelScratch, Letters,
     SweepConfig, Task,
 };
 use crate::ckpt::{get_u64, put_u64, CkptWriter};
@@ -574,6 +574,11 @@ where
 /// [`Merge`] is commutative and associative and witnesses merge by unique
 /// minimal task index, a resumed run is bit-identical to an
 /// uninterrupted one.
+///
+/// `work` may look at anything in the computation, reads included, so
+/// this sweep visits every op labelling (canonical mode: one per
+/// `Aut(P) × S_k` orbit). The model-verdict passes, which see ops only
+/// through a [`MemoryModel`], also quotient by read/no-op relabelling.
 #[allow(clippy::too_many_arguments)]
 pub fn sweep_supervised<S, X, EF, XF, WF>(
     u: &Universe,
@@ -591,8 +596,29 @@ where
     XF: Fn() -> X + Sync,
     WF: Fn(&mut S, &mut X, usize, &Computation, u64) + Sync,
 {
-    let alphabet = u.alphabet();
-    let maps = maps_for(u, cfg, &alphabet);
+    let letters = Letters::new(u, false, cfg.canonical);
+    sweep_letters(&letters, u, cfg, sup, resume, ckpt, empty, scratch, work)
+}
+
+/// [`sweep_supervised`] over the labellings spelled in `letters`.
+#[allow(clippy::too_many_arguments)]
+fn sweep_letters<S, X, EF, XF, WF>(
+    letters: &Letters,
+    u: &Universe,
+    cfg: &SweepConfig,
+    sup: &Supervisor,
+    resume: Option<(Frontier, S)>,
+    ckpt: Option<CkptSink<'_, S>>,
+    empty: EF,
+    scratch: XF,
+    work: WF,
+) -> Supervised<S>
+where
+    S: Merge + Send,
+    EF: Fn() -> S + Sync,
+    XF: Fn() -> X + Sync,
+    WF: Fn(&mut S, &mut X, usize, &Computation, u64) + Sync,
+{
     let (resume_frontier, initial) = match resume {
         Some((f, s)) => (f, s),
         None => (Frontier::new(), empty()),
@@ -609,7 +635,7 @@ where
         |task, xs| {
             let (ls, x) = xs;
             let mut delta = empty();
-            let _ = for_each_labelling(&alphabet, &maps, task, ls, &mut |c, w| {
+            let _ = for_each_labelling(letters, task, ls, &mut |c, w| {
                 work(&mut delta, x, task.idx, c, w);
                 ControlFlow::Continue(())
             });
@@ -633,7 +659,10 @@ fn merge_keyed<W>(dst: &mut Option<Keyed<W>>, src: Option<Keyed<W>>) {
 /// computation's first witness, if any. The winning — minimal-task-index
 /// — witness is published to the shared `best` atomic only at commit
 /// time, so a task that found a candidate but then panicked cannot
-/// suppress other tasks' witnesses.
+/// suppress other tasks' witnesses. Canonical mode visits one labelling
+/// per write-pattern orbit ([`Letters::for_verdicts`]): that labelling
+/// is its class's first member and witnesses whenever a member does, so
+/// the search returns the labelled scan's witness.
 fn search_supervised<W: Send, X>(
     u: &Universe,
     cfg: &SweepConfig,
@@ -641,8 +670,7 @@ fn search_supervised<W: Send, X>(
     scratch: impl Fn() -> X + Sync,
     find: impl Fn(&mut Computation, &mut X) -> Option<W> + Sync,
 ) -> Supervised<Option<W>> {
-    let alphabet = u.alphabet();
-    let maps = maps_for(u, cfg, &alphabet);
+    let letters = Letters::for_verdicts(u, cfg);
     // Ordering audit: `best` is a Relaxed pruning hint, not the answer.
     // fetch_min is an atomic RMW, so concurrent minima commute and none
     // is lost regardless of ordering; a worker reading a stale (larger)
@@ -664,7 +692,7 @@ fn search_supervised<W: Send, X>(
                 return None; // an earlier task already has a witness
             }
             let mut found = None;
-            let _ = for_each_labelling(&alphabet, &maps, task, ls, &mut |c, _| {
+            let _ = for_each_labelling(&letters, task, ls, &mut |c, _| {
                 if superseded() {
                     return ControlFlow::Break(());
                 }
@@ -736,14 +764,16 @@ pub fn check_monotonic_supervised<M: MemoryModel + Sync>(
 }
 
 /// Supervised [`crate::props::check_constructible_aug`]; `Some` is the
-/// serial scan's witness.
+/// serial scan's witness. Canonical mode appends one op per write
+/// pattern (`N` or `R(0)` for every non-write): an op with the same
+/// pattern as an earlier one has the same dead ends.
 pub fn check_constructible_aug_supervised<M: MemoryModel + Sync>(
     model: &M,
     u: &Universe,
     cfg: &SweepConfig,
     sup: &Supervisor,
 ) -> Supervised<Option<ConstructibilityWitness>> {
-    let alphabet = u.alphabet();
+    let alphabet = Letters::for_verdicts(u, cfg).ops;
     let bounded = Universe { max_nodes: u.max_nodes.saturating_sub(1), ..*u };
     search_supervised(&bounded, cfg, sup, CheckScratch::new, |c, check| {
         let mut found = None;
@@ -817,14 +847,15 @@ fn flush_blocks<M: MemoryModel>(model: &M, c: &Computation, x: &mut AugScratch) 
 /// returned witness is **identical** to the scalar scan's: dead ends are
 /// re-ranked by location-major observer index (the scalar enumeration
 /// order) and op position before the first one is chosen, and
-/// [`Computation::augment`] builds only that witness's extension.
+/// [`Computation::augment`] builds only that witness's extension. Like
+/// the scalar check, canonical mode appends one op per write pattern.
 pub fn check_constructible_aug_lanes_supervised<M: MemoryModel + Sync>(
     model: &M,
     u: &Universe,
     cfg: &SweepConfig,
     sup: &Supervisor,
 ) -> Supervised<Option<ConstructibilityWitness>> {
-    let alphabet = u.alphabet();
+    let alphabet = Letters::for_verdicts(u, cfg).ops;
     let bounded = Universe { max_nodes: u.max_nodes.saturating_sub(1), ..*u };
     search_supervised(&bounded, cfg, sup, AugScratch::default, |c, x| {
         x.index.prepare(c, SlotOrder::NodeMajor, &mut x.pack);
@@ -1068,6 +1099,11 @@ struct Batch<'a> {
 /// universe that decides each batch under every model once and folds it
 /// into the per-task state. Every task is scanned in full (no early
 /// exit), so its telemetry counters are the same at every thread count.
+/// Canonical mode decides one labelling per write-pattern orbit
+/// ([`Letters::for_verdicts`]), weighted by the orbit's size: models see
+/// ops only through the locations they write, and the visited labelling
+/// is its class's first member, so weighted totals and first witnesses
+/// equal the labelled scan's.
 #[allow(clippy::too_many_arguments)]
 fn verdict_pass<K, M, S>(
     models: &[M],
@@ -1085,7 +1121,8 @@ where
     S: Merge + Send,
 {
     let n = models.len();
-    sweep_supervised(
+    sweep_letters(
+        &Letters::for_verdicts(u, cfg),
         u,
         cfg,
         sup,

@@ -39,7 +39,8 @@ pub enum Counter {
     /// Posets handed to a labelling scan (one per task scan attempt).
     PosetsScanned,
     /// Op labellings visited inside those scans (canonical mode: one per
-    /// `Aut(P) × S_k` orbit, its representative).
+    /// `Aut(P) × S_k` orbit, its representative; the model-verdict passes
+    /// and the Δ* fixpoint visit one per orbit of write patterns).
     LabellingsScanned,
     /// (computation, observer) membership pairs checked by a sweep
     /// (canonical mode: over orbit representatives only, unweighted).
@@ -100,8 +101,10 @@ pub enum Counter {
     /// examined). Deterministic: a pure function of the universe, the
     /// model, and the bound.
     LaneFixpointWords,
-    /// Survivor bits cleared by the lane fixpoint's masked deletions
-    /// (equals the fixpoint's `deleted` total). Deterministic.
+    /// Survivor bits cleared by the lane fixpoint's masked deletions,
+    /// one per write-pattern entry bit (the fixpoint's `deleted` total
+    /// weighs each by the labellings its entry stands for).
+    /// Deterministic.
     LaneDeletionsMasked,
     /// Final survivor-set population (surviving (C, Φ) bits) reported
     /// once when the lane fixpoint converges. Deterministic.
@@ -380,15 +383,30 @@ pub fn count(c: Counter, n: u64) {
 /// Sums all per-thread sinks into one `[u64; NUM_COUNTERS]` snapshot
 /// (indexed like [`Counter::ALL`]) and zeroes them, so successive phases
 /// of one run get disjoint snapshots. Summation makes the merge
-/// independent of thread scheduling.
+/// independent of thread scheduling. The sink of a thread that has
+/// exited (the registry holds its last reference) is folded in one last
+/// time and dropped, so a process that keeps spawning counting threads
+/// (scoped sweep workers, one thread per served connection) keeps a
+/// registry as large as its live threads.
 pub fn snapshot_and_reset() -> [u64; NUM_COUNTERS] {
     let mut out = [0u64; NUM_COUNTERS];
-    for sink in registry().lock().expect("telemetry registry poisoned").iter() {
+    registry().lock().expect("telemetry registry poisoned").retain(|sink| {
+        // Read before the swap: a dead thread can no longer count, so
+        // the swap below then takes everything it counted.
+        let live = Arc::strong_count(sink) > 1;
         for (slot, cell) in out.iter_mut().zip(&sink.cells) {
             *slot += cell.swap(0, Ordering::Relaxed);
         }
-    }
+        live
+    });
     out
+}
+
+/// Number of per-thread counter sinks currently registered: every
+/// thread that has counted or opened a span since the last
+/// [`snapshot_and_reset`], plus every live thread that ever did.
+pub fn registered_sinks() -> usize {
+    registry().lock().expect("telemetry registry poisoned").len()
 }
 
 /// An in-flight span; records a [`SpanEvent`] when dropped. Obtained

@@ -4,8 +4,8 @@
 //! traffic of their own), its exact-count pins would be flaky.
 
 use ccmm_core::telemetry::{
-    count, drain_events, enabled, progress_tick, set_enabled, set_events, set_progress,
-    snapshot_and_reset, span, Counter, NUM_COUNTERS,
+    count, drain_events, enabled, progress_tick, registered_sinks, set_enabled, set_events,
+    set_progress, snapshot_and_reset, span, Counter, NUM_COUNTERS,
 };
 
 #[test]
@@ -29,6 +29,17 @@ fn counters_spans_and_snapshots_work_end_to_end() {
     assert_eq!(snap[Counter::WorklistPops as usize], 0);
     let zeroed = snapshot_and_reset();
     assert!(zeroed.iter().all(|&v| v == 0), "snapshot resets the sinks");
+
+    // Exited threads' sinks are folded into the next snapshot and then
+    // dropped: a process spawning counting threads forever keeps a
+    // bounded registry. `join` waits for the thread's locals to drop.
+    let before = registered_sinks();
+    for _ in 0..8 {
+        std::thread::spawn(|| count(Counter::PairsChecked, 4)).join().expect("counting thread");
+    }
+    assert!(registered_sinks() >= before + 8, "each counting thread registers a sink");
+    assert_eq!(snapshot_and_reset()[Counter::PairsChecked as usize], 32, "dead sinks count");
+    assert!(registered_sinks() <= before, "dead sinks are dropped");
     set_enabled(false);
 
     // Spans: inert when off, recorded with ordered timestamps when on.

@@ -626,11 +626,20 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
                     task list)"
             .to_string());
     }
-    if bound > 5 && !lane {
+    // The scalar kernel decides one labelling per write-pattern orbit in
+    // canonical mode, which keeps all four phases near a second at
+    // bound 6; the labelled scan visits every labelling.
+    let scalar_reach = if canonical { 6 } else { 5 };
+    if !lane && bound > scalar_reach {
+        let (mode, hint) = if canonical {
+            ("canonical", "")
+        } else {
+            ("labelled", "add --canonical (scalar through --bound 6) or ")
+        };
         return Err(format!(
-            "--bound {bound} is out of reach for the scalar engine, which supports all phases \
-             (memberships, lattice, fixpoint, constructibility) only up to --bound 5 \
-             (357 → 4824 posets); use --canonical --engine lane64, which runs every phase \
+            "--bound {bound} is out of reach for the {mode} scalar engine, which supports all \
+             phases (memberships, lattice, fixpoint, constructibility) only up to --bound \
+             {scalar_reach}; {hint}use --canonical --engine lane64, which runs every phase \
              through --bound 6 and the memberships phase alone beyond"
         ));
     }
@@ -709,7 +718,7 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
     if memberships_only {
         println!(
             "bound {bound} runs the memberships phase only; the lattice, fixpoint, and \
-             constructibility phases need bound ≤ 6 with --engine lane64 (≤ 5 scalar)"
+             constructibility phases need bound ≤ 6"
         );
     } else {
         // Phase 2: the full pairwise relation lattice (Figure 1 at this
@@ -752,12 +761,13 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
         // kernel. It checkpoints to its own journal (`<path>.fixpoint`)
         // beside the memberships journal. The fingerprint is engine-free
         // because the mask bits are identical either way, so a fixpoint
-        // journal written under one kernel resumes under the other; v1
-        // journals (a group for every labelled task) are refused by
-        // fingerprint.
+        // journal written under one kernel resumes under the other. v3
+        // masks one entry per write pattern; v1 (a group for every
+        // labelled task) and v2 (an entry for every labelling) journals
+        // are refused by fingerprint.
         let t0 = Instant::now();
         let phase_span = ccmm::core::telemetry::span("sweep/fixpoint");
-        let fix_fingerprint = format!("ccmm-fixpoint-v2 bound={bound} locs={locs} model=nn");
+        let fix_fingerprint = format!("ccmm-fixpoint-v3 bound={bound} locs={locs} model=nn");
         let fix_journal = run.journal().map(|base| format!("{base}.fixpoint"));
         let path = fix_journal.as_deref();
         let resuming = resume.is_some() && path.is_some_and(|p| Path::new(p).exists());
@@ -843,6 +853,30 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
     Ok(exit_code(worst))
 }
 
+/// Runs `f` with the panic hook silenced for the serve differential's
+/// injected handler panic, which the handler quarantines by design, and
+/// restores the previous hook afterwards. Every other panic still
+/// reaches the previous hook.
+fn without_injected_panic_reports<R>(f: impl FnOnce() -> R) -> R {
+    const INJECTED: &str = "injected fault: handler panic";
+    let previous = std::sync::Arc::new(std::panic::take_hook());
+    let report = std::sync::Arc::clone(&previous);
+    std::panic::set_hook(Box::new(move |info| {
+        let payload = info.payload();
+        let text = payload.downcast_ref::<String>().map(String::as_str);
+        if text.or_else(|| payload.downcast_ref::<&str>().copied()) != Some(INJECTED) {
+            report(info);
+        }
+    }));
+    let out = f();
+    drop(std::panic::take_hook());
+    match std::sync::Arc::try_unwrap(previous) {
+        Ok(hook) => std::panic::set_hook(hook),
+        Err(shared) => std::panic::set_hook(Box::new(move |info| shared(info))),
+    }
+    out
+}
+
 fn cmd_conformance(args: &[String]) -> Result<bool, String> {
     use ccmm::conformance::{report, run, self_test, HarnessConfig};
     use ccmm::core::sweep::SweepConfig;
@@ -918,7 +952,7 @@ fn cmd_conformance(args: &[String]) -> Result<bool, String> {
         seed: cfg.seed,
         ..Default::default()
     };
-    let srv = ccmm::conformance::run_serve(&srv_cfg);
+    let srv = without_injected_panic_reports(|| ccmm::conformance::run_serve(&srv_cfg));
     tel.end_phase("serve-differential", t3.elapsed());
     tel.write()?;
     println!("{r}");
@@ -1488,7 +1522,8 @@ USAGE:
              [--ckpt-every K] [--resume PATH]
              [--trace FILE] [--metrics FILE] [--progress]
                                            exhaustive verification at bound N
-                                           (N ≤ 5): memberships, lattice, NN*
+                                           (N ≤ 5; N ≤ 6 with --canonical):
+                                           memberships, lattice, NN*
                                            fixpoint (journals to
                                            <ckpt>.fixpoint), constructibility.
                                            --engine lane64 (with --canonical)

@@ -180,6 +180,19 @@ fn conformance_smoke_passes_and_exits_zero() {
 }
 
 #[test]
+fn conformance_keeps_its_injected_handler_panic_off_stderr() {
+    // The serve differential injects a handler panic that the handler
+    // quarantines by design; the run must not report it as a crash.
+    let out = bin().args(["conformance", "--nodes", "3"]).output().unwrap();
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(0), "stderr: {err}");
+    assert!(!err.contains("panicked at"), "stderr: {err}");
+    let text = String::from_utf8(out.stdout).unwrap();
+    let serve = text.lines().find(|l| l.starts_with("serve differential:")).expect(&text);
+    assert!(serve.contains("0 mismatch(es)"), "{serve}");
+}
+
+#[test]
 fn conformance_self_test_reports_the_pipeline_is_live() {
     let dir = std::env::temp_dir().join(format!("ccmm-conf-out-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -332,10 +345,11 @@ fn sweep_lane64_flag_validation() {
     let out = cmd.args(["--bound", "3", "--canonical", "--engine", "warp"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8(out.stderr).unwrap().contains("scalar | lane64"));
-    // Bound 6 stays out of reach for the scalar engine; the error names
-    // the phases each engine supports and points at the lane fixpoint.
+    // Bound 6 stays out of reach for the labelled scalar engine (the
+    // canonical one runs it); the error names the phases each engine
+    // supports and points at the lane fixpoint.
     let mut cmd = sweep_cmd();
-    let out = cmd.args(["--bound", "6", "--canonical"]).output().unwrap();
+    let out = cmd.args(["--bound", "6"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(
@@ -345,6 +359,12 @@ fn sweep_lane64_flag_validation() {
     assert!(err.contains("up to --bound 5"), "{err}");
     assert!(err.contains("--canonical --engine lane64"), "{err}");
     assert!(err.contains("every phase through --bound 6"), "{err}");
+    // The canonical scalar engine stops at bound 6.
+    let mut cmd = sweep_cmd();
+    let out = cmd.args(["--bound", "7", "--canonical"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("canonical scalar engine") && err.contains("up to --bound 6"), "{err}");
 }
 
 #[test]
@@ -424,30 +444,36 @@ fn sweep_lane64_kill_and_resume_round_trip_is_bit_identical() {
 
 #[test]
 fn sweep_lane64_refuses_a_v1_fixpoint_journal() {
-    // A v1 `<ckpt>.fixpoint` holds mask groups for every labelled task;
-    // the v2 layout masks only the involved ones, so resuming from it
-    // must fail cleanly on the fingerprint, never reach the decoder.
+    // A v1 `<ckpt>.fixpoint` holds mask groups for every labelled task
+    // and a v2 one an entry for every labelling of the involved tasks;
+    // v3 masks one entry per write pattern, so resuming from either
+    // older journal must fail cleanly on the fingerprint, never reach
+    // the decoder.
     let ckpt = std::env::temp_dir().join(format!("ccmm-cli-fix-v1-{}", std::process::id()));
     let fix = ckpt.with_extension("fixpoint");
     let shape = ["--bound", "3", "--canonical", "--engine", "lane64", "--threads", "2"];
-    let mut cmd = sweep_cmd();
-    let clean = cmd.args(shape).arg("--ckpt").arg(&ckpt).output().unwrap();
-    assert_eq!(clean.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&clean.stderr));
-    assert!(fix.exists(), "the lane run journals its fixpoint beside --ckpt");
+    for old in
+        ["ccmm-fixpoint-v1 bound=3 locs=1 model=nn", "ccmm-fixpoint-v2 bound=3 locs=1 model=nn"]
+    {
+        let mut cmd = sweep_cmd();
+        let clean = cmd.args(shape).arg("--ckpt").arg(&ckpt).output().unwrap();
+        let stderr = String::from_utf8_lossy(&clean.stderr);
+        assert_eq!(clean.status.code(), Some(0), "stderr: {stderr}");
+        assert!(fix.exists(), "the lane run journals its fixpoint beside --ckpt");
 
-    let v1 = "ccmm-fixpoint-v1 bound=3 locs=1 model=nn";
-    let mut writer = ccmm::core::ckpt::CkptWriter::create(&fix, v1).unwrap();
-    writer.append(&[0; 16]).unwrap();
-    drop(writer);
-    let mut cmd = sweep_cmd();
-    let resumed = cmd.args(shape).arg("--resume").arg(&ckpt).output().unwrap();
-    assert_eq!(resumed.status.code(), Some(2), "a refused journal is an I/O-class error");
-    let err = String::from_utf8(resumed.stderr).unwrap();
-    assert!(err.contains("fixpoint checkpoint fingerprint mismatch"), "{err}");
-    assert!(err.contains(v1), "{err}");
-    assert!(!err.contains("panicked"), "{err}");
-    for p in [&ckpt, &fix] {
-        let _ = std::fs::remove_file(p);
+        let mut writer = ccmm::core::ckpt::CkptWriter::create(&fix, old).unwrap();
+        writer.append(&[0; 16]).unwrap();
+        drop(writer);
+        let mut cmd = sweep_cmd();
+        let resumed = cmd.args(shape).arg("--resume").arg(&ckpt).output().unwrap();
+        assert_eq!(resumed.status.code(), Some(2), "a refused journal is an I/O-class error");
+        let err = String::from_utf8(resumed.stderr).unwrap();
+        assert!(err.contains("fixpoint checkpoint fingerprint mismatch"), "{err}");
+        assert!(err.contains(old), "{err}");
+        assert!(!err.contains("panicked"), "{err}");
+        for p in [&ckpt, &fix] {
+            let _ = std::fs::remove_file(p);
+        }
     }
 }
 
