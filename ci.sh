@@ -26,6 +26,12 @@ cargo fmt --check
 echo "== clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (warnings are errors) =="
+# Intra-doc links that point at private or unresolved items only warn,
+# so broken links would pile up unseen in a build that never runs
+# rustdoc: every doc warning of the default members fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q
+
 echo "== perfbench: builds against this tree with its lock file unchanged =="
 # The benchmark is a workspace of its own over the repository's crates.
 # An API change that breaks its build fails here, in fast mode too, and

@@ -17,7 +17,7 @@
 //!    of Cilk workloads ([`ccmm_backer::harvest`]), plus lock-augmented
 //!    membership through every critical-section serialization.
 //!
-//! On any disagreement the [`shrink`] module minimises the witness (drop
+//! On any disagreement the [`shrink`](mod@shrink) module minimises the witness (drop
 //! nodes, merge locations, drop edges, weaken Φ rows) and [`report`]
 //! emits it as a `.litmus`-style text file plus Graphviz DOT. The
 //! [`harness::self_test`] seeds a deliberate mutation (LC answered as NN

@@ -11,7 +11,7 @@
 //! arena:
 //!
 //! * Every *involved* computation spelled in pattern letters gets an
-//!   [`Entry`]: a contiguous run of mask words in which bit `p` is the
+//!   `Entry`: a contiguous run of mask words in which bit `p` is the
 //!   survivor flag of the `p`-th observer in **node-major** enumeration
 //!   order ([`for_each_observer_node_major`]). A computation is involved
 //!   iff it is below the bound (it has an augmentation) or its final node
@@ -65,6 +65,7 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::ops::{ControlFlow, Range};
+use std::sync::Arc;
 
 use ccmm_dag::{Dag, NodeId};
 
@@ -78,7 +79,10 @@ use crate::sweep::supervisor::{
     retry_once, run_supervised, CkptSink, Frontier, Merge, Quarantined, Supervised, Supervisor,
     SweepStatus,
 };
-use crate::sweep::{for_each_labelling, materialize, LabelScratch, Letters, SweepConfig, Task};
+use crate::sweep::{
+    for_each_labelling, for_each_labelling_uncounted, plan, LabelScratch, Letters, SweepConfig,
+    Task,
+};
 use crate::telemetry::{self, Counter};
 use crate::universe::Universe;
 
@@ -168,7 +172,7 @@ pub fn decode_masks_journal(ckpt: &Checkpoint, u: &Universe) -> Option<(Frontier
             groups.push(MaskGroup { task, words });
         }
     }
-    let layout = build_layout(u, &stage_a_tasks(u));
+    let layout = &plan::stage_a(u).layout;
     let mut have = vec![false; layout.metas.len()];
     for g in &groups {
         let t = layout.task(usize::try_from(g.task).ok()?)?;
@@ -194,26 +198,15 @@ fn has_top(dag: &Dag) -> bool {
     n > 0 && (0..n - 1).all(|u| dag.has_edge(NodeId::new(u), NodeId::new(n - 1)))
 }
 
-/// Whether a Stage-A task is masked rather than counted.
-fn is_involved(t: &Task, max_nodes: usize) -> bool {
-    t.size < max_nodes || has_top(&t.dag)
-}
-
-/// The Stage-A tasks in index order: every involved labelled poset plus
-/// the canonical top-less bound-size posets (a representative keeps its
-/// labelled index, so the two never collide).
-fn stage_a_tasks(u: &Universe) -> Vec<Task> {
-    let b = u.max_nodes;
-    let involved = materialize(u, false).into_iter().filter(|t| is_involved(t, b));
-    let counted = materialize(u, true).into_iter().filter(|t| !is_involved(t, b));
-    let mut tasks: Vec<Task> = involved.chain(counted).collect();
-    tasks.sort_by_key(|t| t.idx);
-    tasks
+/// Whether a Stage-A poset is masked rather than counted: it is below
+/// the bound, or it has a top node.
+pub(crate) fn is_involved(dag: &Dag, max_nodes: usize) -> bool {
+    dag.node_count() < max_nodes || has_top(dag)
 }
 
 /// Per labelled computation: where its mask lives and how it factors
 /// through augmentation.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Entry {
     /// First word of this labelling's mask in the arena.
     off: u64,
@@ -226,7 +219,7 @@ struct Entry {
     block: u32,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct TaskMeta {
     /// Global labelled task index of the poset.
     idx: usize,
@@ -246,8 +239,10 @@ struct TaskMeta {
     aug: Option<u32>,
 }
 
+/// Dense metadata for every involved task and labelling of one universe
+/// shape; built once per shape by [`plan::stage_a`].
 #[derive(Default)]
-struct Layout {
+pub(crate) struct Layout {
     /// The pattern letters entries are spelled in (identity maps).
     letters: Letters,
     /// Involved tasks, ascending in `idx`.
@@ -293,41 +288,72 @@ impl Layout {
     }
 }
 
-/// Bit-packs the edges among the first `n` nodes of a naturally
-/// labelled dag: pair `(u, v)` with `u < v` at bit `v(v−1)/2 + u`.
-fn sub_key(dag: &Dag, n: usize) -> u64 {
-    assert!(n <= 11, "lane fixpoint packs closures into u64 (≤ 11 nodes)");
-    let mut bits = 0u64;
-    let mut i = 0;
-    for v in 1..n {
-        for u in 0..v {
-            if dag.has_edge(NodeId::new(u), NodeId::new(v)) {
-                bits |= 1 << i;
+/// The most nodes a closure key packs into a `u64`.
+const KEYED_NODES: usize = 11;
+
+/// Predecessor masks of a dag of at most [`KEYED_NODES`] nodes: bit `u`
+/// of entry `v` iff the edge `u → v`. `None` if an edge runs backward
+/// (the dag is not naturally labelled).
+fn pred_masks(dag: &Dag) -> Option<[u16; KEYED_NODES]> {
+    let n = dag.node_count();
+    assert!(n <= KEYED_NODES, "lane fixpoint packs closures into u64 (≤ 11 nodes)");
+    let mut preds = [0u16; KEYED_NODES];
+    for (v, mask) in preds.iter_mut().enumerate().take(n) {
+        for u in dag.predecessors(NodeId::new(v)) {
+            if u.index() >= v {
+                return None;
             }
-            i += 1;
+            *mask |= 1 << u.index();
         }
     }
-    bits
+    Some(preds)
 }
 
-/// Key of `dag` augmented with a new final node above every node.
-fn aug_key(dag: &Dag) -> u64 {
-    let n = dag.node_count();
-    let mut bits = sub_key(dag, n);
-    let base = n * n.saturating_sub(1) / 2;
-    for u in 0..n {
-        bits |= 1 << (base + u);
-    }
-    bits
+/// Bit-packs the edges of a naturally labelled dag given by the
+/// predecessor masks of its nodes: pair `(u, v)` with `u < v` at bit
+/// `v(v−1)/2 + u`. A prefix of the masks keys the dag's prefix.
+fn closure_key(preds: &[u16]) -> u64 {
+    preds.iter().enumerate().fold(0, |key, (v, &mask)| key | u64::from(mask) << key_offset(v))
 }
 
-/// Lays out the involved tasks of `tasks` (a [`stage_a_tasks`] list).
-fn build_layout(u: &Universe, tasks: &[Task]) -> Layout {
+/// The first key bit of node `v`'s predecessors, `v(v−1)/2`.
+fn key_offset(v: usize) -> usize {
+    v * v.saturating_sub(1) / 2
+}
+
+/// Key of the `n`-node dag with predecessor masks `preds` augmented with
+/// a new final node above every node.
+fn aug_key(preds: &[u16]) -> u64 {
+    let n = preds.len();
+    closure_key(preds) | ((1u64 << n) - 1) << key_offset(n)
+}
+
+/// Whether predecessor masks describe a transitively closed relation:
+/// every predecessor's own predecessors are predecessors too.
+fn is_closed(preds: &[u16]) -> bool {
+    preds.iter().all(|&mask| {
+        let mut rest = mask;
+        while rest != 0 {
+            let u = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            if preds[u] & !mask != 0 {
+                return false;
+            }
+        }
+        true
+    })
+}
+
+/// Lays out the involved tasks of `tasks` (a Stage-A list). The walk
+/// counts nothing: it runs once per shape, in whichever pass finds
+/// [`plan::stage_a`] cold.
+pub(crate) fn build_layout(u: &Universe, tasks: &[Task]) -> Layout {
     let letters = Letters::new(u, true, false);
-    let involved: Vec<&Task> = tasks.iter().filter(|t| is_involved(t, u.max_nodes)).collect();
+    let involved: Vec<&Task> = tasks.iter().filter(|t| is_involved(&t.dag, u.max_nodes)).collect();
+    let preds = |t: &Task| pred_masks(&t.dag).expect("tasks are naturally labelled");
     let mut key_map = HashMap::with_capacity(involved.len());
     for (pos, t) in involved.iter().enumerate() {
-        key_map.insert((t.size as u8, sub_key(&t.dag, t.size)), pos as u32);
+        key_map.insert((t.size as u8, closure_key(&preds(t)[..t.size])), pos as u32);
     }
     let mut scratch = LabelScratch::new();
     let mut index = ObserverIndex::new();
@@ -336,16 +362,17 @@ fn build_layout(u: &Universe, tasks: &[Task]) -> Layout {
     let mut words_len = 0u64;
     for t in involved {
         let n = t.size;
+        let p = preds(t);
         let parent = has_top(&t.dag).then(|| {
-            let key = (n as u8 - 1, sub_key(&t.dag, n - 1));
+            let key = (n as u8 - 1, closure_key(&p[..n - 1]));
             *key_map.get(&key).expect("prefix poset is enumerated")
         });
         let aug = (n < u.max_nodes).then(|| {
-            let key = (n as u8 + 1, aug_key(&t.dag));
+            let key = (n as u8 + 1, aug_key(&p[..n]));
             *key_map.get(&key).expect("universe is closed under augmentation below the bound")
         });
         let entry_base = entries.len();
-        let _ = for_each_labelling(&letters, t, &mut scratch, &mut |c, _w| {
+        let _ = for_each_labelling_uncounted(&letters, t, &mut scratch, &mut |c, _w| {
             let (observers, block) = index.index(c, SlotOrder::NodeMajor);
             entries.push(Entry {
                 off: words_len,
@@ -428,13 +455,13 @@ fn block_empty(words: &[u64], start: u64, len: u64) -> bool {
 // ---------------------------------------------------------------------
 
 /// Stage A: every involved task's mask group and the weighted member
-/// count of every counted task of `tasks` (a [`stage_a_tasks`] list), as
-/// one supervised sweep.
+/// count of every counted task of `tasks` (a Stage-A list), as one
+/// supervised sweep.
 #[allow(clippy::too_many_arguments)]
 fn materialize_masks<M: MemoryModel + Sync>(
     model: &M,
     u: &Universe,
-    tasks: Vec<Task>,
+    tasks: &[&Task],
     cfg: &SweepConfig,
     sup: &Supervisor,
     resume: Option<(Frontier, MaskState)>,
@@ -460,7 +487,7 @@ fn materialize_masks<M: MemoryModel + Sync>(
             (ls, ObserverIndex::new(), LanePack::new(), LaneScratch::new(), CheckScratch::new())
         },
         |task, (ls, index, pack, lscr, check)| {
-            let involved = is_involved(task, u.max_nodes);
+            let involved = is_involved(&task.dag, u.max_nodes);
             let letters = if involved { &masked } else { &quotiented };
             let (mut words, mut counted) = (Vec::new(), 0);
             let _ = for_each_labelling(letters, task, ls, &mut |c, w| {
@@ -640,7 +667,7 @@ fn run_fixpoint(layout: &Layout, words: &mut [u64], fault: &FaultPlan) -> FixOut
 /// Carries a copy of its model, which decides the uninvolved pairs.
 pub struct LaneConstructible<M> {
     model: M,
-    layout: Layout,
+    layout: Arc<Layout>,
     words: Vec<u64>,
     /// Survivors of the uninvolved (bound-size, top-less) computations.
     counted: u64,
@@ -659,7 +686,7 @@ impl<M: MemoryModel + Sync + Clone> LaneConstructible<M> {
     fn empty(model: &M, u: &Universe) -> Self {
         LaneConstructible {
             model: model.clone(),
-            layout: Layout::default(),
+            layout: Arc::default(),
             words: Vec::new(),
             counted: 0,
             max_nodes: u.max_nodes,
@@ -685,8 +712,9 @@ impl<M: MemoryModel + Sync + Clone> LaneConstructible<M> {
     /// selects the lane kernel ([`MemoryModel::contains_lanes`]) or the
     /// scalar kernel for Stage A — the journals and results are
     /// bit-identical either way, so a journal written by one engine
-    /// resumes under the other. Stage A enumerates its own labelled and
-    /// canonical tasks, so `cfg.canonical` is ignored.
+    /// resumes under the other. Stage A walks its own labelled and
+    /// canonical tasks (the Stage-A plan of `u`'s shape, built once per
+    /// process), so `cfg.canonical` is ignored.
     ///
     /// A `Killed`/`Partial` Stage A returns an empty value carrying the
     /// status and frontier; the fixpoint only runs on a complete
@@ -700,17 +728,17 @@ impl<M: MemoryModel + Sync + Clone> LaneConstructible<M> {
         ckpt: Option<(&mut CkptWriter, usize)>,
         lanes: bool,
     ) -> Supervised<Self> {
-        let tasks = stage_a_tasks(u);
-        let layout = build_layout(u, &tasks);
-        let stage_a = materialize_masks(model, u, tasks, cfg, sup, resume, ckpt, lanes);
+        let plan = plan::stage_a(u);
+        let tasks: Vec<&Task> = plan.tasks.iter().collect();
+        let stage_a = materialize_masks(model, u, &tasks, cfg, sup, resume, ckpt, lanes);
         if matches!(stage_a.status, SweepStatus::Partial | SweepStatus::Killed) {
             return stage_a.map(|_| Self::empty(model, u));
         }
         let Supervised { value, mut status, mut quarantined, frontier, total_tasks, ckpt_error } =
             stage_a;
         // A quarantined counted task keeps every pair, as an all-ones
-        // mask keeps an involved one. Its dag left with the task list,
-        // so this rare path lists the tasks again.
+        // mask keeps an involved one.
+        let layout = Arc::clone(&plan.layout);
         let mut counted = value.counted;
         let lost: Vec<usize> = quarantined
             .iter()
@@ -720,7 +748,7 @@ impl<M: MemoryModel + Sync + Clone> LaneConstructible<M> {
         if !lost.is_empty() {
             let letters = Letters::new(u, true, true);
             let mut index = ObserverIndex::new();
-            for t in stage_a_tasks(u).iter().filter(|t| lost.contains(&t.idx)) {
+            for t in plan.tasks.iter().filter(|t| lost.contains(&t.idx)) {
                 let mut ls = LabelScratch::new();
                 let _ = for_each_labelling(&letters, t, &mut ls, &mut |c, w| {
                     counted += w * index.index(c, SlotOrder::NodeMajor).0;
@@ -756,14 +784,12 @@ impl<M: MemoryModel> LaneConstructible<M> {
     /// read spelled as the non-write letter).
     pub fn contains(&self, c: &Computation, phi: &ObserverFunction) -> bool {
         let n = c.node_count();
-        if n > self.max_nodes || n > 11 {
+        if n > self.max_nodes || n > KEYED_NODES {
             return false;
         }
-        for (a, b) in c.dag().edges() {
-            if a.index() >= b.index() {
-                return false; // tasks are naturally labelled
-            }
-        }
+        let Some(preds) = pred_masks(c.dag()) else {
+            return false; // tasks are naturally labelled
+        };
         let l = &self.layout;
         let mut ord = 0u64;
         for v in (0..n).rev() {
@@ -772,12 +798,11 @@ impl<M: MemoryModel> LaneConstructible<M> {
             };
             ord = ord * l.letters.ops.len() as u64 + d as u64;
         }
-        let Some(&t) = l.key_map.get(&(n as u8, sub_key(c.dag(), n))) else {
+        let Some(&t) = l.key_map.get(&(n as u8, closure_key(&preds[..n]))) else {
             // Every closed involved shape is keyed, so a closed unkeyed
             // one is a bound-size poset without a top node: its pairs
             // are never touched and survive iff they are members.
-            let closed = c.dag().transitive_closure().edge_count() == c.dag().edge_count();
-            return n == self.max_nodes && closed && self.model.contains(c, phi);
+            return n == self.max_nodes && is_closed(&preds[..n]) && self.model.contains(c, phi);
         };
         let e = &l.entries[l.metas[t as usize].entry_base + ord as usize];
         let Some(p) = node_major_index(c, phi) else {
@@ -811,6 +836,9 @@ mod tests {
     use crate::constructible::BoundedConstructible;
     use crate::enumerate::for_each_observer;
     use crate::model::{Lc, Nn};
+    use crate::sweep::labelled_tasks;
+    use ccmm_dag::canon::for_each_canonical_poset;
+    use ccmm_dag::poset::count_posets_fast;
 
     fn cfg(threads: usize) -> SweepConfig {
         SweepConfig { threads, ..SweepConfig::default() }
@@ -833,6 +861,83 @@ mod tests {
         assert_matches_naive(&BoundedConstructible::compute(&Lc, &u), &lane, &u);
         // LC is constructible: nothing deleted, no cascade round.
         assert_eq!((lane.deleted, lane.passes), (0, 1));
+    }
+
+    #[test]
+    fn contains_rejects_shapes_outside_the_universe_like_naive() {
+        // Unclosed, backward-edged and oversized dags are no survivors;
+        // the closed ones are looked up as before.
+        let u = Universe::new(3, 1);
+        let lane = LaneConstructible::compute(&Nn::default(), &u, &cfg(1));
+        let naive = BoundedConstructible::compute(&Nn::default(), &u);
+        let forward = [(0, 1), (0, 2), (1, 2)];
+        let mut shapes: Vec<(usize, Vec<(usize, usize)>)> = (0..8u32)
+            .map(|bits| {
+                (
+                    3,
+                    forward
+                        .iter()
+                        .copied()
+                        .filter(|&(a, b)| bits >> (a + b - 1) & 1 == 1)
+                        .collect(),
+                )
+            })
+            .collect();
+        shapes.extend([(2, vec![(1, 0)]), (3, vec![(0, 1), (2, 1)]), (4, vec![(0, 3)])]);
+        let alphabet = u.alphabet();
+        let mut unclosed = 0;
+        for (n, edges) in shapes {
+            for ord in 0..alphabet.len().pow(n as u32) {
+                let ops =
+                    (0..n).map(|j| alphabet[ord / alphabet.len().pow(j as u32) % alphabet.len()]);
+                let c = Computation::from_edges(n, &edges, ops.collect());
+                let closed = c.dag().transitive_closure().edge_count() == c.dag().edge_count();
+                unclosed += usize::from(!closed);
+                let _ = for_each_observer(&c, |phi| {
+                    let want = naive.contains(&c, phi);
+                    assert_eq!(lane.contains(&c, phi), want, "{edges:?} {phi:?}");
+                    assert!(closed || !want, "an unclosed dag has no survivors");
+                    ControlFlow::Continue(())
+                });
+            }
+        }
+        assert!(unclosed > 0, "the shapes include an unclosed dag");
+    }
+
+    #[test]
+    fn stage_a_plan_equals_a_fresh_construction() {
+        // The memoised plan against the list built from two fresh
+        // enumerations — every involved labelled poset plus every
+        // canonical top-less bound-size one, sorted by index — and its
+        // layout against one built afresh over that list.
+        let shapes = [(3, 1), (4, 1), (5, 1), (6, 1), (3, 2), (4, 2), (5, 2)];
+        for (b, locs) in shapes {
+            let u = Universe::new(b, locs);
+            let involved =
+                labelled_tasks(&u, |_| true).into_iter().filter(|t| is_involved(&t.dag, b));
+            let mut counted = Vec::new();
+            let mut base = 0;
+            for n in 0..=b {
+                for_each_canonical_poset(n, |idx, dag, info, auts| {
+                    if !is_involved(dag, b) {
+                        let (weight, dag, auts) = (info.orbit, dag.clone(), auts.to_vec());
+                        counted.push(Task { idx: base + idx, size: n, weight, dag, auts });
+                    }
+                });
+                base += count_posets_fast(n) as usize;
+            }
+            let mut fresh: Vec<Task> = involved.chain(counted).collect();
+            fresh.sort_by_key(|t| t.idx);
+            let at = format!("{b}x{locs}");
+            let plan = plan::stage_a(&u);
+            assert_eq!(plan.tasks, fresh, "{at}: Stage-A tasks");
+            assert!(std::ptr::eq(plan, plan::stage_a(&u)), "{at}: one plan per shape");
+            let layout = build_layout(&u, &fresh);
+            assert_eq!(plan.layout.metas, layout.metas, "{at}: metas");
+            assert_eq!(plan.layout.entries, layout.entries, "{at}: entries");
+            assert_eq!(plan.layout.words_len, layout.words_len, "{at}: arena length");
+            assert_eq!(plan.layout.key_map, layout.key_map, "{at}: shape keys");
+        }
     }
 
     #[test]
@@ -872,7 +977,7 @@ mod tests {
             );
             assert_eq!(out.status, SweepStatus::Partial, "lanes={lanes}");
             assert!(out.frontier.is_empty(), "lanes={lanes}");
-            assert_eq!(out.total_tasks, stage_a_tasks(&u).len(), "lanes={lanes}");
+            assert_eq!(out.total_tasks, plan::stage_a(&u).tasks.len(), "lanes={lanes}");
             assert_eq!((out.value.total_pairs(), out.value.passes), (0, 0), "lanes={lanes}");
         }
     }
@@ -982,10 +1087,11 @@ mod tests {
             });
             (all, members)
         };
-        let tasks = stage_a_tasks(&u);
-        let (task, (all, members)) = tasks
+        let plan = plan::stage_a(&u);
+        let (task, (all, members)) = plan
+            .tasks
             .iter()
-            .filter(|t| !is_involved(t, 4))
+            .filter(|t| !is_involved(&t.dag, 4))
             .map(|t| (t, pairs(t)))
             .find(|(_, (all, members))| all > members)
             .expect("a top-less 4-node poset with non-members");

@@ -52,7 +52,7 @@ fn free_slots_node_major(c: &Computation) -> Vec<(Location, NodeId, Vec<Option<N
 }
 
 /// Calls `f` with every valid observer function for `c` in *node-major*
-/// order (see [`free_slots_node_major`]); the slot visited first varies
+/// order (see `free_slots_node_major`); the slot visited first varies
 /// slowest, so the enumeration index is the mixed-radix value of the
 /// per-slot candidate positions. Same early-exit contract as
 /// [`for_each_observer`].

@@ -16,7 +16,7 @@
 //! use). A column lives in 8 consecutive `u64` words, so the two
 //! primitive questions every kernel asks — "which lanes observe ⊥ here?"
 //! and "which lanes agree between two cells?" — reduce to branch-free
-//! SWAR byte tests ([`zero_lanes`], [`eq_lanes`]).
+//! SWAR byte tests (`zero_lanes`, `eq_lanes`).
 //!
 //! **Φ-lanes, not labelling-lanes.** Packing 64 labellings of one poset
 //! would force every lane to re-derive its own writes index and validity
@@ -539,7 +539,7 @@ pub(crate) fn count_pack(pack: &LanePack) {
 ///
 /// The `lc_cache` and `q_cache` memoise per pack generation: `Model::Sc`
 /// prefilters through the LC kernel that `Model::Lc` also needs, and the
-/// four Q-dag models share one structural scan ([`qdag_all_lanes`]) that
+/// four Q-dag models share one structural scan (`qdag_all_lanes`) that
 /// differs only in which triples each predicate counts — so a six-model
 /// flush runs the LC kernel once and the Q-dag scan once. The caches key
 /// on [`LanePack`]'s mutation counter, so a scratch must stay paired

@@ -4,9 +4,10 @@
 //! naturally labelled posets of each size crossed with all op labellings
 //! and all valid observer functions. This module shards that space across
 //! worker threads: the *task* unit is one poset (all labellings of one
-//! dag), materialised in serial enumeration order with a global index and
-//! distributed through a work-stealing [`Injector`] under
-//! [`std::thread::scope`].
+//! dag), listed in serial enumeration order with a global index and
+//! handed out in that order through one atomic cursor under
+//! [`std::thread::scope`]. Passes borrow their tasks: canonical lists
+//! and the Δ* Stage-A plan are built once per process (`sweep::plan`).
 //!
 //! **Symmetry reduction.** Every property swept here is invariant under
 //! dag isomorphism and under permutations of the location alphabet. With
@@ -56,15 +57,14 @@
 //! Thread count comes from [`SweepConfig`]: the `CCMM_THREADS` environment
 //! variable when set, otherwise [`std::thread::available_parallelism`].
 
+pub(crate) mod plan;
 pub mod supervisor;
 
 use crate::computation::Computation;
 use crate::op::{Location, Op};
 use crate::universe::Universe;
-use ccmm_dag::canon::for_each_canonical_poset;
 use ccmm_dag::poset::{count_posets_fast, for_each_poset_indexed};
 use ccmm_dag::Dag;
-use crossbeam::deque::{Injector, Steal};
 use std::ops::ControlFlow;
 use std::time::Duration;
 
@@ -137,6 +137,7 @@ impl Default for SweepConfig {
 }
 
 /// One unit of sweep work: one poset, covering all its op labellings.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct Task {
     /// Global index in serial enumeration order (sizes ascending, posets
     /// in `for_each_poset` order within a size). Canonical tasks keep
@@ -157,28 +158,38 @@ pub(crate) struct Task {
     pub(crate) auts: Vec<u8>,
 }
 
-/// All tasks of the universe, in serial enumeration order. In canonical
-/// mode, only class representatives — weighted by orbit, keeping their
-/// labelled global indices, and carrying their automorphisms.
-pub(crate) fn materialize(u: &Universe, canonical: bool) -> Vec<Task> {
+/// The labelled tasks of universe `u` whose dag `keep` admits, in serial
+/// enumeration order, freshly enumerated: only the kept dags are cloned.
+/// Labelled lists are the independent reference of the canonical ones,
+/// so they are never memoised.
+pub(crate) fn labelled_tasks(u: &Universe, keep: impl Fn(&Dag) -> bool) -> Vec<Task> {
     let mut tasks = Vec::new();
     let mut base = 0usize;
     for n in 0..=u.max_nodes {
-        if canonical {
-            for_each_canonical_poset(n, |idx, dag, info, auts| {
-                let (weight, dag, auts) = (info.orbit, dag.clone(), auts.to_vec());
-                tasks.push(Task { idx: base + idx, size: n, weight, dag, auts });
-            });
-        } else {
-            let identity: Vec<u8> = (0..n as u8).collect();
-            for_each_poset_indexed(n, |idx, dag| {
+        let identity: Vec<u8> = (0..n as u8).collect();
+        for_each_poset_indexed(n, |idx, dag| {
+            if keep(dag) {
                 let (dag, auts) = (dag.clone(), identity.clone());
                 tasks.push(Task { idx: base + idx, size: n, weight: 1, dag, auts });
-            });
-        }
+            }
+        });
         base += count_posets_fast(n) as usize;
     }
     tasks
+}
+
+/// Calls `f` with all tasks of universe `u`, borrowed, in serial
+/// enumeration order: in canonical mode the memoised class
+/// representatives ([`plan::canonical_tasks`]), weighted by orbit, keeping
+/// their labelled global indices and carrying their automorphisms;
+/// otherwise a fresh labelled list.
+pub(crate) fn with_tasks<R>(u: &Universe, canonical: bool, f: impl FnOnce(&[&Task]) -> R) -> R {
+    if canonical {
+        f(&plan::canonical_tasks(u.max_nodes))
+    } else {
+        let tasks = labelled_tasks(u, |_| true);
+        f(&tasks.iter().collect::<Vec<_>>())
+    }
 }
 
 /// Per-worker labelling state: one reusable [`Computation`] retargeted per
@@ -363,8 +374,28 @@ fn orbit_weight(digits: &[usize], auts: &[u8], maps: &[Vec<usize>]) -> Option<u6
 /// times `letters.maps` is visited, so a labelled task in full letters
 /// visits every labelling. `f` may grow the computation in place
 /// ([`Computation::push`]) but must undo it ([`Computation::pop_last`])
-/// before returning.
+/// before returning. Counts the scan into
+/// [`crate::telemetry::Counter::PosetsScanned`] and `LabellingsScanned`.
 pub(crate) fn for_each_labelling<F>(
+    letters: &Letters,
+    task: &Task,
+    scratch: &mut LabelScratch,
+    f: &mut F,
+) -> ControlFlow<()>
+where
+    F: FnMut(&mut Computation, u64) -> ControlFlow<()>,
+{
+    crate::telemetry::count(crate::telemetry::Counter::PosetsScanned, 1);
+    for_each_labelling_uncounted(letters, task, scratch, &mut |c, w| {
+        crate::telemetry::count(crate::telemetry::Counter::LabellingsScanned, 1);
+        f(c, w)
+    })
+}
+
+/// [`for_each_labelling`] without the scan counters, for the prelude's
+/// one-off walks ([`plan`]): a walk that runs only in whichever pass
+/// finds the memo cold would make that pass's counters depend on it.
+pub(crate) fn for_each_labelling_uncounted<F>(
     letters: &Letters,
     task: &Task,
     scratch: &mut LabelScratch,
@@ -375,13 +406,11 @@ where
 {
     let n = task.size;
     let k = letters.ops.len();
-    crate::telemetry::count(crate::telemetry::Counter::PosetsScanned, 1);
     scratch.c.retarget(&task.dag);
     scratch.digits.clear();
     scratch.digits.resize(n, 0);
     loop {
         if let Some(orbit) = orbit_weight(&scratch.digits, &task.auts, &letters.maps) {
-            crate::telemetry::count(crate::telemetry::Counter::LabellingsScanned, 1);
             scratch.ops.clear();
             scratch.ops.extend(scratch.digits.iter().map(|&d| letters.ops[d]));
             scratch.c.refresh_ops(&scratch.ops);
@@ -402,34 +431,19 @@ where
     }
 }
 
-/// Pops the next task, absorbing `Retry`.
-fn pop(injector: &Injector<Task>) -> Option<Task> {
-    loop {
-        match injector.steal() {
-            Steal::Success(t) => return Some(t),
-            Steal::Empty => return None,
-            Steal::Retry => continue,
-        }
-    }
-}
-
-/// Runs `worker` on `cfg.threads` scoped threads over a shared task queue
-/// and collects the per-worker results. With one thread the worker runs
-/// on the caller's thread — no spawn, same code path.
-fn run_workers<R, W>(tasks: Vec<Task>, threads: usize, worker: W) -> Vec<R>
+/// Runs `worker` on `threads` scoped threads and collects the per-worker
+/// results. With one thread the worker runs on the caller's thread — no
+/// spawn, same code path.
+fn run_workers<R, W>(threads: usize, worker: W) -> Vec<R>
 where
     R: Send,
-    W: Fn(&Injector<Task>) -> R + Sync,
+    W: Fn() -> R + Sync,
 {
-    let injector = Injector::new();
-    for t in tasks {
-        injector.push(t);
-    }
     if threads == 1 {
-        return vec![worker(&injector)];
+        return vec![worker()];
     }
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads).map(|_| s.spawn(|| worker(&injector))).collect();
+        let handles: Vec<_> = (0..threads).map(|_| s.spawn(&worker)).collect();
         // Task panics are caught per task inside the supervised engine,
         // so a panic escaping a worker is an infrastructure bug — re-raise
         // it instead of replacing it with a generic expect message.
@@ -729,7 +743,7 @@ mod tests {
             let non_writes: Vec<Op> =
                 alphabet.iter().copied().filter(|o| !matches!(o, Op::Write(_))).collect();
             let loc_perms = permutations(locs);
-            let tasks = materialize(&u, true);
+            let tasks = plan::canonical_tasks(u.max_nodes);
             for patterns in [false, true] {
                 let letters = Letters::new(&u, patterns, true);
                 let mut total = 0u128;

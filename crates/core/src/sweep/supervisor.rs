@@ -47,7 +47,7 @@
 //! the journal exactly as a real `kill -9` would.
 
 use super::{
-    for_each_labelling, keep_min, materialize, pop, run_workers, Keyed, LabelScratch, Letters,
+    for_each_labelling, keep_min, run_workers, with_tasks, Keyed, LabelScratch, Letters,
     SweepConfig, Task,
 };
 use crate::ckpt::{get_u64, put_u64, CkptWriter};
@@ -460,10 +460,12 @@ struct Shared<'a, S> {
 /// The supervised engine: distributes `tasks` over `threads` workers,
 /// each task scanned into a fresh delta through [`retry_once`], deltas
 /// committed through `merge` under the shared lock, with cooperative
-/// deadline stop and optional checkpoint journalling.
+/// deadline stop and optional checkpoint journalling. Tasks are borrowed
+/// and handed out in list order through one atomic cursor; tasks in
+/// `resume` are skipped.
 #[allow(clippy::too_many_arguments)] // internal engine; wrappers present the public face
 pub(crate) fn run_supervised<S, X, XF, SC, MG>(
-    mut tasks: Vec<Task>,
+    tasks: &[&Task],
     threads: usize,
     deadline: Option<Duration>,
     fault: &FaultPlan,
@@ -483,9 +485,7 @@ where
     let ids: Vec<usize> = tasks.iter().map(|t| t.idx).collect();
     fault.resolve_indices(&ids);
     let total_tasks = tasks.len();
-    if !resume.is_empty() {
-        tasks.retain(|t| !resume.contains(t.idx));
-    }
+    let pending: Vec<&Task> = tasks.iter().copied().filter(|t| !resume.contains(t.idx)).collect();
     let start = Instant::now();
     // Ordering audit: the stop flag is accessed with Relaxed throughout,
     // which is sufficient because it is an *advisory*, monotonic
@@ -497,8 +497,12 @@ where
     // thread join is a synchronizes-with edge, so the last store to the
     // flag is visible without any fence. A worker seeing a stale
     // `false` merely scans one extra task; seeing a stale `true` is
-    // impossible to distinguish from a slightly earlier stop.
+    // impossible to distinguish from a slightly earlier stop. The cursor
+    // is a Relaxed fetch_add: an atomic RMW hands each position to
+    // exactly one worker whatever the ordering, and the task list itself
+    // is immutable.
     let stop = AtomicBool::new(false);
+    let cursor = AtomicUsize::new(0);
     let encode = ckpt.as_ref().map(|sink| sink.encode);
     let shared = Mutex::new(Shared {
         state: initial,
@@ -506,25 +510,25 @@ where
         quarantined: Vec::new(),
         journal: Journal::new(ckpt.map(|sink| (sink.writer, sink.every)), fault),
     });
-    run_workers(tasks, threads, |inj| {
+    run_workers(threads, || {
         let mut x = scratch();
-        while let Some(task) = pop(inj) {
+        while let Some(&task) = pending.get(cursor.fetch_add(1, Ordering::Relaxed)) {
             if stop.load(Ordering::Relaxed) {
-                continue; // drain the queue without scanning
+                break;
             }
             if deadline.is_some() {
                 telemetry::count(Counter::DeadlinePolls, 1);
             }
             if deadline.is_some_and(|d| start.elapsed() >= d) {
                 stop.store(true, Ordering::Relaxed);
-                continue;
+                break;
             }
             let delta = retry_once(
                 &mut x,
                 |x| *x = scratch(),
                 |x| {
                     fault.before_task(task.idx);
-                    scan(&task, x)
+                    scan(task, x)
                 },
             );
             let delta = match delta {
@@ -623,26 +627,28 @@ where
         Some((f, s)) => (f, s),
         None => (Frontier::new(), empty()),
     };
-    run_supervised(
-        materialize(u, cfg.canonical),
-        cfg.threads,
-        cfg.deadline,
-        &sup.fault,
-        resume_frontier,
-        initial,
-        ckpt,
-        || (LabelScratch::new(), scratch()),
-        |task, xs| {
-            let (ls, x) = xs;
-            let mut delta = empty();
-            let _ = for_each_labelling(letters, task, ls, &mut |c, w| {
-                work(&mut delta, x, task.idx, c, w);
-                ControlFlow::Continue(())
-            });
-            delta
-        },
-        |g, d, _| g.merge(d),
-    )
+    with_tasks(u, cfg.canonical, |tasks| {
+        run_supervised(
+            tasks,
+            cfg.threads,
+            cfg.deadline,
+            &sup.fault,
+            resume_frontier,
+            initial,
+            ckpt,
+            || (LabelScratch::new(), scratch()),
+            |task, xs| {
+                let (ls, x) = xs;
+                let mut delta = empty();
+                let _ = for_each_labelling(letters, task, ls, &mut |c, w| {
+                    work(&mut delta, x, task.idx, c, w);
+                    ControlFlow::Continue(())
+                });
+                delta
+            },
+            |g, d, _| g.merge(d),
+        )
+    })
 }
 
 /// Keeps the smaller-task-index keyed witness of two merged slots.
@@ -677,41 +683,43 @@ fn search_supervised<W: Send, X>(
     // value only scans a task whose witness `merge_keyed` then discards
     // under the shared lock — the authoritative min-task-index merge.
     let best = AtomicUsize::new(usize::MAX);
-    let out = run_supervised(
-        materialize(u, cfg.canonical),
-        cfg.threads,
-        cfg.deadline,
-        &sup.fault,
-        Frontier::new(),
-        None::<Keyed<W>>,
-        None,
-        || (LabelScratch::new(), scratch()),
-        |task, (ls, x)| {
-            let superseded = || best.load(Ordering::Relaxed) < task.idx;
-            if superseded() {
-                return None; // an earlier task already has a witness
-            }
-            let mut found = None;
-            let _ = for_each_labelling(&letters, task, ls, &mut |c, _| {
+    let out = with_tasks(u, cfg.canonical, |tasks| {
+        run_supervised(
+            tasks,
+            cfg.threads,
+            cfg.deadline,
+            &sup.fault,
+            Frontier::new(),
+            None::<Keyed<W>>,
+            None,
+            || (LabelScratch::new(), scratch()),
+            |task, (ls, x)| {
+                let superseded = || best.load(Ordering::Relaxed) < task.idx;
                 if superseded() {
-                    return ControlFlow::Break(());
+                    return None; // an earlier task already has a witness
                 }
-                found = find(c, x);
-                if found.is_some() {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
+                let mut found = None;
+                let _ = for_each_labelling(&letters, task, ls, &mut |c, _| {
+                    if superseded() {
+                        return ControlFlow::Break(());
+                    }
+                    found = find(c, x);
+                    if found.is_some() {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                });
+                found.map(|w| Keyed { task_idx: task.idx, witness: w })
+            },
+            |g, d, idx| {
+                if d.is_some() {
+                    best.fetch_min(idx, Ordering::Relaxed);
                 }
-            });
-            found.map(|w| Keyed { task_idx: task.idx, witness: w })
-        },
-        |g, d, idx| {
-            if d.is_some() {
-                best.fetch_min(idx, Ordering::Relaxed);
-            }
-            merge_keyed(g, d);
-        },
-    );
+                merge_keyed(g, d);
+            },
+        )
+    });
     out.map(|k| k.map(|k| k.witness))
 }
 
@@ -1688,7 +1696,7 @@ mod tests {
         // zero deadline reports the pass's own frontier and task count.
         let u = Universe::new(3, 1);
         let cfg = SweepConfig::with_threads(2).canonical(true);
-        let tasks = materialize(&u, true).len();
+        let tasks = crate::sweep::plan::canonical_tasks(u.max_nodes).len();
         let panics = Supervisor::with_fault(FaultPlan::none().panic_at_task(1));
         for (engine, lattice) in LATTICES {
             let clean = lattice(&MODELS, &u, &cfg, &Supervisor::none());

@@ -119,7 +119,7 @@ impl Universe {
     /// the universe holds `Σₙ count_posets(n) · kⁿ` computations for an
     /// alphabet of `k` ops. Counts posets without building any dag and
     /// never materialises a computation — sizes far beyond
-    /// [`count_computations`]'s enumerative reach (and beyond `usize` on
+    /// [`Self::count_computations`]'s enumerative reach (and beyond `usize` on
     /// 32-bit targets, hence `u128`).
     pub fn count_computations_closed(&self) -> u128 {
         let k = self.alphabet().len() as u128;

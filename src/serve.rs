@@ -27,7 +27,7 @@
 //! # Fault injection
 //!
 //! Every admitted request draws a global index; the
-//! [`ServeFaultPlan`](ccmm_core::fault::ServeFaultPlan) maps the index
+//! [`ServeFaultPlan`] maps the index
 //! to the faults to inject — handler panic (quarantined into a
 //! `degraded` reply), response delay, torn reply frame, or connection
 //! drop — so the chaos soak replays byte-identically from its seed.
